@@ -4,11 +4,11 @@
 #   make lint    static gate: go vet + gofmt formatting check
 #   make test    plain test run (fastest)
 #   make cover   coverage run with a total-statement-coverage floor
-#   make smoke   reduced-scale benchmark sweep -> BENCH_results.json
 #   make bench   Go micro/macro benchmarks with allocation counts
-#   make bench-smoke  dispatch regression gate vs committed BENCH_results.json
-#   make apicheck     forbid new callers of the deprecated core.Run* wrappers
 #   make tables  regenerate every paper table (RESULTS.md to stdout)
+#
+# End-to-end performance is measured by perfbench (see perfbench/README.md):
+#   bash perfbench/run.sh --workload search --seed 1 --seconds 15 --trace 0
 
 GO ?= go
 
@@ -16,7 +16,7 @@ GO ?= go
 # around 80%; the gap is headroom for new code, not license to delete tests).
 COVER_FLOOR ?= 75
 
-.PHONY: all check lint fmt build vet test race cover smoke bench bench-smoke apicheck tables clean
+.PHONY: all check lint fmt build vet test race cover bench tables clean
 
 all: check
 
@@ -51,37 +51,12 @@ cover:
 	awk -v t="$$total" -v f="$(COVER_FLOOR)" 'BEGIN { exit (t + 0 < f + 0) ? 1 : 0 }' || \
 	{ echo "coverage fell below the $(COVER_FLOOR)% floor"; exit 1; }
 
-# Reduced-scale end-to-end benchmark of representative figures; writes
-# BENCH_results.json (ns/op, allocs/op, cores) for commit-to-commit tracking.
-smoke:
-	$(GO) run ./cmd/bench -figs fig1,fig3,fig4,fig6 -runs 2 -gens 10 -out BENCH_results.json
-
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' ./...
-
-# Dispatch regression gate: re-measure the batched-vs-single evaluation
-# dispatch comparison and fail if the speedup ratio regressed more than 10%
-# against the committed BENCH_results.json. The gate compares the speedup
-# RATIO, not absolute ns/eval, so it holds across machines of different
-# speeds; the measurement itself pins GOMAXPROCS=1 for the same reason.
-bench-smoke:
-	$(GO) run ./cmd/bench -figs fig1 -runs 1 -gens 5 \
-		-dispatch-baseline BENCH_results.json -out /tmp/bench-smoke.json
-
-# API gate: the core.Run / core.RunContext / core.RunBaseline wrappers are
-# deprecated in favour of core.Search; no new callers may appear outside
-# internal/core (which hosts the wrappers and their compatibility tests).
-apicheck:
-	@offenders=$$(grep -rnE 'core\.(Run|RunContext|RunBaseline)\(' \
-		--include='*.go' . | grep -v '^\./internal/core/' || true); \
-	if [ -n "$$offenders" ]; then \
-		echo "deprecated core.Run* wrappers called outside internal/core (use core.Search):"; \
-		echo "$$offenders"; exit 1; \
-	fi
 
 tables:
 	$(GO) run ./cmd/experiments
 
 clean:
 	$(GO) clean ./...
-	rm -f BENCH_results.json coverage.out
+	rm -f coverage.out

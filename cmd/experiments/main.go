@@ -65,7 +65,7 @@ func realMain(ctx context.Context) {
 	par := cliflags.NewParallelism(flag.CommandLine, 0, true)
 	out := flag.String("out", "", "directory for CSV output (optional)")
 	md := flag.String("md", "", "also write a markdown report to this file (optional)")
-	obs := cliflags.NewObservability(flag.CommandLine, false)
+	obs := cliflags.NewObservability(flag.CommandLine)
 	checkpoint := flag.String("checkpoint", "", "persist each completed figure's tables to this progress file (figures run sequentially)")
 	checkpointEvery := flag.Int("checkpoint-every", 1, "persist the progress file after every N completed figures (with -checkpoint)")
 	resume := flag.Bool("resume", false, "skip figures already completed in the -checkpoint progress file")

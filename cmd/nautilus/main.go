@@ -177,7 +177,7 @@ func run(ctx context.Context) (int, error) {
 	pop := flag.Int("pop", 10, "GA population size")
 	par := cliflags.NewParallelism(flag.CommandLine, runtime.GOMAXPROCS(0), false)
 	seed := flag.Int64("seed", 1, "random seed")
-	obs := cliflags.NewObservability(flag.CommandLine, true)
+	obs := cliflags.NewObservability(flag.CommandLine)
 	trc := cliflags.NewTracing(flag.CommandLine)
 	emitRTL := flag.String("rtl", "", "write the best design's Verilog to this file")
 	hintsIn := flag.String("hints", "", "load the hint library from this JSON file instead of the built-in one")

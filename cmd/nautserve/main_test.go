@@ -196,7 +196,7 @@ func (d *testDaemon) submit(t *testing.T, spec server.JobSpec) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(d.url("/api/v1/jobs"), "application/json", bytes.NewReader(data))
+	resp, err := http.Post(d.url("/v1/jobs"), "application/json", bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func (d *testDaemon) waitState(t *testing.T, id string, what string, pred func(s
 	deadline := time.Now().Add(120 * time.Second)
 	for {
 		var st server.JobStatus
-		if code := d.getJSON(t, "/api/v1/jobs/"+id, &st); code == http.StatusOK && pred(st) {
+		if code := d.getJSON(t, "/v1/jobs/"+id, &st); code == http.StatusOK && pred(st) {
 			return st
 		}
 		if time.Now().After(deadline) {
@@ -241,7 +241,7 @@ func (d *testDaemon) waitDone(t *testing.T, id string) server.JobStatus {
 func (d *testDaemon) result(t *testing.T, id string) server.JobResult {
 	t.Helper()
 	var res server.JobResult
-	if code := d.getJSON(t, "/api/v1/jobs/"+id+"/result", &res); code != http.StatusOK {
+	if code := d.getJSON(t, "/v1/jobs/"+id+"/result", &res); code != http.StatusOK {
 		t.Fatalf("result %s: status %d", id, code)
 	}
 	return res
@@ -316,7 +316,7 @@ func TestServerSharedCache(t *testing.T) {
 			Distinct int `json:"distinct_evals"`
 		} `json:"shared_caches"`
 	}
-	if code := d.getJSON(t, "/api/v1/stats", &stats); code != http.StatusOK {
+	if code := d.getJSON(t, "/v1/stats", &stats); code != http.StatusOK {
 		t.Fatalf("stats: status %d", code)
 	}
 	shared := stats.SharedCaches["fft"].Distinct

@@ -1,8 +1,8 @@
 // Package cliflags is the one home of the flag wiring the Nautilus command
 // line tools share: evaluation parallelism (-par), evaluation supervision
 // (-eval-timeout, -eval-retries, -quarantine-after), run observability
-// (-summary, -journal, -debug-addr), span tracing (-trace-out,
-// -trace-buffer), and profiling (-cpuprofile, -memprofile). Before this
+// (-summary, -journal, -debug-addr), and span tracing (-trace-out,
+// -trace-buffer). Before this
 // package each tool re-declared the flags and re-implemented their
 // validation and the telemetry sink assembly; now there is exactly one
 // usage string, one validation path, and one assembly routine per concern,
@@ -15,8 +15,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"sort"
 	"time"
 
@@ -114,27 +112,21 @@ func (s *Supervision) Policy() resilience.Policy {
 	return p
 }
 
-// Observability bundles the telemetry flags: -summary (optionally aliased
-// by -trace), -journal, and -debug-addr.
+// Observability bundles the telemetry flags: -summary, -journal, and
+// -debug-addr.
 type Observability struct {
 	Summary   *bool
-	trace     *bool
 	Journal   *string
 	DebugAddr *string
 }
 
-// NewObservability registers the observability flags on fs. withTraceAlias
-// adds -trace as a deprecated alias of -summary.
-func NewObservability(fs *flag.FlagSet, withTraceAlias bool) *Observability {
-	o := &Observability{
+// NewObservability registers the observability flags on fs.
+func NewObservability(fs *flag.FlagSet) *Observability {
+	return &Observability{
 		Summary:   fs.Bool("summary", false, "print the end-of-run telemetry summary (per-generation trajectory, cache, hints, pool)"),
 		Journal:   fs.String("journal", "", "append structured run events as JSON lines to this file"),
 		DebugAddr: DebugAddr(fs),
 	}
-	if withTraceAlias {
-		o.trace = fs.Bool("trace", false, "alias for -summary (the old per-generation trace is part of the summary)")
-	}
-	return o
 }
 
 // DebugAddr registers just -debug-addr, for tools (mapspace) that serve a
@@ -143,9 +135,9 @@ func DebugAddr(fs *flag.FlagSet) *string {
 	return fs.String("debug-addr", "", "serve live metrics (expvar) and pprof on this address, e.g. localhost:6060")
 }
 
-// WantSummary reports whether -summary (or its -trace alias) was set.
+// WantSummary reports whether -summary was set.
 func (o *Observability) WantSummary() bool {
-	return *o.Summary || (o.trace != nil && *o.trace)
+	return *o.Summary
 }
 
 // Stack is the assembled telemetry sinks an Observability flag set asked
@@ -197,8 +189,7 @@ func (o *Observability) Build() (*Stack, error) {
 
 // Tracing bundles the span-tracing flags: -trace-out streams completed
 // spans as JSON lines, -trace-buffer keeps an in-memory flight recorder of
-// the last N spans for post-mortems. Distinct from the deprecated -trace
-// flag, which is an alias of -summary.
+// the last N spans for post-mortems.
 type Tracing struct {
 	Out    *string
 	Buffer *int
@@ -324,71 +315,6 @@ func (ts *TraceStack) Close() error {
 	}
 	ts.closers = nil
 	return first
-}
-
-// Profiling bundles the profiler flags: -cpuprofile and -memprofile, the
-// standard pprof pair for chasing hot-path regressions (the dispatch
-// pipeline's per-eval cost, allocation churn in the GA loop).
-type Profiling struct {
-	CPU *string
-	Mem *string
-
-	cpuFile *os.File
-}
-
-// NewProfiling registers -cpuprofile and -memprofile on fs.
-func NewProfiling(fs *flag.FlagSet) *Profiling {
-	return &Profiling{
-		CPU: fs.String("cpuprofile", "", "write a CPU profile to this file (inspect with go tool pprof)"),
-		Mem: fs.String("memprofile", "", "write a heap profile to this file on exit (inspect with go tool pprof)"),
-	}
-}
-
-// Start begins CPU profiling when -cpuprofile was set. Call after flag
-// parsing, before the measured work; pair with Stop.
-func (p *Profiling) Start() error {
-	if *p.CPU == "" {
-		return nil
-	}
-	f, err := os.Create(*p.CPU)
-	if err != nil {
-		return fmt.Errorf("cpuprofile: %w", err)
-	}
-	if err := pprof.StartCPUProfile(f); err != nil {
-		f.Close()
-		return fmt.Errorf("cpuprofile: %w", err)
-	}
-	p.cpuFile = f
-	return nil
-}
-
-// Stop ends CPU profiling and writes the heap profile when -memprofile was
-// set. Safe to call when neither flag was given, and idempotent for the CPU
-// half.
-func (p *Profiling) Stop() error {
-	if p.cpuFile != nil {
-		pprof.StopCPUProfile()
-		err := p.cpuFile.Close()
-		p.cpuFile = nil
-		if err != nil {
-			return fmt.Errorf("cpuprofile: %w", err)
-		}
-	}
-	if *p.Mem != "" {
-		f, err := os.Create(*p.Mem)
-		if err != nil {
-			return fmt.Errorf("memprofile: %w", err)
-		}
-		runtime.GC() // materialize the steady-state heap before snapshotting
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			f.Close()
-			return fmt.Errorf("memprofile: %w", err)
-		}
-		if err := f.Close(); err != nil {
-			return fmt.Errorf("memprofile: %w", err)
-		}
-	}
-	return nil
 }
 
 // Registry returns the collector's metric registry, or nil when no

@@ -110,16 +110,10 @@ func TestSupervisionValidateAndPolicy(t *testing.T) {
 
 func TestObservabilityWantSummary(t *testing.T) {
 	fs := newFS()
-	o := NewObservability(fs, true)
-	if err := fs.Parse([]string{"-trace"}); err != nil {
-		t.Fatal(err)
+	o := NewObservability(fs)
+	if o.WantSummary() {
+		t.Error("WantSummary() = true before -summary is set")
 	}
-	if !o.WantSummary() {
-		t.Error("WantSummary() = false with -trace alias set")
-	}
-
-	fs = newFS()
-	o = NewObservability(fs, false)
 	if err := fs.Parse([]string{"-summary"}); err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +121,7 @@ func TestObservabilityWantSummary(t *testing.T) {
 		t.Error("WantSummary() = false with -summary set")
 	}
 	if err := fs.Parse([]string{"-trace"}); err == nil {
-		t.Error("-trace parsed without the alias registered")
+		t.Error("-trace parsed, but the flag no longer exists")
 	}
 }
 
@@ -222,7 +216,7 @@ func TestTracingBuild(t *testing.T) {
 
 func TestStackZeroCost(t *testing.T) {
 	fs := newFS()
-	o := NewObservability(fs, true)
+	o := NewObservability(fs)
 	if err := fs.Parse(nil); err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +242,7 @@ func TestStackZeroCost(t *testing.T) {
 func TestStackAssembly(t *testing.T) {
 	journal := filepath.Join(t.TempDir(), "events.jsonl")
 	fs := newFS()
-	o := NewObservability(fs, false)
+	o := NewObservability(fs)
 	if err := fs.Parse([]string{"-summary", "-journal", journal}); err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +262,7 @@ func TestStackAssembly(t *testing.T) {
 
 	// An unwritable journal path surfaces as a Build error.
 	fs = newFS()
-	o = NewObservability(fs, false)
+	o = NewObservability(fs)
 	if err := fs.Parse([]string{"-journal", filepath.Join(t.TempDir(), "no", "such", "dir", "x.jsonl")}); err != nil {
 		t.Fatal(err)
 	}

@@ -77,7 +77,7 @@ func (g *Guidance) WithConfidence(c float64) *Guidance {
 
 // WithRecorder returns a copy of the guidance reporting hint-application
 // events to rec (nil restores the no-op default). The copy shares the
-// compiled hint tables; core.Run uses this to give each engine its own
+// compiled hint tables; Search uses this to give each engine its own
 // recorded view of a guidance shared across concurrent trials.
 func (g *Guidance) WithRecorder(rec telemetry.Recorder) *Guidance {
 	out := *g

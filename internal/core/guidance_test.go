@@ -1,16 +1,24 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
 
+	"nautilus/internal/dataset"
 	"nautilus/internal/ga"
 	"nautilus/internal/metrics"
 	"nautilus/internal/param"
 )
+
+// runSearch runs one scalar Search over eval under cfg, guided by g (nil runs
+// the unguided baseline).
+func runSearch(s *param.Space, obj metrics.Objective, eval dataset.Evaluator, cfg ga.Config, g *Guidance) (ga.Result, error) {
+	return Search(context.Background(), SearchRequest{Space: s, Objective: obj, Evaluate: eval, Config: cfg}, WithGuidance(g))
+}
 
 // monotoneEval builds an evaluator where "cost" increases with every
 // parameter's numeric axis - the friendliest possible case for bias hints.
@@ -290,11 +298,11 @@ func TestGuidedBeatsBaselineOnMonotoneSpace(t *testing.T) {
 	const runs = 12
 	for seed := int64(0); seed < runs; seed++ {
 		cfg.Seed = seed
-		b, err := RunBaseline(s, obj, eval, cfg)
+		b, err := runSearch(s, obj, eval, cfg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		n, err := Run(s, obj, eval, cfg, g)
+		n, err := runSearch(s, obj, eval, cfg, g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -331,7 +339,7 @@ func TestWrongHintsStillConverge(t *testing.T) {
 	got := 0.0
 	const runs = 8
 	for seed := int64(0); seed < runs; seed++ {
-		res, err := Run(s, obj, eval, ga.Config{Seed: seed, Generations: 120}, g)
+		res, err := runSearch(s, obj, eval, ga.Config{Seed: seed, Generations: 120}, g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -347,7 +355,7 @@ func TestWrongHintsStillConverge(t *testing.T) {
 
 func TestRunValidatesConfig(t *testing.T) {
 	s := bigSpace()
-	if _, err := Run(s, metrics.MinimizeMetric("cost"), monotoneEval(s), ga.Config{PopulationSize: 1}, nil); err == nil {
+	if _, err := runSearch(s, metrics.MinimizeMetric("cost"), monotoneEval(s), ga.Config{PopulationSize: 1}, nil); err == nil {
 		t.Error("bad config accepted")
 	}
 }

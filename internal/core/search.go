@@ -54,7 +54,7 @@ type SearchRequest struct {
 	// deadlines and run-level cancellation reach the underlying tool run.
 	EvaluateCtx dataset.ContextEvaluator
 	// Config is the GA scale and operator configuration. Options layered on
-	// top of the request (WithRecorder, WithBatchSize, ...) take precedence
+	// top of the request (WithRecorder, WithCheckpoint, ...) take precedence
 	// over the corresponding Config fields.
 	Config ga.Config
 }
@@ -117,35 +117,6 @@ func WithResilience(policy resilience.Policy, reg *telemetry.Registry) SearchOpt
 	}
 }
 
-// WithBatchSize caps how many individuals each evaluation batch carries
-// (0 = the whole generation, the default). Results are identical at any
-// batch size.
-func WithBatchSize(n int) SearchOption {
-	return func(c *searchConfig) {
-		c.override(func(cfg *ga.Config) { cfg.BatchSize = n })
-	}
-}
-
-// WithDispatch selects the evaluation dispatch mode: ga.DispatchBatch (the
-// default) or ga.DispatchSingle (the legacy point-at-a-time path, kept for
-// comparison).
-func WithDispatch(mode string) SearchOption {
-	return func(c *searchConfig) {
-		c.override(func(cfg *ga.Config) { cfg.Dispatch = mode })
-	}
-}
-
-// WithKeyMode selects how the run's cache identifies design points:
-// ga.KeyModeHash (the default - 64-bit genome hashes, no string key on the
-// hot path) or ga.KeyModeString (the legacy canonical-key representation,
-// kept for comparison). Results and checkpoints are byte-identical across
-// modes.
-func WithKeyMode(mode string) SearchOption {
-	return func(c *searchConfig) {
-		c.override(func(cfg *ga.Config) { cfg.KeyMode = mode })
-	}
-}
-
 // WithBatchBackend routes each generation's residual cache misses to b as
 // whole batches (see dataset.Cache.SetBatchBackend).
 func WithBatchBackend(b dataset.BatchEvaluator) SearchOption {
@@ -190,11 +161,11 @@ func (c *searchConfig) override(f func(*ga.Config)) {
 	c.overrides = append(c.overrides, f)
 }
 
-// Search executes one Nautilus search described by req: a (by default
-// batched) GA over req.Space under req.Config, optionally guided,
-// supervised, and recorded via opts. It is the single entry point an IP
-// generator embeds; Run, RunContext, and RunBaseline are thin deprecated
-// wrappers over it. req.Mode widens the shape - ModePareto swaps in
+// Search executes one Nautilus search described by req: a GA over
+// req.Space under req.Config, optionally guided, supervised, and recorded
+// via opts. It is the single entry point an IP generator embeds; omitting
+// WithGuidance runs the unguided baseline GA, the paper's comparison
+// point. req.Mode widens the shape - ModePareto swaps in
 // NSGA-II selection over req.Objectives, ModePortfolio races three
 // strategies over one shared dedup cache - without changing the signature
 // or the determinism contract.

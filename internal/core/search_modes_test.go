@@ -141,31 +141,26 @@ func TestParetoNoCFrontExtremesMatchScalarOptima(t *testing.T) {
 }
 
 // TestParetoNoCByteIdentical pins the determinism contract on the NoC
-// acceptance scenario: deeply identical results across -par {1,8} x key
-// modes.
+// acceptance scenario: deeply identical results at -par 1 (inline
+// lookups) and -par 8 (batched generations).
 func TestParetoNoCByteIdentical(t *testing.T) {
 	luts, _, objs := nocBiObjective(t)
-	run := func(par int, keyMode string) ga.Result {
+	run := func(par int) ga.Result {
 		res, err := core.Search(context.Background(), core.SearchRequest{
 			Space:      luts.Space,
 			Mode:       core.ModePareto,
 			Objectives: objs,
 			Evaluate:   luts.Eval,
 			Config:     nocCfg(par),
-		}, core.WithKeyMode(keyMode))
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	ref := run(1, ga.KeyModeHash)
-	for _, par := range []int{1, 8} {
-		for _, km := range []string{ga.KeyModeHash, ga.KeyModeString} {
-			got := run(par, km)
-			if !reflect.DeepEqual(got, ref) {
-				t.Fatalf("par=%d key=%q diverged from par=1 hash reference", par, km)
-			}
-		}
+	ref := run(1)
+	if got := run(8); !reflect.DeepEqual(got, ref) {
+		t.Fatal("par=8 diverged from the par=1 reference")
 	}
 }
 

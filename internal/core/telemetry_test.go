@@ -105,14 +105,14 @@ func TestGuidedRunTelemetryDeterminism(t *testing.T) {
 	g := hintedGuidance(t, s, 0.9)
 	cfg := ga.Config{Seed: 9, Generations: 20, PopulationSize: 8}
 
-	plain, err := Run(s, obj, eval, cfg, g)
+	plain, err := runSearch(s, obj, eval, cfg, g)
 	if err != nil {
 		t.Fatal(err)
 	}
 	col := telemetry.NewCollector(nil)
 	cfgRec := cfg
 	cfgRec.Recorder = col
-	recorded, err := Run(s, obj, eval, cfgRec, g)
+	recorded, err := runSearch(s, obj, eval, cfgRec, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestGuidedRunTelemetryDeterminism(t *testing.T) {
 		t.Errorf("telemetry changed the guided search result:\n got %+v\nwant %+v", recorded, plain)
 	}
 	if g.rec != telemetry.Nop {
-		t.Error("Run mutated the caller's guidance recorder")
+		t.Error("Search mutated the caller's guidance recorder")
 	}
 	snap := col.Registry().Snapshot()
 	hintEvents := snap.Counters["hints.value_target"] + snap.Counters["hints.value_bias"] +

@@ -9,9 +9,9 @@
 // accounting and singleflight semantics bit-for-bit, but amortizes the
 // bookkeeping from O(points) to O(batches): one counter update per batch,
 // one lock acquisition per touched shard, and one pool fan-out over only
-// the residual misses. Under the default KeyModeHash, a batch is resolved
-// entirely on 64-bit genome hashes - no string key is built anywhere on
-// the path, and every hit is verified against the stored packed genome.
+// the residual misses. A batch is resolved entirely on 64-bit genome
+// hashes - no string key is built anywhere on the path, and every hit is
+// verified against the stored packed genome.
 package dataset
 
 import (
@@ -29,42 +29,12 @@ import (
 // BatchEvaluator characterizes a whole batch of design points in one call,
 // returning exactly one (metrics, error) pair per point, index-aligned with
 // pts. It is the contract a generation-at-a-time dispatcher evaluates
-// against: implementations may fan the batch out internally (BatchOf), layer
-// another cache underneath (Cache.BatchEvaluator), or forward it to a
-// backend that genuinely evaluates in bulk. Per-item errors follow the
-// Evaluator convention - permanent means infeasible, transient
-// (IsTransient) means retry later, never memoize.
+// against: implementations may layer another cache underneath (the
+// server's process-wide shared cache) or forward the batch to a backend
+// that genuinely evaluates in bulk. Per-item errors follow the Evaluator
+// convention - permanent means infeasible, transient (IsTransient) means
+// retry later, never memoize.
 type BatchEvaluator func(ctx context.Context, pts []param.Point) ([]metrics.Metrics, []error)
-
-// BatchOf lifts a single-point evaluator into a BatchEvaluator that fans
-// each batch out on up to par pool workers - the adapter that lets every
-// existing backend (plain functions, supervised evaluators, dataset
-// lookups) serve the batched pipeline unmodified. Results land by index, so
-// the output is identical at any par. Items never started because ctx was
-// canceled come back with a transient error.
-func BatchOf(eval ContextEvaluator, par int) BatchEvaluator {
-	return BatchOfRec(eval, par, nil)
-}
-
-// BatchOfRec is BatchOf with pool-scheduling telemetry, mirroring
-// pool.MapRec. A nil rec records nothing and costs nothing.
-func BatchOfRec(eval ContextEvaluator, par int, rec telemetry.Recorder) BatchEvaluator {
-	return func(ctx context.Context, pts []param.Point) ([]metrics.Metrics, []error) {
-		ms := make([]metrics.Metrics, len(pts))
-		errs := make([]error, len(pts))
-		ran := make([]bool, len(pts))
-		_ = pool.EachRecCtx(ctx, par, len(pts), func(i int) {
-			ms[i], errs[i] = eval(ctx, pts[i])
-			ran[i] = true
-		}, rec)
-		for i := range ran {
-			if !ran[i] {
-				errs[i] = MarkTransient(ctx.Err())
-			}
-		}
-		return ms, errs
-	}
-}
 
 // SetBatchBackend routes the batch path's residual cache misses through b in
 // one call instead of fanning them out over the cache's own single-point
@@ -77,87 +47,37 @@ func (c *Cache) SetBatchBackend(b BatchEvaluator) {
 	c.batch = b
 }
 
-// BatchEvaluator adapts the cache itself into a BatchEvaluator (misses fan
-// out on up to par workers), ready to be the batch backend of another cache
-// layered on top.
-func (c *Cache) BatchEvaluator(par int) BatchEvaluator {
-	return func(ctx context.Context, pts []param.Point) ([]metrics.Metrics, []error) {
-		ms, errs, _ := c.EvaluateBatchCtx(ctx, pts, par)
-		return ms, errs
-	}
-}
-
 // EvaluateBatchCtx is the batch analogue of EvaluateCtx: one call resolves
-// every point of the batch, identified per the cache's KeyMode (genome
-// hashes by default - no string key is built anywhere on that path). See
-// EvaluateBatchKeyedCtx for the per-item semantics.
+// every point of the batch. See EvaluateBatchHashedCtx for the per-item
+// semantics.
 func (c *Cache) EvaluateBatchCtx(ctx context.Context, pts []param.Point, par int) ([]metrics.Metrics, []error, error) {
-	sc := c.getScratch()
-	defer c.putScratch(sc)
-	if c.mode == KeyModeString {
-		if cap(sc.keys) < len(pts) {
-			sc.keys = make([]string, len(pts))
-		}
-		keys := sc.keys[:len(pts)]
-		for i, pt := range pts {
-			keys[i] = c.space.Key(pt)
-		}
-		return c.batchResolve(ctx, sc, keys, nil, pts, par)
-	}
-	if cap(sc.hashes) < len(pts) {
-		sc.hashes = make([]uint64, len(pts))
-	}
-	hashes := sc.hashes[:len(pts)]
-	for i, pt := range pts {
-		hashes[i] = c.hashFn(pt)
-	}
-	return c.batchResolve(ctx, sc, nil, hashes, pts, par)
+	return c.EvaluateBatchHashedCtx(ctx, nil, pts, par)
 }
 
-// EvaluateBatchKeyedCtx resolves a whole batch of string-keyed lookups in
-// one sharded pass. Semantics per item are exactly EvaluateKeyedCtx's - the
-// batch and single paths are interchangeable and their deterministic
-// accounting (Stats) is byte-identical for the same request stream - but
-// the costs are amortized:
+// EvaluateBatchHashedCtx resolves a whole batch of lookups in one sharded
+// pass: hashes[i] must be pts[i]'s genome hash (param.Space.Hash64), and a
+// nil hashes slice asks the cache to compute them. Semantics per item are
+// exactly EvaluateHashedCtx's - the batch and single-point paths are
+// interchangeable and their deterministic accounting (Stats) is identical
+// for the same request stream - but the costs are amortized:
 //
 //   - one Total update per batch instead of one per lookup;
-//   - duplicate keys within the batch collapse to a single resolution
+//   - duplicate points within the batch collapse to a single resolution
 //     before any lock is taken;
-//   - each cache shard is locked once for all its keys, not once per key;
+//   - each cache shard is locked once for all its points, not once per
+//     point;
 //   - only the residual misses (not in the cache, not in flight anywhere)
 //     are evaluated, fanned out on up to par pool workers - or handed to
 //     the batch backend (SetBatchBackend) in a single call;
-//   - keys another goroutine is already evaluating are merged: the batch
-//     waits on the in-flight result instead of re-dispatching.
+//   - points another goroutine is already evaluating are merged: the
+//     batch waits on the in-flight result instead of re-dispatching.
 //
-// The returned slices are index-aligned with keys/pts. The final error is
-// nil unless ctx was canceled, in which case the batch is incomplete and
-// must be discarded (per-item transient errors mark the affected items).
-// On a hash-mode cache the keys are ignored and the batch re-dispatched by
-// genome hash.
-func (c *Cache) EvaluateBatchKeyedCtx(ctx context.Context, keys []string, pts []param.Point, par int) ([]metrics.Metrics, []error, error) {
-	if len(keys) != len(pts) {
-		return nil, nil, fmt.Errorf("dataset: batch has %d keys but %d points", len(keys), len(pts))
-	}
-	if c.mode != KeyModeString {
-		return c.EvaluateBatchHashedCtx(ctx, nil, pts, par)
-	}
-	sc := c.getScratch()
-	defer c.putScratch(sc)
-	return c.batchResolve(ctx, sc, keys, nil, pts, par)
-}
-
-// EvaluateBatchHashedCtx is the hash-keyed batch hot path: hashes[i] must
-// be pts[i]'s genome hash (param.Space.Hash64). A nil hashes slice asks the
-// cache to compute them. Per-item semantics are EvaluateHashedCtx's; the
-// amortizations match EvaluateBatchKeyedCtx. On a string-mode cache the
-// hashes are discarded and the batch re-dispatched by canonical key.
+// The returned slices are index-aligned with pts. The final error is nil
+// unless ctx was canceled, in which case the batch is incomplete and must
+// be discarded (per-item transient errors mark the affected items).
 func (c *Cache) EvaluateBatchHashedCtx(ctx context.Context, hashes []uint64, pts []param.Point, par int) ([]metrics.Metrics, []error, error) {
 	if hashes != nil && len(hashes) != len(pts) {
 		return nil, nil, fmt.Errorf("dataset: batch has %d hashes but %d points", len(hashes), len(pts))
-	}
-	if c.mode != KeyModeHash {
-		return c.EvaluateBatchCtx(ctx, pts, par)
 	}
 	sc := c.getScratch()
 	defer c.putScratch(sc)
@@ -170,7 +90,7 @@ func (c *Cache) EvaluateBatchHashedCtx(ctx context.Context, hashes []uint64, pts
 			hashes[i] = c.hashFn(pt)
 		}
 	}
-	return c.batchResolve(ctx, sc, nil, hashes, pts, par)
+	return c.batchResolve(ctx, sc, hashes, pts, par)
 }
 
 // batchScratch is one batch resolution's reusable working state. It lives
@@ -180,10 +100,8 @@ func (c *Cache) EvaluateBatchHashedCtx(ctx context.Context, hashes []uint64, pts
 type batchScratch struct {
 	uniq     []batchLookup
 	dup      []int
-	keys     []string
 	hashes   []uint64
-	uniqIdx  map[string]int
-	uniqIdxH map[uint64]int
+	uniqIdx  map[uint64]int
 	byShard  [cacheShards][]int
 	withdraw [cacheShards][]int
 	owned    []int
@@ -201,13 +119,11 @@ func (c *Cache) getScratch() *batchScratch {
 	return &batchScratch{}
 }
 
-// putScratch drops every reference the scratch holds (keys, points, cache
+// putScratch drops every reference the scratch holds (points and cache
 // entries must not be retained by the pool) and returns it for reuse.
 func (c *Cache) putScratch(sc *batchScratch) {
 	clear(sc.uniq)
 	sc.uniq = sc.uniq[:0]
-	clear(sc.keys)
-	sc.keys = sc.keys[:0]
 	sc.hashes = sc.hashes[:0]
 	clear(sc.opts)
 	sc.opts = sc.opts[:0]
@@ -225,23 +141,18 @@ func (c *Cache) putScratch(sc *batchScratch) {
 	if sc.uniqIdx != nil {
 		clear(sc.uniqIdx)
 	}
-	if sc.uniqIdxH != nil {
-		clear(sc.uniqIdxH)
-	}
 	c.scratch.Put(sc)
 }
 
 // linearBatchDedup is the batch size up to which duplicate collapsing uses
-// a linear scan over the unique identities (an integer compare guards any
-// deeper compare) instead of a map. Generation-sized batches stay far
+// a linear scan over the unique identities (a hash compare guards the
+// genome compare) instead of a map. Generation-sized batches stay far
 // below it, and the scan beats the map's per-key hashing there.
 const linearBatchDedup = 64
 
-// batchLookup is the per-unique-point state of one batch resolution. The
-// identity is the key string (string mode) or the (hash, pt) pair (hash
-// mode).
+// batchLookup is the per-unique-point state of one batch resolution,
+// identified by its (hash, pt) pair.
 type batchLookup struct {
-	key   string
 	hash  uint64
 	pt    param.Point
 	shard int
@@ -257,18 +168,16 @@ type batchLookup struct {
 	requests int
 }
 
-// batchResolve is the shared batch engine behind both key modes: exactly
-// one of keys and hashes is non-nil and selects the identity the batch
-// dedups, shards, and probes on. Per-item semantics match the single-point
-// paths; see EvaluateBatchKeyedCtx for the amortization contract.
-func (c *Cache) batchResolve(ctx context.Context, sc *batchScratch, keys []string, hashes []uint64, pts []param.Point, par int) ([]metrics.Metrics, []error, error) {
+// batchResolve is the batch engine: it dedups, shards, and probes on the
+// (hash, point) identity. Per-item semantics match the single-point path;
+// see EvaluateBatchHashedCtx for the amortization contract.
+func (c *Cache) batchResolve(ctx context.Context, sc *batchScratch, hashes []uint64, pts []param.Point, par int) ([]metrics.Metrics, []error, error) {
 	n := len(pts)
 	ms := make([]metrics.Metrics, n)
 	errs := make([]error, n)
 	if n == 0 {
 		return ms, errs, ctx.Err()
 	}
-	hashed := hashes != nil
 	c.total.Add(int64(n))
 
 	// Span tracing: one cache.batch root per resolution, with dedup/probe/
@@ -286,52 +195,29 @@ func (c *Cache) batchResolve(ctx context.Context, sc *batchScratch, keys []strin
 
 	// Collapse duplicates: one batchLookup per distinct point, in first-
 	// appearance order so the miss fan-out is deterministic. Generation-
-	// sized batches dedup by linear scan (an integer compare - shard or
-	// hash - guards the expensive compare); larger batches fall back to a
-	// pooled map. In hash mode a map hit is still genome-verified, so an
-	// in-batch 64-bit collision splits into separate lookups instead of
-	// merging wrongly.
+	// sized batches dedup by linear scan (a hash compare guards the genome
+	// compare); larger batches fall back to a pooled map. A map hit is
+	// still genome-verified, so an in-batch 64-bit collision splits into
+	// separate lookups instead of merging wrongly.
 	if cap(sc.dup) < n {
 		sc.dup = make([]int, n)
 	}
 	dup := sc.dup[:n] // request index -> uniq index
 	uniq := sc.uniq[:0]
 	appendUniq := func(i int) int {
-		j := len(uniq)
-		u := batchLookup{pt: pts[i]}
-		if hashed {
-			u.hash = hashes[i]
-			u.shard = shardForHash(u.hash)
-		} else {
-			u.key = keys[i]
-			u.shard = c.shardFor(u.key)
-		}
-		uniq = append(uniq, u)
-		return j
+		uniq = append(uniq, batchLookup{pt: pts[i], hash: hashes[i], shard: shardForHash(hashes[i])})
+		return len(uniq) - 1
 	}
 	match := func(j, i int) bool {
-		if hashed {
-			return uniq[j].hash == hashes[i] && uniq[j].pt.Equal(pts[i])
-		}
-		return uniq[j].key == keys[i]
+		return uniq[j].hash == hashes[i] && uniq[j].pt.Equal(pts[i])
 	}
 	if n <= linearBatchDedup {
 		for i := 0; i < n; i++ {
 			j := -1
-			if hashed {
-				for q := range uniq {
-					if uniq[q].hash == hashes[i] && uniq[q].pt.Equal(pts[i]) {
-						j = q
-						break
-					}
-				}
-			} else {
-				shi := c.shardFor(keys[i])
-				for q := range uniq {
-					if uniq[q].shard == shi && uniq[q].key == keys[i] {
-						j = q
-						break
-					}
+			for q := range uniq {
+				if match(q, i) {
+					j = q
+					break
 				}
 			}
 			if j < 0 {
@@ -340,12 +226,12 @@ func (c *Cache) batchResolve(ctx context.Context, sc *batchScratch, keys []strin
 			uniq[j].requests++
 			dup[i] = j
 		}
-	} else if hashed {
-		if sc.uniqIdxH == nil {
-			sc.uniqIdxH = make(map[uint64]int, n)
+	} else {
+		if sc.uniqIdx == nil {
+			sc.uniqIdx = make(map[uint64]int, n)
 		}
 		for i := 0; i < n; i++ {
-			j, ok := sc.uniqIdxH[hashes[i]]
+			j, ok := sc.uniqIdx[hashes[i]]
 			if ok && !match(j, i) {
 				// 64-bit collision inside one batch: scan for a true match
 				// beyond the map's first index (the map keeps the first).
@@ -360,22 +246,9 @@ func (c *Cache) batchResolve(ctx context.Context, sc *batchScratch, keys []strin
 			}
 			if !ok {
 				j = appendUniq(i)
-				if _, exists := sc.uniqIdxH[hashes[i]]; !exists {
-					sc.uniqIdxH[hashes[i]] = j
+				if _, exists := sc.uniqIdx[hashes[i]]; !exists {
+					sc.uniqIdx[hashes[i]] = j
 				}
-			}
-			uniq[j].requests++
-			dup[i] = j
-		}
-	} else {
-		if sc.uniqIdx == nil {
-			sc.uniqIdx = make(map[string]int, n)
-		}
-		for i := 0; i < n; i++ {
-			j, ok := sc.uniqIdx[keys[i]]
-			if !ok {
-				j = appendUniq(i)
-				sc.uniqIdx[keys[i]] = j
 			}
 			uniq[j].requests++
 			dup[i] = j
@@ -391,9 +264,9 @@ func (c *Cache) batchResolve(ctx context.Context, sc *batchScratch, keys []strin
 	// Single sharded probe: group the unique points by shard and classify
 	// each under one lock acquisition per touched shard - hit (entry
 	// complete), merge (entry in flight elsewhere), or owned miss (entry
-	// inserted). Hash-mode probes verify the stored packed genome before
-	// declaring a hit; collision probes are folded into the cache's
-	// accounting per shard, outside the lock.
+	// inserted). Probes verify the stored packed genome before declaring a
+	// hit; collision probes are folded into the cache's accounting per
+	// shard, outside the lock.
 	byShard := &sc.byShard
 	for j := range uniq {
 		byShard[uniq[j].shard] = append(byShard[uniq[j].shard], j)
@@ -407,14 +280,8 @@ func (c *Cache) batchResolve(ctx context.Context, sc *batchScratch, keys []strin
 		sh.mu.Lock()
 		for _, j := range idxs {
 			u := &uniq[j]
-			var e *cacheEntry
-			if hashed {
-				var probes int
-				e, probes = sh.table.lookup(u.hash, u.pt)
-				shardProbes += probes
-			} else {
-				e = sh.entries[u.key]
-			}
+			e, probes := sh.table.lookup(u.hash, u.pt)
+			shardProbes += probes
 			if e != nil {
 				u.entry = e
 				select {
@@ -424,14 +291,8 @@ func (c *Cache) batchResolve(ctx context.Context, sc *batchScratch, keys []strin
 				}
 				continue
 			}
-			e = &cacheEntry{done: make(chan struct{})}
-			if hashed {
-				e.hash = u.hash
-				e.genome = c.space.AppendPacked(nil, u.pt)
-				sh.table.insert(e)
-			} else {
-				sh.entries[u.key] = e
-			}
+			e = &cacheEntry{done: make(chan struct{}), hash: u.hash, genome: c.space.AppendPacked(nil, u.pt)}
+			sh.table.insert(e)
 			u.entry = e
 			u.owned = true
 		}
@@ -559,11 +420,7 @@ func (c *Cache) batchResolve(ctx context.Context, sc *batchScratch, keys []strin
 			sh := &c.shards[shi]
 			sh.mu.Lock()
 			for _, j := range idxs {
-				if hashed {
-					sh.table.remove(uniq[j].entry)
-				} else if sh.entries[uniq[j].key] == uniq[j].entry {
-					delete(sh.entries, uniq[j].key)
-				}
+				sh.table.remove(uniq[j].entry)
 			}
 			sh.mu.Unlock()
 		}

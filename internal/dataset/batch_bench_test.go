@@ -25,7 +25,7 @@ func benchmarkCache(b *testing.B, n int) (*Cache, []param.Point) {
 	return c, pts
 }
 
-func BenchmarkDispatchSingleWarm(b *testing.B) {
+func BenchmarkPointLookupWarm(b *testing.B) {
 	c, pts := benchmarkCache(b, 32)
 	ctx := context.Background()
 	b.ReportAllocs()
@@ -39,7 +39,7 @@ func BenchmarkDispatchSingleWarm(b *testing.B) {
 	}
 }
 
-func BenchmarkDispatchBatchWarm(b *testing.B) {
+func BenchmarkBatchLookupWarm(b *testing.B) {
 	c, pts := benchmarkCache(b, 32)
 	ctx := context.Background()
 	b.ReportAllocs()

@@ -131,25 +131,9 @@ func (c *Cache) resolve(ctx context.Context, pt param.Point) (metrics.Metrics, e
 // parallelism levels the experiment harness runs at.
 const cacheShards = 32
 
-// cacheShardBits is log2(cacheShards); hash-keyed lookups stripe on the
-// hash's top bits so the low bits stay free for the in-shard table index.
+// cacheShardBits is log2(cacheShards); lookups stripe on the hash's top
+// bits so the low bits stay free for the in-shard table index.
 const cacheShardBits = 5
-
-// KeyMode selects how a Cache identifies design points internally.
-type KeyMode int
-
-const (
-	// KeyModeHash (the default) keys entries on 64-bit genome hashes
-	// (param.Space.Hash64) over open-addressed shard tables, storing the
-	// packed genome for collision verification on every hit. This is the
-	// dispatch hot path: no string key is built anywhere on it.
-	KeyModeHash KeyMode = iota
-	// KeyModeString keys entries on canonical string keys (param.Space.Key)
-	// over map shards - the legacy representation, kept selectable for
-	// equivalence benchmarks and comparison tests. Persistence (Export/
-	// Restore) always speaks string keys regardless of mode.
-	KeyModeString
-)
 
 // Cache memoizes an Evaluator and counts distinct evaluations. It is safe
 // for concurrent use: lookups stripe across cacheShards independently
@@ -158,6 +142,12 @@ const (
 // the evaluator while the rest block on its result. A distinct design point
 // therefore costs exactly one evaluator call no matter how many goroutines
 // race for it, which is what the paper's synthesis-job accounting demands.
+//
+// A design point's identity is its 64-bit genome hash (param.Space.Hash64):
+// each shard is an open-addressed table keyed on the hash that stores the
+// packed genome and verifies it on every hit, so no string key is built on
+// any lookup path. Canonical string keys (param.Space.Key) appear only in
+// the serialized form Export and Restore speak.
 //
 // Error memoization is deliberate: a permanent error marks the point
 // infeasible and is cached like a result (a failed synthesis job spent its
@@ -172,7 +162,6 @@ type Cache struct {
 	tracer *trace.Tracer
 	batch  BatchEvaluator
 	remote Remote
-	mode   KeyMode
 	// hashFn computes a point's 64-bit genome hash. It defaults to the
 	// space's Hash64 and is overridable from tests to force collisions.
 	hashFn func(param.Point) uint64
@@ -190,17 +179,14 @@ type Cache struct {
 }
 
 type cacheShard struct {
-	mu sync.Mutex
-	// entries holds KeyModeString state; table holds KeyModeHash state.
-	// Exactly one is populated, per the cache's mode.
-	entries map[string]*cacheEntry
-	table   cacheTable
+	mu    sync.Mutex
+	table cacheTable
 }
 
 // cacheEntry is the singleflight slot for one design point. done is closed
 // by the owning goroutine once m/err are valid; everyone else waits on it.
-// In hash mode the entry carries its genome hash and the packed genome, the
-// identity pair the open-addressed table verifies on every hit.
+// The entry carries its genome hash and the packed genome, the identity
+// pair the open-addressed table verifies on every hit.
 type cacheEntry struct {
 	done   chan struct{}
 	m      metrics.Metrics
@@ -217,29 +203,10 @@ func NewCache(space *param.Space, eval Evaluator) *Cache {
 // NewCacheContext wraps a context-aware evaluator for the given space. The
 // context passed to Evaluate flows through the singleflight path into the
 // evaluator, so per-evaluation deadlines and run-level cancellation reach
-// the underlying tool run. The cache starts in KeyModeHash.
+// the underlying tool run.
 func NewCacheContext(space *param.Space, eval ContextEvaluator) *Cache {
-	c := &Cache{space: space, eval: eval, rec: telemetry.Nop, hashFn: space.Hash64}
-	return c
+	return &Cache{space: space, eval: eval, rec: telemetry.Nop, hashFn: space.Hash64}
 }
-
-// SetKeyMode selects the cache's internal key representation. Call it
-// before the cache is shared across goroutines and before any evaluation;
-// switching modes discards nothing because it only chooses which (still
-// empty) store the shards use.
-func (c *Cache) SetKeyMode(mode KeyMode) {
-	c.mode = mode
-	if mode == KeyModeString {
-		for i := range c.shards {
-			if c.shards[i].entries == nil {
-				c.shards[i].entries = make(map[string]*cacheEntry)
-			}
-		}
-	}
-}
-
-// Mode returns the cache's key representation.
-func (c *Cache) Mode() KeyMode { return c.mode }
 
 // SetRecorder attaches a telemetry recorder that receives one cache event
 // (hit, miss, or singleflight-dedup wait, with the shard index) per
@@ -273,16 +240,6 @@ func (c *Cache) noteCollisions(n, shi int) {
 	}
 }
 
-// shardFor stripes string keys across shards with FNV-1a.
-func (c *Cache) shardFor(key string) int {
-	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= 16777619
-	}
-	return int(h % cacheShards)
-}
-
 // shardForHash stripes genome hashes on their top bits, leaving the low
 // bits for the in-shard open-addressed table index.
 func shardForHash(h uint64) int {
@@ -298,17 +255,7 @@ func (c *Cache) Evaluate(pt param.Point) (metrics.Metrics, error) {
 // singleflight wait and (through a context-aware evaluator) the evaluation
 // itself.
 func (c *Cache) EvaluateCtx(ctx context.Context, pt param.Point) (metrics.Metrics, error) {
-	if c.mode == KeyModeString {
-		return c.EvaluateKeyedCtx(ctx, c.space.Key(pt), pt)
-	}
 	return c.EvaluateHashedCtx(ctx, c.hashFn(pt), pt)
-}
-
-// EvaluateKeyed is Evaluate for callers that already hold pt's canonical
-// key (param.Space.Key), sparing a string-mode cache a key rebuild. In hash
-// mode the key is ignored and the point is hashed.
-func (c *Cache) EvaluateKeyed(key string, pt param.Point) (metrics.Metrics, error) {
-	return c.EvaluateKeyedCtx(context.Background(), key, pt)
 }
 
 // waitShared resolves a lookup that found an existing entry: a completed
@@ -334,74 +281,16 @@ func (c *Cache) waitShared(ctx context.Context, e *cacheEntry, shi int) (metrics
 	return e.m, e.err
 }
 
-// runOwned executes the evaluation this goroutine owns and publishes the
-// outcome. Transient errors are withdrawn through the mode-specific
-// withdraw func before the done channel closes, so no later lookup inherits
-// a poisoned entry; everything else is memoized and counted distinct.
-func (c *Cache) runOwned(ctx context.Context, e *cacheEntry, pt param.Point, shi int, withdraw func()) (metrics.Metrics, error) {
-	e.m, e.err = c.resolve(ctx, pt)
-	if e.err != nil && IsTransient(e.err) {
-		withdraw()
-		c.transient.Add(1)
-		c.rec.RecordCache(telemetry.CacheRecord{Event: telemetry.CacheTransient, Shard: shi})
-		close(e.done)
-		return e.m, e.err
-	}
-	c.distinct.Add(1)
-	close(e.done)
-	return e.m, e.err
-}
-
-// EvaluateKeyedCtx is the string-keyed evaluation path: keyed lookup under
-// a context. Transient evaluator errors (IsTransient) are delivered to the
-// callers that observed them but never memoized; permanent errors and
-// results are cached and counted as distinct evaluations. On a hash-mode
-// cache the key is ignored and the lookup is re-dispatched by hash.
-func (c *Cache) EvaluateKeyedCtx(ctx context.Context, key string, pt param.Point) (metrics.Metrics, error) {
-	if c.mode != KeyModeString {
-		return c.EvaluateHashedCtx(ctx, c.hashFn(pt), pt)
-	}
-	c.total.Add(1)
-	shi := c.shardFor(key)
-	sh := &c.shards[shi]
-	sh.mu.Lock()
-	if e, ok := sh.entries[key]; ok {
-		sh.mu.Unlock()
-		return c.waitShared(ctx, e, shi)
-	}
-	e := &cacheEntry{done: make(chan struct{})}
-	sh.entries[key] = e
-	sh.mu.Unlock()
-	c.rec.RecordCache(telemetry.CacheRecord{Event: telemetry.CacheMiss, Shard: shi})
-
-	// This goroutine owns the evaluation; concurrent requesters for the
-	// same key block on e.done instead of re-running the evaluator.
-	return c.runOwned(ctx, e, pt, shi, func() {
-		sh.mu.Lock()
-		if sh.entries[key] == e {
-			delete(sh.entries, key)
-		}
-		sh.mu.Unlock()
-	})
-}
-
-// EvaluateHashed is EvaluateHashedCtx without a context.
-func (c *Cache) EvaluateHashed(h uint64, pt param.Point) (metrics.Metrics, error) {
-	return c.EvaluateHashedCtx(context.Background(), h, pt)
-}
-
-// EvaluateHashedCtx is the hash-keyed evaluation hot path for callers that
-// already hold pt's genome hash (param.Space.Hash64): no string key is
-// built, the shard table probes by uint64 compare, and a hit is confirmed
-// against the stored packed genome before it is returned - a 64-bit
-// collision (impossible on packable spaces) therefore degrades to an extra
-// probe and a Stats().Collisions increment, never a wrong answer. Semantics
-// per lookup are exactly EvaluateKeyedCtx's. On a string-mode cache the
-// hash is discarded and the lookup re-dispatched by key.
+// EvaluateHashedCtx is the single-point lookup for callers that already
+// hold pt's genome hash (param.Space.Hash64): the shard table probes by
+// uint64 compare, and a hit is confirmed against the stored packed genome
+// before it is returned - a 64-bit collision (impossible on packable
+// spaces) therefore degrades to an extra probe and a Stats().Collisions
+// increment, never a wrong answer. Transient evaluator errors
+// (IsTransient) are delivered to the callers that observed them but never
+// memoized; permanent errors and results are cached and counted as
+// distinct evaluations.
 func (c *Cache) EvaluateHashedCtx(ctx context.Context, h uint64, pt param.Point) (metrics.Metrics, error) {
-	if c.mode != KeyModeHash {
-		return c.EvaluateKeyedCtx(ctx, c.space.Key(pt), pt)
-	}
 	c.total.Add(1)
 	shi := shardForHash(h)
 	sh := &c.shards[shi]
@@ -418,11 +307,23 @@ func (c *Cache) EvaluateHashedCtx(ctx context.Context, h uint64, pt param.Point)
 	c.noteCollisions(probes, shi)
 	c.rec.RecordCache(telemetry.CacheRecord{Event: telemetry.CacheMiss, Shard: shi})
 
-	return c.runOwned(ctx, e, pt, shi, func() {
+	// This goroutine owns the evaluation; concurrent requesters for the
+	// same point block on e.done instead of re-running the evaluator. A
+	// transient outcome is withdrawn before done closes, so no later lookup
+	// inherits a poisoned entry.
+	e.m, e.err = c.resolve(ctx, pt)
+	if e.err != nil && IsTransient(e.err) {
 		sh.mu.Lock()
 		sh.table.remove(e)
 		sh.mu.Unlock()
-	})
+		c.transient.Add(1)
+		c.rec.RecordCache(telemetry.CacheRecord{Event: telemetry.CacheTransient, Shard: shi})
+		close(e.done)
+		return e.m, e.err
+	}
+	c.distinct.Add(1)
+	close(e.done)
+	return e.m, e.err
 }
 
 // DistinctEvaluations returns how many distinct design points have been
@@ -450,10 +351,9 @@ func (c *Cache) TransientFailures() int {
 	return int(c.transient.Load())
 }
 
-// HashCollisions returns how many hash-mode probe steps passed an
-// equal-hash entry holding a different genome - the verification fallback
-// firing. Always 0 on packable spaces (where Hash64 is injective) and in
-// string mode.
+// HashCollisions returns how many probe steps passed an equal-hash entry
+// holding a different genome - the verification fallback firing. Always 0
+// on packable spaces (where Hash64 is injective).
 func (c *Cache) HashCollisions() int {
 	return int(c.collisions.Load())
 }
@@ -471,10 +371,10 @@ type CacheStats struct {
 	// error (retryable infrastructure failures, never memoized). 0 on any
 	// healthy run.
 	Transient int
-	// Collisions counts hash-mode lookups that probed past an equal-hash
-	// entry holding a different genome before resolving. 0 whenever Hash64
-	// is injective for the space (every packable space) and always 0 in
-	// string mode; when nonzero, like DedupedWaits, the exact count can
+	// Collisions counts lookups that probed past an equal-hash entry
+	// holding a different genome before resolving. 0 whenever Hash64 is
+	// injective for the space (every packable space); when nonzero, like
+	// DedupedWaits, the exact count can
 	// depend on scheduling. Collisions are a performance event only -
 	// genome verification keeps results exact.
 	Collisions int
@@ -520,9 +420,6 @@ func (c *Cache) Reset() {
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
-		if sh.entries != nil {
-			sh.entries = make(map[string]*cacheEntry)
-		}
 		sh.table = cacheTable{}
 		sh.mu.Unlock()
 	}
@@ -559,10 +456,8 @@ type CacheSnapshot struct {
 // export when no evaluations are in flight. Metrics maps are shared, not
 // copied: memoized metrics are immutable by contract.
 //
-// Snapshots always speak canonical string keys regardless of the cache's
-// KeyMode, so the persisted checkpoint format is byte-identical across
-// modes: a hash-mode cache reconstructs each entry's key from its stored
-// packed genome (a cold path), and genome hashes - process-local
+// Snapshots speak canonical string keys: each entry's key is rebuilt from
+// its stored packed genome (a cold path), so genome hashes - process-local
 // identities, not stable serialized state - never reach disk.
 func (c *Cache) Export() CacheSnapshot {
 	snap := CacheSnapshot{
@@ -571,30 +466,21 @@ func (c *Cache) Export() CacheSnapshot {
 		Dedup:     c.dedup.Load(),
 		Transient: c.transient.Load(),
 	}
-	capture := func(key string, e *cacheEntry) {
-		select {
-		case <-e.done:
-		default:
-			return // in flight; not yet a characterization
-		}
-		es := CacheEntrySnapshot{Key: key, Metrics: e.m}
-		if e.err != nil {
-			es.Err = e.err.Error()
-		}
-		snap.Entries = append(snap.Entries, es)
-	}
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
-		if c.mode == KeyModeString {
-			for key, e := range sh.entries {
-				capture(key, e)
+		sh.table.each(func(e *cacheEntry) {
+			select {
+			case <-e.done:
+			default:
+				return // in flight; not yet a characterization
 			}
-		} else {
-			sh.table.each(func(e *cacheEntry) {
-				capture(c.space.Key(c.space.UnpackPoint(e.genome)), e)
-			})
-		}
+			es := CacheEntrySnapshot{Key: c.space.Key(c.space.UnpackPoint(e.genome)), Metrics: e.m}
+			if e.err != nil {
+				es.Err = e.err.Error()
+			}
+			snap.Entries = append(snap.Entries, es)
+		})
 		sh.mu.Unlock()
 	}
 	sort.Slice(snap.Entries, func(a, b int) bool { return snap.Entries[a].Key < snap.Entries[b].Key })
@@ -603,17 +489,14 @@ func (c *Cache) Export() CacheSnapshot {
 
 // Restore replaces the cache's contents and counters with a snapshot
 // previously produced by Export - the resume half of checkpointing. Keys
-// are validated against the cache's space (and, in hash mode, rebuilt into
-// genome hashes and packed genomes). It must not race with in-flight
+// are validated against the cache's space and rebuilt into genome hashes
+// and packed genomes. It must not race with in-flight
 // Evaluate calls. The collision counter restarts at zero: collisions are a
 // process-local probe statistic, not persisted state.
 func (c *Cache) Restore(snap CacheSnapshot) error {
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
-		if sh.entries != nil {
-			sh.entries = make(map[string]*cacheEntry)
-		}
 		sh.table = cacheTable{}
 		sh.mu.Unlock()
 	}
@@ -624,23 +507,14 @@ func (c *Cache) Restore(snap CacheSnapshot) error {
 		if err != nil {
 			return fmt.Errorf("dataset: restore: %w", err)
 		}
-		e := &cacheEntry{done: closed, m: es.Metrics}
+		e := &cacheEntry{done: closed, m: es.Metrics, hash: c.hashFn(pt), genome: c.space.AppendPacked(nil, pt)}
 		if es.Err != "" {
 			e.err = errors.New(es.Err)
 		}
-		if c.mode == KeyModeString {
-			sh := &c.shards[c.shardFor(es.Key)]
-			sh.mu.Lock()
-			sh.entries[es.Key] = e
-			sh.mu.Unlock()
-		} else {
-			e.hash = c.hashFn(pt)
-			e.genome = c.space.AppendPacked(nil, pt)
-			sh := &c.shards[shardForHash(e.hash)]
-			sh.mu.Lock()
-			sh.table.insert(e)
-			sh.mu.Unlock()
-		}
+		sh := &c.shards[shardForHash(e.hash)]
+		sh.mu.Lock()
+		sh.table.insert(e)
+		sh.mu.Unlock()
 	}
 	c.distinct.Store(snap.Distinct)
 	c.total.Store(snap.Total)

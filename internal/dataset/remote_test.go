@@ -128,23 +128,3 @@ func TestRemoteTierBatchPath(t *testing.T) {
 		t.Fatal("remote tier re-consulted for a memoized error")
 	}
 }
-
-// TestRemoteTierStringMode proves the tier rides genome hashes even when
-// the cache itself keys on canonical strings.
-func TestRemoteTierStringMode(t *testing.T) {
-	space, _ := toySpace()
-	c := NewCache(space, func(pt param.Point) (metrics.Metrics, error) {
-		return metrics.Metrics{"v": 1}, nil
-	})
-	c.SetKeyMode(KeyModeString)
-	pt := param.Point{3, 1}
-	rem := &fakeRemote{answers: map[uint64]metrics.Metrics{space.Hash64(pt): {"v": 9}}}
-	c.SetRemote(rem)
-	m, err := c.Evaluate(pt)
-	if err != nil || m["v"] != 9 {
-		t.Fatalf("string-mode remote answer: m=%v err=%v", m, err)
-	}
-	if rem.hits.Load() != 1 {
-		t.Fatalf("remote hits = %d, want 1", rem.hits.Load())
-	}
-}

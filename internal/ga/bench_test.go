@@ -34,24 +34,3 @@ func BenchmarkRunParallel(b *testing.B) {
 		e.Run()
 	}
 }
-
-// BenchmarkDispatchSingle and BenchmarkDispatchBatch compare the two
-// evaluation dispatch modes on the same cache-heavy search (population 32
-// converges quickly, so most dispatches are warm hits). Parallelism 4
-// keeps the batch path engaged - at 1 worker adaptive dispatch collapses
-// both modes onto the inline path.
-func benchmarkDispatch(b *testing.B, dispatch string) {
-	b.ReportAllocs()
-	s, eval := quadSpace()
-	for i := 0; i < b.N; i++ {
-		e, err := New(s, metrics.MinimizeMetric("cost"), eval,
-			Config{Seed: int64(i), PopulationSize: 32, Generations: 60, Parallelism: 4, Dispatch: dispatch}, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		e.Run()
-	}
-}
-
-func BenchmarkDispatchSingle(b *testing.B) { benchmarkDispatch(b, DispatchSingle) }
-func BenchmarkDispatchBatch(b *testing.B)  { benchmarkDispatch(b, DispatchBatch) }

@@ -1,30 +1,28 @@
 package ga
 
 import (
-	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
+	"nautilus/internal/dataset"
 	"nautilus/internal/metrics"
 )
 
-// TestDispatchEquivalence is the batched pipeline's core contract: batch
-// dispatch produces results identical to the legacy point-at-a-time path -
-// best point, trajectory, and cache accounting included - at every batch
-// size and parallelism.
+// TestDispatchEquivalence is the engine's dispatch contract: the inline
+// per-point path it takes at Parallelism 1 and the whole-generation batch
+// path it takes at higher parallelism produce identical results - best
+// point, trajectory, and cache accounting included.
 func TestDispatchEquivalence(t *testing.T) {
 	s, eval := quadSpace()
 	obj := metrics.MinimizeMetric("cost")
-	const pop = 14
-	run := func(dispatch string, batchSize, par int) Result {
+	run := func(par int) Result {
 		t.Helper()
 		e, err := New(s, obj, eval, Config{
 			Seed:           7,
-			PopulationSize: pop,
+			PopulationSize: 14,
 			Generations:    30,
 			Parallelism:    par,
-			Dispatch:       dispatch,
-			BatchSize:      batchSize,
 		}, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -32,72 +30,24 @@ func TestDispatchEquivalence(t *testing.T) {
 		return e.Run()
 	}
 
-	want := run(DispatchSingle, 0, 1)
-	for _, par := range []int{1, 4} {
-		if got := run(DispatchSingle, 0, par); !reflect.DeepEqual(want, got) {
-			t.Errorf("single dispatch par=%d differs from par=1", par)
-		}
-		for _, bs := range []int{1, 7, pop} {
-			name := fmt.Sprintf("batch size=%d par=%d", bs, par)
-			if got := run(DispatchBatch, bs, par); !reflect.DeepEqual(want, got) {
-				t.Errorf("%s: result differs from single dispatch\n got: %+v\nwant: %+v", name, got, want)
-			}
-		}
+	inline := run(1)
+	if batch := run(4); !reflect.DeepEqual(inline, batch) {
+		t.Errorf("batch path (par=4) differs from inline path (par=1)\n got: %+v\nwant: %+v", batch, inline)
 	}
 }
 
-// TestKeyModeEquivalence is the hash-keyed pipeline's core contract: runs
-// dispatched on genome hashes are byte-identical to string-keyed runs -
-// best point, trajectory, diversity counts, and cache accounting included -
-// across dispatch modes, batch sizes, and parallelism.
-func TestKeyModeEquivalence(t *testing.T) {
+// TestNewContextRejectsHugePopulation: a population whose genome arenas
+// cannot be allocated is a configuration error, not a panic in the run.
+func TestNewContextRejectsHugePopulation(t *testing.T) {
 	s, eval := quadSpace()
 	obj := metrics.MinimizeMetric("cost")
-	const pop = 14
-	run := func(keyMode, dispatch string, batchSize, par int) Result {
-		t.Helper()
-		e, err := New(s, obj, eval, Config{
-			Seed:           7,
-			PopulationSize: pop,
-			Generations:    30,
-			Parallelism:    par,
-			Dispatch:       dispatch,
-			BatchSize:      batchSize,
-			KeyMode:        keyMode,
-		}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return e.Run()
-	}
-
-	want := run(KeyModeString, DispatchSingle, 0, 1)
-	for _, keyMode := range []string{KeyModeHash, KeyModeString} {
-		for _, par := range []int{1, 4} {
-			if got := run(keyMode, DispatchSingle, 0, par); !reflect.DeepEqual(want, got) {
-				t.Errorf("key mode %s single dispatch par=%d differs from string-keyed baseline", keyMode, par)
-			}
-			for _, bs := range []int{1, 7, pop} {
-				if got := run(keyMode, DispatchBatch, bs, par); !reflect.DeepEqual(want, got) {
-					t.Errorf("key mode %s batch size=%d par=%d differs from string-keyed baseline\n got: %+v\nwant: %+v",
-						keyMode, bs, par, got, want)
-				}
-			}
+	for _, pop := range []int{MaxPopulation + 1, 1 << 62} {
+		_, err := NewContext(s, obj, dataset.AdaptContext(eval), Config{PopulationSize: pop}, nil)
+		if err == nil || !strings.Contains(err.Error(), "population size") {
+			t.Errorf("population %d: err = %v, want a population-size error", pop, err)
 		}
 	}
-}
-
-// TestDispatchValidation rejects unknown modes and negative batch sizes.
-func TestDispatchValidation(t *testing.T) {
-	s, eval := quadSpace()
-	obj := metrics.MinimizeMetric("cost")
-	if _, err := New(s, obj, eval, Config{Dispatch: "bulk"}, nil); err == nil {
-		t.Error("unknown dispatch mode accepted")
-	}
-	if _, err := New(s, obj, eval, Config{BatchSize: -1}, nil); err == nil {
-		t.Error("negative batch size accepted")
-	}
-	if _, err := New(s, obj, eval, Config{KeyMode: "sha256"}, nil); err == nil {
-		t.Error("unknown key mode accepted")
+	if _, err := NewContext(s, obj, dataset.AdaptContext(eval), Config{PopulationSize: MaxPopulation}, nil); err != nil {
+		t.Errorf("population at the bound rejected: %v", err)
 	}
 }

@@ -118,23 +118,12 @@ type Config struct {
 	// and population size must match the configuration; the resumed run's
 	// Result is byte-identical to an uninterrupted run's.
 	Resume *Snapshot
-	// Dispatch selects how a generation's evaluations reach the cache:
-	// DispatchBatch (the default) submits the whole generation as one
-	// batch - deduplicated in a single sharded pass, misses fanned out
-	// together - while DispatchSingle keeps the legacy one-lookup-per-point
-	// path. Both produce byte-identical Results and cache stats; single
-	// remains selectable for comparison benchmarks and equivalence tests.
-	Dispatch string
-	// BatchSize caps how many individuals each batch carries under
-	// DispatchBatch. 0 (the default) submits the whole generation at once;
-	// smaller sizes chunk the generation into ceil(population/BatchSize)
-	// batches. Results are identical at any batch size.
-	BatchSize int
 	// BatchBackend, when non-nil, receives the cache's residual misses as
 	// whole batches instead of the cache fanning them out over the
 	// single-point evaluator - the hook a layered cache (e.g. the server's
 	// process-wide shared cache) uses to coalesce in-flight batches across
-	// sessions.
+	// sessions. Setting it routes every generation through the batch path,
+	// even at Parallelism 1.
 	BatchBackend dataset.BatchEvaluator
 	// Migration, when non-nil, makes the run one island of an island-model
 	// search: every Migration.Interval generations the island's best
@@ -144,33 +133,14 @@ type Config struct {
 	// Migration type's determinism contract), so a run with an exchange
 	// that returns nothing is byte-identical to one with Migration nil.
 	Migration *Migration
-	// KeyMode selects how the run's cache identifies design points:
-	// KeyModeHash (the default) dispatches on 64-bit genome hashes with no
-	// string key anywhere on the hot path, KeyModeString keeps the legacy
-	// canonical-key representation. Both produce byte-identical Results,
-	// cache stats, and checkpoints; string mode remains selectable for
-	// comparison benchmarks and equivalence tests.
-	KeyMode string
 }
 
-// Dispatch modes for Config.Dispatch.
-const (
-	// DispatchBatch submits each generation as one deduplicated batch.
-	DispatchBatch = "batch"
-	// DispatchSingle dispatches evaluations one cache lookup at a time
-	// (the pre-batching pipeline, kept for comparison).
-	DispatchSingle = "single"
-)
-
-// Key modes for Config.KeyMode.
-const (
-	// KeyModeHash identifies design points by 64-bit genome hash
-	// (param.Space.Hash64) - the key-free hot path.
-	KeyModeHash = "hash"
-	// KeyModeString identifies design points by canonical string key (the
-	// pre-hashing pipeline, kept for comparison).
-	KeyModeString = "string"
-)
+// MaxPopulation bounds Config.PopulationSize. A generation's genomes live
+// in flat arenas of PopulationSize x genome-length ints, so an absurd
+// population would fail the allocation (or exhaust memory) mid-run; the
+// bound sits orders of magnitude above any real search (the paper uses
+// 10) and turns such a configuration into a validation error instead.
+const MaxPopulation = 1 << 16
 
 // withDefaults returns cfg with zero fields replaced by paper defaults.
 func (c Config) withDefaults() Config {
@@ -204,12 +174,6 @@ func (c Config) withDefaults() Config {
 	if c.CheckpointEvery == 0 {
 		c.CheckpointEvery = 1
 	}
-	if c.Dispatch == "" {
-		c.Dispatch = DispatchBatch
-	}
-	if c.KeyMode == "" {
-		c.KeyMode = KeyModeHash
-	}
 	if c.Recorder == nil {
 		c.Recorder = telemetry.Nop
 	}
@@ -221,8 +185,8 @@ func (c Config) withDefaults() Config {
 
 // validate rejects unusable configurations.
 func (c Config) validate() error {
-	if c.PopulationSize < 2 {
-		return fmt.Errorf("ga: population size %d < 2", c.PopulationSize)
+	if c.PopulationSize < 2 || c.PopulationSize > MaxPopulation {
+		return fmt.Errorf("ga: population size %d outside [2, %d]", c.PopulationSize, MaxPopulation)
 	}
 	if c.Generations < 1 {
 		return fmt.Errorf("ga: generations %d < 1", c.Generations)
@@ -254,19 +218,6 @@ func (c Config) validate() error {
 	}
 	if c.CheckpointEvery < 0 {
 		return fmt.Errorf("ga: checkpoint interval %d < 0", c.CheckpointEvery)
-	}
-	switch c.Dispatch {
-	case DispatchBatch, DispatchSingle:
-	default:
-		return fmt.Errorf("ga: unknown dispatch mode %q", c.Dispatch)
-	}
-	switch c.KeyMode {
-	case KeyModeHash, KeyModeString:
-	default:
-		return fmt.Errorf("ga: unknown key mode %q", c.KeyMode)
-	}
-	if c.BatchSize < 0 {
-		return fmt.Errorf("ga: batch size %d < 0", c.BatchSize)
 	}
 	if m := c.Migration; m != nil {
 		if m.Exchange == nil {
@@ -426,15 +377,12 @@ type Engine struct {
 	// one generation's breedInto calls, emitted as pre-measured spans at
 	// the generation boundary. Touched only when tracing.
 	phaseSel, phaseCx, phaseMut time.Duration
-	// seen is the scratch map for per-generation genome-diversity counting,
-	// reused across generations to keep the hot loop allocation-free. It
-	// counts genome hashes in both key modes, so UniqueGenomes is trivially
-	// byte-identical across them.
+	// seen is the scratch map for per-generation genome-diversity counting
+	// (by genome hash), reused across generations to keep the hot loop
+	// allocation-free.
 	seen map[uint64]struct{}
-	// batchKeys/batchHashes/batchPts are the batch dispatch path's reusable
-	// request buffers, sized once per run to keep batching allocation-free
-	// too. Exactly one of keys/hashes is used, per the key mode.
-	batchKeys   []string
+	// batchHashes/batchPts are the batch path's reusable request buffers,
+	// sized once per run to keep batching allocation-free too.
 	batchHashes []uint64
 	batchPts    []param.Point
 	// order is the elite-selection scratch permutation, reused across
@@ -478,9 +426,6 @@ func NewContext(space *param.Space, obj metrics.Objective, eval dataset.ContextE
 		strategy = Baseline{Space: space}
 	}
 	cache := dataset.NewCacheContext(space, eval)
-	if cfg.KeyMode == KeyModeString {
-		cache.SetKeyMode(dataset.KeyModeString)
-	}
 	cache.SetRecorder(cfg.Recorder)
 	cache.SetTracer(cfg.Tracer)
 	if cfg.BatchBackend != nil {
@@ -507,13 +452,9 @@ type individual struct {
 	// so-far individual, checkpoints - must clone it out.
 	genome param.Point
 	// hash is the genome's 64-bit identity (param.Space.Hash64), computed
-	// eagerly whenever the genome is (re)written. It drives hash-mode cache
-	// dispatch and the diversity count in both key modes.
-	hash uint64
-	// key caches space.Key(genome) in string key mode; filled lazily at
-	// evaluation and carried along when an elite genome survives unchanged.
-	// Always empty in hash mode - no string key exists on that path.
-	key     string
+	// eagerly whenever the genome is (re)written. It is the genome's cache
+	// identity and drives the diversity count.
+	hash    uint64
 	fitness float64
 	value   float64
 	ok      bool
@@ -847,23 +788,17 @@ func (e *Engine) snapshot(gen int, draws int64, pop []individual, best individua
 	return snap
 }
 
-// evaluate fills in fitness for the population. Under DispatchBatch (the
-// default) the generation is submitted to the cache as deduplicated
-// batches; under DispatchSingle each individual is a separate cache lookup
-// on a fixed set of Parallelism workers. Both paths produce identical
-// populations and cache stats at any parallelism level. A non-nil error
-// means ctx was canceled: the generation is incomplete and must be
-// discarded.
+// evaluate fills in fitness for the population. The path is chosen from
+// what the run can use, never configured: the batch pipeline amortizes
+// worker fan-out and lock traffic, so with one worker and no bulk backend
+// to feed there is nothing to amortize and inline per-point lookups are
+// strictly cheaper; otherwise the whole generation goes to the cache as
+// one deduplicated batch. Both paths produce identical populations and
+// cache stats (see TestDispatchEquivalence). A non-nil error means ctx was
+// canceled: the generation is incomplete and must be discarded.
 func (e *Engine) evaluate(ctx context.Context, gen int, pop []individual) error {
-	if e.cfg.Dispatch == DispatchSingle {
-		return e.evaluateSingle(ctx, gen, pop)
-	}
-	// Adaptive dispatch: the batch pipeline amortizes worker fan-out and
-	// lock traffic, so with one worker and no bulk backend to feed there is
-	// nothing to amortize and the inline path is strictly cheaper. Results
-	// are identical either way (see TestDispatchEquivalence).
 	if e.cfg.Parallelism <= 1 && e.cfg.BatchBackend == nil {
-		return e.evaluateSingle(ctx, gen, pop)
+		return e.evaluateInline(ctx, gen, pop)
 	}
 	return e.evaluateBatch(ctx, gen, pop)
 }
@@ -892,24 +827,13 @@ func (e *Engine) score(ind *individual, m metrics.Metrics, err error) {
 	}
 }
 
-// evaluateSingle is the point-at-a-time dispatch path. In hash mode each
-// lookup goes straight to the cache's hashed entry point on the
-// individual's precomputed genome hash; string mode builds (and caches)
-// canonical keys as before.
-func (e *Engine) evaluateSingle(ctx context.Context, gen int, pop []individual) error {
-	hashed := e.cfg.KeyMode != KeyModeString
+// evaluateInline is the point-at-a-time path: each lookup goes straight to
+// the cache's hashed entry point on the individual's precomputed genome
+// hash, in population order on the calling goroutine.
+func (e *Engine) evaluateInline(ctx context.Context, gen int, pop []individual) error {
 	eval := func(i int) {
 		ind := &pop[i]
-		var m metrics.Metrics
-		var err error
-		if hashed {
-			m, err = e.cache.EvaluateHashedCtx(ctx, ind.hash, ind.genome)
-		} else {
-			if ind.key == "" {
-				ind.key = e.space.Key(ind.genome)
-			}
-			m, err = e.cache.EvaluateKeyedCtx(ctx, ind.key, ind.genome)
-		}
+		m, err := e.cache.EvaluateHashedCtx(ctx, ind.hash, ind.genome)
 		e.score(ind, m, err)
 		e.rec.RecordEvaluation(telemetry.EvaluationRecord{
 			Generation: gen,
@@ -917,65 +841,34 @@ func (e *Engine) evaluateSingle(ctx context.Context, gen int, pop []individual) 
 			Fitness:    ind.fitness,
 		})
 	}
-	return pool.EachRecCtx(ctx, e.cfg.Parallelism, len(pop), eval, e.rec)
+	return pool.EachRecCtx(ctx, 1, len(pop), eval, e.rec)
 }
 
-// evaluateBatch submits the generation to the cache in chunks of BatchSize
-// (whole generation when 0). Identities (hashes or keys, per the key mode),
-// points, and outcomes stay index-aligned, so the scored population is
-// identical to evaluateSingle's.
+// evaluateBatch submits the whole generation to the cache as one batch.
+// Hashes, points, and outcomes stay index-aligned, so the scored
+// population is identical to evaluateInline's.
 func (e *Engine) evaluateBatch(ctx context.Context, gen int, pop []individual) error {
-	hashed := e.cfg.KeyMode != KeyModeString
-	chunk := e.cfg.BatchSize
-	if chunk <= 0 || chunk > len(pop) {
-		chunk = len(pop)
+	if cap(e.batchPts) < len(pop) {
+		e.batchPts = make([]param.Point, 0, len(pop))
+		e.batchHashes = make([]uint64, 0, len(pop))
 	}
-	if cap(e.batchPts) < chunk {
-		e.batchPts = make([]param.Point, 0, chunk)
-		if hashed {
-			e.batchHashes = make([]uint64, 0, chunk)
-		} else {
-			e.batchKeys = make([]string, 0, chunk)
-		}
+	pts, hashes := e.batchPts[:0], e.batchHashes[:0]
+	for i := range pop {
+		hashes = append(hashes, pop[i].hash)
+		pts = append(pts, pop[i].genome)
 	}
-	for lo := 0; lo < len(pop); lo += chunk {
-		hi := min(lo+chunk, len(pop))
-		batch := pop[lo:hi]
-		pts := e.batchPts[:0]
-		var ms []metrics.Metrics
-		var errs []error
-		var err error
-		if hashed {
-			hashes := e.batchHashes[:0]
-			for i := range batch {
-				hashes = append(hashes, batch[i].hash)
-				pts = append(pts, batch[i].genome)
-			}
-			ms, errs, err = e.cache.EvaluateBatchHashedCtx(ctx, hashes, pts, e.cfg.Parallelism)
-		} else {
-			keys := e.batchKeys[:0]
-			for i := range batch {
-				ind := &batch[i]
-				if ind.key == "" {
-					ind.key = e.space.Key(ind.genome)
-				}
-				keys = append(keys, ind.key)
-				pts = append(pts, ind.genome)
-			}
-			ms, errs, err = e.cache.EvaluateBatchKeyedCtx(ctx, keys, pts, e.cfg.Parallelism)
-		}
-		if err != nil {
-			return err
-		}
-		for i := range batch {
-			ind := &batch[i]
-			e.score(ind, ms[i], errs[i])
-			e.rec.RecordEvaluation(telemetry.EvaluationRecord{
-				Generation: gen,
-				Feasible:   ind.ok,
-				Fitness:    ind.fitness,
-			})
-		}
+	ms, errs, err := e.cache.EvaluateBatchHashedCtx(ctx, hashes, pts, e.cfg.Parallelism)
+	if err != nil {
+		return err
+	}
+	for i := range pop {
+		ind := &pop[i]
+		e.score(ind, ms[i], errs[i])
+		e.rec.RecordEvaluation(telemetry.EvaluationRecord{
+			Generation: gen,
+			Feasible:   ind.ok,
+			Fitness:    ind.fitness,
+		})
 	}
 	return ctx.Err()
 }
@@ -1002,12 +895,10 @@ func (e *Engine) nextGeneration(r *rand.Rand, gen int, pop, next []individual) {
 			}
 		}
 		order[k], order[maxI] = order[maxI], order[k]
-		// The elite genome is unchanged, so its identity (hash, and cached
-		// key in string mode) carries over.
+		// The elite genome is unchanged, so its hash carries over.
 		elite := &pop[order[k]]
 		copy(next[k].genome, elite.genome)
 		next[k].hash = elite.hash
-		next[k].key = elite.key
 	}
 
 	sel := e.newSelector(pop)
@@ -1015,7 +906,6 @@ func (e *Engine) nextGeneration(r *rand.Rand, gen int, pop, next []individual) {
 		child := &next[i]
 		e.breedInto(r, gen, child.genome, sel)
 		child.hash = e.space.Hash64(child.genome)
-		child.key = "" // stale slot state from two generations ago
 	}
 }
 

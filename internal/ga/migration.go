@@ -91,7 +91,6 @@ func (e *Engine) migrate(ctx context.Context, gen int, pop, next []individual) {
 		}
 		copy(next[slot].genome, m.Genome)
 		next[slot].hash = e.space.Hash64(next[slot].genome)
-		next[slot].key = "" // stale slot state from two generations ago
 		slot--
 	}
 }

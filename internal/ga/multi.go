@@ -7,7 +7,7 @@
 // elitism, convergence accounting, checkpoint state, and the migration
 // contract's stable fitness sort (so emigrating islands ship front
 // members) - works unchanged, draws the same RNG sequence, and therefore
-// stays byte-identical across parallelism, dispatch, and key modes.
+// stays byte-identical across parallelism levels.
 package ga
 
 import (

@@ -98,32 +98,22 @@ func TestMultiFrontMutuallyNonDominating(t *testing.T) {
 
 // TestMultiByteIdentical pins the determinism contract for pareto mode:
 // the full Result - front, hypervolume, nadir, trajectory, cache stats -
-// is deeply identical across parallelism levels, key modes, and dispatch
-// modes.
+// is deeply identical across parallelism levels, and so across the
+// engine's inline (par 1) and batched (par 8) evaluation paths.
 func TestMultiByteIdentical(t *testing.T) {
 	s, eval, objs := biSpace()
-	run := func(par int, keyMode string, dispatch string) Result {
+	run := func(par int) Result {
 		cfg := biConfig(7)
 		cfg.Parallelism = par
-		cfg.KeyMode = keyMode
-		cfg.Dispatch = dispatch
 		e, err := NewMulti(s, objs, eval, cfg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return e.Run()
 	}
-	ref := run(1, KeyModeHash, DispatchBatch)
-	for _, par := range []int{1, 8} {
-		for _, km := range []string{KeyModeHash, KeyModeString} {
-			for _, disp := range []string{DispatchBatch, DispatchSingle} {
-				got := run(par, km, disp)
-				if !reflect.DeepEqual(got, ref) {
-					t.Fatalf("par=%d key=%q dispatch=%q diverged from reference:\n got %+v\nwant %+v",
-						par, km, disp, got, ref)
-				}
-			}
-		}
+	ref := run(1)
+	if got := run(8); !reflect.DeepEqual(got, ref) {
+		t.Fatalf("par=8 diverged from the par=1 reference:\n got %+v\nwant %+v", got, ref)
 	}
 }
 

@@ -196,17 +196,18 @@ func TestEndToEndNetworkSimulation(t *testing.T) {
 }
 
 // TestDispatchEquivalenceUnderFaults runs the same supervised FFT search
-// under both dispatch modes with 20% of design points injecting transient
-// faults (the PR 3 resilience configuration): retries absorb the faults
-// inside the evaluation layer, so both modes must still produce results
-// identical to each other and to the fault-free run.
+// on both sides of the engine's dispatch choice - inline lookups at par 1,
+// whole-generation batches at par 4 - with 20% of design points injecting
+// transient faults: retries absorb the faults inside the evaluation layer,
+// so both paths must still produce results identical to each other and to
+// the fault-free run.
 func TestDispatchEquivalenceUnderFaults(t *testing.T) {
 	space := fft.Space()
 	obj := metrics.MinimizeMetric(metrics.LUTs)
 	base := func(ctx context.Context, pt param.Point) (metrics.Metrics, error) {
 		return fft.Evaluate(space, pt)
 	}
-	run := func(dispatch string, injectFaults bool) ga.Result {
+	run := func(par int, injectFaults bool) ga.Result {
 		t.Helper()
 		eval := dataset.ContextEvaluator(base)
 		if injectFaults {
@@ -232,8 +233,7 @@ func TestDispatchEquivalenceUnderFaults(t *testing.T) {
 				Seed:           3,
 				PopulationSize: 8,
 				Generations:    25,
-				Parallelism:    4,
-				Dispatch:       dispatch,
+				Parallelism:    par,
 			},
 		})
 		if err != nil {
@@ -242,13 +242,13 @@ func TestDispatchEquivalenceUnderFaults(t *testing.T) {
 		return res
 	}
 
-	clean := run(ga.DispatchSingle, false)
-	single := run(ga.DispatchSingle, true)
-	batch := run(ga.DispatchBatch, true)
-	if !reflect.DeepEqual(single, batch) {
-		t.Errorf("dispatch modes disagree under faults:\nsingle: %+v\nbatch:  %+v", single, batch)
+	clean := run(4, false)
+	inline := run(1, true)
+	batch := run(4, true)
+	if !reflect.DeepEqual(inline, batch) {
+		t.Errorf("dispatch paths disagree under faults:\ninline: %+v\nbatch:  %+v", inline, batch)
 	}
-	if !reflect.DeepEqual(clean, single) {
-		t.Errorf("supervised faulty run differs from fault-free run:\nclean:  %+v\nfaulty: %+v", clean, single)
+	if !reflect.DeepEqual(clean, batch) {
+		t.Errorf("supervised faulty run differs from fault-free run:\nclean:  %+v\nfaulty: %+v", clean, batch)
 	}
 }

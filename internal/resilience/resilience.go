@@ -219,16 +219,6 @@ func (s *Supervisor) Evaluator() dataset.ContextEvaluator {
 	return s.Evaluate
 }
 
-// BatchEvaluator returns the supervised batch evaluation function: each
-// point of a batch is supervised independently - its own per-attempt
-// deadlines, retry budget, backoff schedule, and quarantine accounting,
-// exactly as if it had been dispatched alone - while the batch fans out on
-// up to par pool workers. One point exhausting its retries never fails the
-// rest of the batch; results land by index at any parallelism.
-func (s *Supervisor) BatchEvaluator(par int) dataset.BatchEvaluator {
-	return dataset.BatchOf(s.Evaluate, par)
-}
-
 // PlainEvaluator adapts the supervisor for context-blind callers (e.g.
 // dataset.Build); per-attempt timeouts and retries still apply.
 func (s *Supervisor) PlainEvaluator() dataset.Evaluator {

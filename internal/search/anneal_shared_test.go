@@ -44,7 +44,7 @@ func TestAnnealDeterministicOverSharedHashedCache(t *testing.T) {
 		rawCalls.Add(1)
 		return eval(pt)
 	}
-	shared := dataset.NewCacheContext(space, counted) // KeyModeHash default
+	shared := dataset.NewCacheContext(space, counted)
 	layered, err := AnnealCtx(context.Background(), space, obj, shared.EvaluateCtx, cfg)
 	if err != nil {
 		t.Fatal(err)

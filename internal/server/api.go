@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
-	"sync/atomic"
 
 	"nautilus/internal/telemetry"
 	"nautilus/internal/telemetry/trace"
@@ -61,14 +60,8 @@ func (e *FailedError) Error() string {
 //	                            plus each session's span flight recorder
 //	/debug/vars, /debug/pprof/...   telemetry.DebugMux over the registry
 //
-// Every /v1 route (and its /api/v1 alias, which shares the canonical
-// route's metric series) is wrapped in the latency/status middleware
-// feeding /metrics.
-//
-// Every route is also reachable under the pre-versioning /api/v1/ prefix
-// for one release; those aliases answer identically but carry a
-// Deprecation header pointing at the /v1/ replacement. Errors use a
-// uniform envelope on both families:
+// Every /v1 route is wrapped in the latency/status middleware feeding
+// /metrics. Errors use a uniform envelope:
 //
 //	{"error": {"code": "not_found", "message": "no such job"}}
 //
@@ -85,15 +78,11 @@ func (e *FailedError) Error() string {
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	for _, rt := range s.routeDefs() {
-		method, path, _ := strings.Cut(rt.pattern, " ")
 		fn := rt.fn
-		if method == http.MethodPost {
+		if strings.HasPrefix(rt.pattern, http.MethodPost+" ") {
 			fn = limitBody(fn)
 		}
-		fn = s.instrument(method+" /v1"+path, fn)
-		mux.HandleFunc(method+" /v1"+path, fn)
-		ctr := s.http.deprecatedCounter(method + " /v1" + path)
-		mux.HandleFunc(method+" /api/v1"+path, deprecated(path, ctr, fn))
+		mux.HandleFunc(rt.pattern, s.instrument(rt.pattern, fn))
 	}
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /debug/sessions", s.handleDebugSessions)
@@ -101,60 +90,45 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// routeDef binds one canonical API route pattern (method + path, without
-// the version prefix) to its handler.
+// routeDef binds one API route pattern ("METHOD /v1/path") to its
+// handler.
 type routeDef struct {
 	pattern string
 	fn      http.HandlerFunc
 }
 
 // routeDefs is the single source of the versioned route table: Handler
-// registers each pattern under /v1 and its deprecated /api/v1 alias, and
-// RouteTable exposes the canonical pattern list (pinned by a golden test -
-// route changes must show up as a reviewed golden diff).
+// registers each pattern, and RouteTable exposes the pattern list (pinned
+// by a golden test - route changes must show up as a reviewed golden
+// diff).
 func (s *Server) routeDefs() []routeDef {
 	return []routeDef{
 		// Job-addressed routes go through proxyJob: on a clustered server,
 		// requests for jobs minted by a peer forward to that peer's API, so
 		// the whole cluster answers behind any one member. Solo servers pay
 		// nothing (jobOwner declines immediately).
-		{"POST /jobs", s.handleSubmit},
-		{"GET /jobs", s.handleList},
-		{"GET /jobs/{id}", s.proxyJob(s.handleStatus)},
-		{"GET /jobs/{id}/result", s.proxyJob(s.handleResult)},
-		{"GET /jobs/{id}/events", s.proxyJob(s.handleEvents)},
-		{"DELETE /jobs/{id}", s.proxyJob(s.handleCancel)},
-		{"GET /stats", s.handleStats},
-		{"GET /sessions", s.handleSessions},
-		{"GET /healthz", s.handleHealthz},
+		{"POST /v1/jobs", s.handleSubmit},
+		{"GET /v1/jobs", s.handleList},
+		{"GET /v1/jobs/{id}", s.proxyJob(s.handleStatus)},
+		{"GET /v1/jobs/{id}/result", s.proxyJob(s.handleResult)},
+		{"GET /v1/jobs/{id}/events", s.proxyJob(s.handleEvents)},
+		{"DELETE /v1/jobs/{id}", s.proxyJob(s.handleCancel)},
+		{"GET /v1/stats", s.handleStats},
+		{"GET /v1/sessions", s.handleSessions},
+		{"GET /v1/healthz", s.handleHealthz},
 	}
 }
 
-// RouteTable returns the canonical /v1 route patterns ("METHOD /v1/path")
-// in registration order. Every listed route also answers under the legacy
-// /api/v1 prefix with a Deprecation header.
+// RouteTable returns the /v1 route patterns ("METHOD /v1/path") in
+// registration order.
 func RouteTable() []string {
 	var s Server // handlers are method values, never invoked here
 	defs := s.routeDefs()
 	out := make([]string, len(defs))
 	for i, rt := range defs {
-		method, path, _ := strings.Cut(rt.pattern, " ")
-		out[i] = method + " /v1" + path
+		out[i] = rt.pattern
 	}
 	return out
-}
-
-// deprecated wraps a legacy-alias route: same handler, plus headers that
-// announce the canonical /v1/ home so clients can migrate before the alias
-// is dropped, and a per-route counter surfaced as
-// nautilus_http_deprecated_requests_total on /metrics.
-func deprecated(path string, ctr *atomic.Int64, fn http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		ctr.Add(1)
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", `</v1`+path+`>; rel="successor-version"`)
-		fn(w, r)
-	}
 }
 
 // writeJSON writes v with the given status.
@@ -253,13 +227,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	// Point at the route family the client used, so legacy clients are not
-	// redirected across the versioning boundary mid-flight.
-	prefix := "/v1"
-	if strings.HasPrefix(r.URL.Path, "/api/") {
-		prefix = "/api/v1"
-	}
-	w.Header().Set("Location", prefix+"/jobs/"+st.ID)
+	w.Header().Set("Location", "/v1/jobs/"+st.ID)
 	writeJSON(w, http.StatusAccepted, st)
 }
 

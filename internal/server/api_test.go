@@ -64,24 +64,24 @@ func TestAPI(t *testing.T) {
 	c := &apiClient{t: t, base: ts.URL}
 
 	// Invalid specs and bodies map to 400.
-	resp, body := c.do("POST", "/api/v1/jobs", map[string]any{"ip": "dsp", "query": "min-luts", "seed": 1})
+	resp, body := c.do("POST", "/v1/jobs", map[string]any{"ip": "dsp", "query": "min-luts", "seed": 1})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unknown IP: status %d, body %s", resp.StatusCode, body)
 	}
-	resp, _ = c.do("POST", "/api/v1/jobs", map[string]any{"ip": "fft", "query": "min-luts", "seed": 1, "bogus": true})
+	resp, _ = c.do("POST", "/v1/jobs", map[string]any{"ip": "fft", "query": "min-luts", "seed": 1, "bogus": true})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unknown field: status %d", resp.StatusCode)
 	}
 
 	// Unknown job IDs map to 404 everywhere.
-	for _, path := range []string{"/api/v1/jobs/nope", "/api/v1/jobs/nope/result", "/api/v1/jobs/nope/events"} {
+	for _, path := range []string{"/v1/jobs/nope", "/v1/jobs/nope/result", "/v1/jobs/nope/events"} {
 		if resp, _ := c.do("GET", path, nil); resp.StatusCode != http.StatusNotFound {
 			t.Fatalf("GET %s: status %d, want 404", path, resp.StatusCode)
 		}
 	}
 
 	// A valid submission is accepted and listed.
-	resp, body = c.do("POST", "/api/v1/jobs", testSpec())
+	resp, body = c.do("POST", "/v1/jobs", testSpec())
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: status %d, body %s", resp.StatusCode, body)
 	}
@@ -90,10 +90,10 @@ func TestAPI(t *testing.T) {
 	if st.ID == "" || st.State != StateRunning {
 		t.Fatalf("submit returned %+v", st)
 	}
-	if loc := resp.Header.Get("Location"); loc != "/api/v1/jobs/"+st.ID {
+	if loc := resp.Header.Get("Location"); loc != "/v1/jobs/"+st.ID {
 		t.Fatalf("Location header %q", loc)
 	}
-	resp, body = c.do("GET", "/api/v1/jobs", nil)
+	resp, body = c.do("GET", "/v1/jobs", nil)
 	var list struct {
 		Jobs []JobStatus `json:"jobs"`
 	}
@@ -104,7 +104,7 @@ func TestAPI(t *testing.T) {
 
 	// SSE: the event stream replays every generation and ends with a done
 	// event carrying the terminal status.
-	gens, final := readEvents(t, ts.URL+"/api/v1/jobs/"+st.ID+"/events")
+	gens, final := readEvents(t, ts.URL+"/v1/jobs/"+st.ID+"/events")
 	if len(gens) != testSpec().Generations+1 { // generation 0 included
 		t.Fatalf("SSE delivered %d generation events, want %d", len(gens), testSpec().Generations+1)
 	}
@@ -117,19 +117,19 @@ func TestAPI(t *testing.T) {
 		t.Fatalf("SSE done event carried state %s (%s)", final.State, final.Error)
 	}
 	// A late subscriber to a finished session still gets the full replay.
-	gens2, final2 := readEvents(t, ts.URL+"/api/v1/jobs/"+st.ID+"/events")
+	gens2, final2 := readEvents(t, ts.URL+"/v1/jobs/"+st.ID+"/events")
 	if len(gens2) != len(gens) || final2.State != StateDone {
 		t.Fatalf("late SSE subscriber saw %d events, state %s", len(gens2), final2.State)
 	}
 
 	// Status and result agree with the stream.
-	resp, body = c.do("GET", "/api/v1/jobs/"+st.ID, nil)
+	resp, body = c.do("GET", "/v1/jobs/"+st.ID, nil)
 	var done JobStatus
 	c.decode(body, &done)
 	if resp.StatusCode != http.StatusOK || done.State != StateDone {
 		t.Fatalf("status after done: %d %+v", resp.StatusCode, done)
 	}
-	resp, body = c.do("GET", "/api/v1/jobs/"+st.ID+"/result", nil)
+	resp, body = c.do("GET", "/v1/jobs/"+st.ID+"/result", nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("result: status %d, body %s", resp.StatusCode, body)
 	}
@@ -140,7 +140,7 @@ func TestAPI(t *testing.T) {
 	}
 
 	// Stats expose the shared cache and scheduler.
-	resp, body = c.do("GET", "/api/v1/stats", nil)
+	resp, body = c.do("GET", "/v1/stats", nil)
 	var stats struct {
 		SharedCaches map[string]struct {
 			Distinct int `json:"distinct_evals"`
@@ -152,7 +152,7 @@ func TestAPI(t *testing.T) {
 	}
 
 	// The debug surface is mounted: expvar, pprof, per-session registries.
-	for _, path := range []string{"/debug/vars", "/debug/pprof/cmdline", "/debug/sessions", "/api/v1/healthz"} {
+	for _, path := range []string{"/debug/vars", "/debug/pprof/cmdline", "/debug/sessions", "/v1/healthz"} {
 		if resp, _ := c.do("GET", path, nil); resp.StatusCode != http.StatusOK {
 			t.Fatalf("GET %s: status %d", path, resp.StatusCode)
 		}
@@ -162,18 +162,18 @@ func TestAPI(t *testing.T) {
 	// result endpoint reports the state as a conflict.
 	long := testSpec()
 	long.Generations = 200
-	_, body = c.do("POST", "/api/v1/jobs", long)
+	_, body = c.do("POST", "/v1/jobs", long)
 	var st2 JobStatus
 	c.decode(body, &st2)
-	resp, body = c.do("GET", "/api/v1/jobs/"+st2.ID+"/result", nil)
+	resp, body = c.do("GET", "/v1/jobs/"+st2.ID+"/result", nil)
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("result while running: status %d, body %s", resp.StatusCode, body)
 	}
-	if resp, _ = c.do("DELETE", "/api/v1/jobs/"+st2.ID, nil); resp.StatusCode != http.StatusOK {
+	if resp, _ = c.do("DELETE", "/v1/jobs/"+st2.ID, nil); resp.StatusCode != http.StatusOK {
 		t.Fatalf("cancel: status %d", resp.StatusCode)
 	}
 	waitDone(t, s, st2.ID)
-	resp, body = c.do("GET", "/api/v1/jobs/"+st2.ID+"/result", nil)
+	resp, body = c.do("GET", "/v1/jobs/"+st2.ID+"/result", nil)
 	var errBody ErrorEnvelope
 	c.decode(body, &errBody)
 	if resp.StatusCode != http.StatusConflict || errBody.Error.Code != CodeFailed || errBody.Error.State != StateCanceled {
@@ -253,25 +253,25 @@ func TestAPILimits(t *testing.T) {
 
 	long := testSpec()
 	long.Generations = 200
-	resp, body := c.do("POST", "/api/v1/jobs", long)
+	resp, body := c.do("POST", "/v1/jobs", long)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: status %d", resp.StatusCode)
 	}
 	var st JobStatus
 	c.decode(body, &st)
-	if resp, _ = c.do("POST", "/api/v1/jobs", long); resp.StatusCode != http.StatusTooManyRequests {
+	if resp, _ = c.do("POST", "/v1/jobs", long); resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("over max-sessions: status %d, want 429", resp.StatusCode)
 	}
-	if resp, _ = c.do("DELETE", "/api/v1/jobs/"+st.ID, nil); resp.StatusCode != http.StatusOK {
+	if resp, _ = c.do("DELETE", "/v1/jobs/"+st.ID, nil); resp.StatusCode != http.StatusOK {
 		t.Fatalf("cancel: status %d", resp.StatusCode)
 	}
 	if err := s.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if resp, _ = c.do("POST", "/api/v1/jobs", testSpec()); resp.StatusCode != http.StatusServiceUnavailable {
+	if resp, _ = c.do("POST", "/v1/jobs", testSpec()); resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("submit while draining: status %d, want 503", resp.StatusCode)
 	}
-	resp, body = c.do("GET", "/api/v1/healthz", nil)
+	resp, body = c.do("GET", "/v1/healthz", nil)
 	var hz struct {
 		Draining bool `json:"draining"`
 	}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -9,9 +10,7 @@ import (
 	"time"
 )
 
-// TestV1Routes drives the canonical /v1/ family end to end and checks the
-// legacy /api/v1/ aliases answer identically while announcing their
-// deprecation.
+// TestV1Routes drives the /v1/ route family end to end.
 func TestV1Routes(t *testing.T) {
 	s := newTestServer(t, Options{EvalDelay: time.Millisecond})
 	defer s.Drain(context.Background())
@@ -19,7 +18,7 @@ func TestV1Routes(t *testing.T) {
 	defer ts.Close()
 	c := &apiClient{t: t, base: ts.URL}
 
-	// Submit on the canonical family; Location must stay within it.
+	// Submit; Location must point into the /v1 family.
 	resp, body := c.do("POST", "/v1/jobs", JobSpec{IP: "fft", Query: "min-luts", Generations: 3, Population: 4})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: status %d, body %s", resp.StatusCode, body)
@@ -27,40 +26,12 @@ func TestV1Routes(t *testing.T) {
 	if loc := resp.Header.Get("Location"); !strings.HasPrefix(loc, "/v1/jobs/") {
 		t.Errorf("canonical submit Location = %q, want /v1/jobs/... prefix", loc)
 	}
-	if resp.Header.Get("Deprecation") != "" {
-		t.Error("canonical route carries a Deprecation header")
-	}
 	var st JobStatus
 	c.decode(body, &st)
 	waitDone(t, s, st.ID)
 
-	// The same session is visible from both families, byte-identically.
-	_, v1Body := c.do("GET", "/v1/jobs/"+st.ID+"/result", nil)
-	legacyResp, legacyBody := c.do("GET", "/api/v1/jobs/"+st.ID+"/result", nil)
-	if string(v1Body) != string(legacyBody) {
-		t.Errorf("alias result differs:\n/v1:     %s\n/api/v1: %s", v1Body, legacyBody)
-	}
-	if legacyResp.Header.Get("Deprecation") != "true" {
-		t.Error("legacy alias missing Deprecation header")
-	}
-	if link := legacyResp.Header.Get("Link"); !strings.Contains(link, "/v1/jobs/{id}/result") {
-		t.Errorf("legacy alias Link = %q, want successor-version pointer", link)
-	}
-
-	// Legacy submits keep their Location within the legacy family.
-	resp, body = c.do("POST", "/api/v1/jobs", JobSpec{IP: "fft", Query: "min-luts", Generations: 2, Population: 4, Seed: 1})
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("legacy submit: status %d, body %s", resp.StatusCode, body)
-	}
-	if loc := resp.Header.Get("Location"); !strings.HasPrefix(loc, "/api/v1/jobs/") {
-		t.Errorf("legacy submit Location = %q, want /api/v1/jobs/... prefix", loc)
-	}
-	var st2 JobStatus
-	c.decode(body, &st2)
-	waitDone(t, s, st2.ID)
-
-	// Remaining canonical routes answer.
-	for _, path := range []string{"/v1/jobs", "/v1/jobs/" + st.ID, "/v1/stats", "/v1/healthz"} {
+	// Remaining routes answer.
+	for _, path := range []string{"/v1/jobs", "/v1/jobs/" + st.ID, "/v1/jobs/" + st.ID + "/result", "/v1/stats", "/v1/healthz"} {
 		if resp, body := c.do("GET", path, nil); resp.StatusCode != http.StatusOK {
 			t.Errorf("GET %s: status %d, body %s", path, resp.StatusCode, body)
 		}
@@ -91,7 +62,6 @@ func TestErrorEnvelope(t *testing.T) {
 	}
 
 	check("GET", "/v1/jobs/nope", nil, http.StatusNotFound, CodeNotFound)
-	check("GET", "/api/v1/jobs/nope", nil, http.StatusNotFound, CodeNotFound)
 	check("POST", "/v1/jobs", map[string]any{"ip": "no-such-ip", "query": "min-luts"},
 		http.StatusBadRequest, CodeBadRequest)
 
@@ -119,4 +89,34 @@ func TestErrorEnvelope(t *testing.T) {
 	}
 	check("POST", "/v1/jobs", JobSpec{IP: "fft", Query: "min-luts"},
 		http.StatusServiceUnavailable, CodeDraining)
+}
+
+// TestHugePopulationRejected: a population whose genome arenas could not
+// be allocated is refused at submission with 400 bad_request - directly
+// and over HTTP - and the server keeps serving afterwards.
+func TestHugePopulationRejected(t *testing.T) {
+	s := newTestServer(t, Options{EvalDelay: time.Millisecond})
+	defer s.Drain(context.Background())
+	var bad *BadRequestError
+	if _, err := s.Submit(JobSpec{IP: "fft", Query: "min-luts", Seed: 1, Population: 1 << 62}); !errors.As(err, &bad) {
+		t.Fatalf("Submit with population 1<<62: err = %v, want BadRequestError", err)
+	}
+
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	c := &apiClient{t: t, base: ts.URL}
+	resp, body := c.do("POST", "/v1/jobs", map[string]any{"ip": "fft", "query": "min-luts", "seed": 1, "population": int64(1) << 62})
+	var env ErrorEnvelope
+	c.decode(body, &env)
+	if resp.StatusCode != http.StatusBadRequest || env.Error.Code != CodeBadRequest {
+		t.Fatalf("huge population: status %d code %q, want 400 %q (body %s)", resp.StatusCode, env.Error.Code, CodeBadRequest, body)
+	}
+
+	resp, body = c.do("POST", "/v1/jobs", JobSpec{IP: "fft", Query: "min-luts", Generations: 2, Population: 4, Seed: 1})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit after rejection: status %d, body %s", resp.StatusCode, body)
+	}
+	var st JobStatus
+	c.decode(body, &st)
+	waitDone(t, s, st.ID)
 }

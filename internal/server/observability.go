@@ -29,11 +29,6 @@ type httpStats struct {
 
 	mu     sync.Mutex
 	routes map[string]*routeStats
-	// deprecated counts requests served through the legacy /api/v1 aliases,
-	// keyed by the canonical /v1 route pattern they forward to. The family
-	// is always exposed (zero samples included) so dashboards can alert on
-	// lingering legacy traffic before the aliases are dropped.
-	deprecated map[string]*atomic.Int64
 }
 
 // routeStats is one route pattern's accounting.
@@ -45,10 +40,7 @@ type routeStats struct {
 }
 
 func newHTTPStats() *httpStats {
-	return &httpStats{
-		routes:     make(map[string]*routeStats),
-		deprecated: make(map[string]*atomic.Int64),
-	}
+	return &httpStats{routes: make(map[string]*routeStats)}
 }
 
 // route returns (registering on first use) the stats slot for a pattern.
@@ -61,19 +53,6 @@ func (h *httpStats) route(pattern string) *routeStats {
 		h.routes[pattern] = rs
 	}
 	return rs
-}
-
-// deprecatedCounter returns (registering on first use) the legacy-alias
-// request counter for a canonical route pattern.
-func (h *httpStats) deprecatedCounter(pattern string) *atomic.Int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	c, ok := h.deprecated[pattern]
-	if !ok {
-		c = &atomic.Int64{}
-		h.deprecated[pattern] = c
-	}
-	return c
 }
 
 // statusClasses are the label values of nautilus_http_requests_total.
@@ -124,31 +103,7 @@ func (h *httpStats) promFamilies() []prom.Family {
 		Type:    prom.TypeGauge,
 		Samples: []prom.Sample{{Value: float64(h.inflight.Load())}},
 	}
-	depr := prom.Family{
-		Name: telemetry.MetricNamespace + "http_deprecated_requests_total",
-		Help: "requests served through the legacy /api/v1 aliases, by canonical route",
-		Type: prom.TypeCounter,
-	}
-	h.mu.Lock()
-	dnames := make([]string, 0, len(h.deprecated))
-	for name := range h.deprecated {
-		dnames = append(dnames, name)
-	}
-	counters := make(map[string]*atomic.Int64, len(h.deprecated))
-	for name, c := range h.deprecated {
-		counters[name] = c
-	}
-	h.mu.Unlock()
-	sort.Strings(dnames)
-	for _, name := range dnames {
-		if n := counters[name].Load(); n > 0 {
-			depr.Samples = append(depr.Samples, prom.Sample{
-				Labels: []prom.Label{{Name: "route", Value: name}},
-				Value:  float64(n),
-			})
-		}
-	}
-	return []prom.Family{lat, reqs, inflight, depr}
+	return []prom.Family{lat, reqs, inflight}
 }
 
 // statusWriter captures the response status code for the middleware.
@@ -172,8 +127,7 @@ type flushWriter struct{ *statusWriter }
 func (w flushWriter) Flush() { w.ResponseWriter.(http.Flusher).Flush() }
 
 // instrument wraps a route handler with per-route latency, status-class,
-// and in-flight accounting. pattern is the canonical route label (the
-// /api/v1 aliases share their /v1 route's series).
+// and in-flight accounting. pattern is the route label.
 func (s *Server) instrument(pattern string, fn http.HandlerFunc) http.HandlerFunc {
 	rs := s.http.route(pattern)
 	return func(w http.ResponseWriter, r *http.Request) {

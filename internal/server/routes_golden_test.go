@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -17,7 +18,7 @@ import (
 // reviewed golden diff, not silently.
 func TestRouteTableGolden(t *testing.T) {
 	var b strings.Builder
-	b.WriteString("# canonical /v1 routes (each also served at /api/v1 with a Deprecation header)\n")
+	b.WriteString("# /v1 routes\n")
 	for _, rt := range RouteTable() {
 		b.WriteString(rt)
 		b.WriteByte('\n')
@@ -61,36 +62,25 @@ func TestRouteTableGolden(t *testing.T) {
 	}
 }
 
-// TestDeprecatedAliasCounter checks legacy /api/v1 traffic is counted per
-// canonical route and surfaced as nautilus_http_deprecated_requests_total
-// on /metrics; canonical /v1 traffic never increments it.
-func TestDeprecatedAliasCounter(t *testing.T) {
+// TestLegacyAPIPrefixGone: the pre-versioning /api/v1 aliases are gone -
+// they answer 404 like any unknown path - and /metrics no longer carries a
+// family counting their traffic.
+func TestLegacyAPIPrefixGone(t *testing.T) {
 	s := newTestServer(t, Options{})
 	defer s.Drain(context.Background())
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	c := &apiClient{t: t, base: ts.URL}
 
-	// Canonical traffic only: the family is exposed but empty.
-	c.do("GET", "/v1/healthz", nil)
-	_, body := c.do("GET", "/metrics", nil)
-	if !strings.Contains(string(body), "# TYPE nautilus_http_deprecated_requests_total counter") {
-		t.Fatal("deprecated-requests family missing from /metrics")
-	}
-	if strings.Contains(string(body), `nautilus_http_deprecated_requests_total{`) {
-		t.Errorf("canonical traffic incremented the deprecated counter:\n%s", body)
-	}
-
-	c.do("GET", "/api/v1/healthz", nil)
-	c.do("GET", "/api/v1/healthz", nil)
-	c.do("GET", "/api/v1/jobs", nil)
-	_, body = c.do("GET", "/metrics", nil)
-	for _, want := range []string{
-		`nautilus_http_deprecated_requests_total{route="GET /v1/healthz"} 2`,
-		`nautilus_http_deprecated_requests_total{route="GET /v1/jobs"} 1`,
-	} {
-		if !strings.Contains(string(body), want) {
-			t.Errorf("metrics missing %q", want)
+	for _, path := range []string{"/api/v1/healthz", "/api/v1/jobs"} {
+		if resp, _ := c.do("GET", path, nil); resp.StatusCode != http.StatusNotFound {
+			t.Errorf("GET %s: status %d, want 404", path, resp.StatusCode)
 		}
+	}
+	if resp, _ := c.do("GET", "/v1/healthz", nil); resp.StatusCode != http.StatusOK {
+		t.Errorf("GET /v1/healthz: status %d, want 200", resp.StatusCode)
+	}
+	if _, body := c.do("GET", "/metrics", nil); strings.Contains(string(body), "deprecated_requests") {
+		t.Error("/metrics still exposes a deprecated-requests family")
 	}
 }

@@ -63,7 +63,8 @@ type JobSpec struct {
 	Guidance string `json:"guidance,omitempty"`
 	// Generations is the GA generation count (default 80).
 	Generations int `json:"generations,omitempty"`
-	// Population is the GA population size (default 10).
+	// Population is the GA population size (default 10, at most
+	// ga.MaxPopulation).
 	Population int `json:"population,omitempty"`
 	// Seed seeds the run; results are deterministic in the full spec.
 	Seed int64 `json:"seed"`
@@ -102,6 +103,9 @@ func (j JobSpec) withDefaults(workers int) JobSpec {
 func (j JobSpec) resolve() (*catalog.Entry, *core.Guidance, []metrics.Objective, error) {
 	if j.Population < 2 {
 		return nil, nil, nil, fmt.Errorf("population must be at least 2, got %d", j.Population)
+	}
+	if j.Population > ga.MaxPopulation {
+		return nil, nil, nil, fmt.Errorf("population must be at most %d, got %d", ga.MaxPopulation, j.Population)
 	}
 	if j.Generations < 1 {
 		return nil, nil, nil, fmt.Errorf("generations must be at least 1, got %d", j.Generations)
