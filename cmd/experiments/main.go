@@ -6,7 +6,7 @@
 //	experiments [-fig all|fig1..fig7|headline|ablations|
 //	             ext-baselines|ext-pareto|ext-sim-validate|ext-thirdip]
 //	            [-runs N] [-gens N] [-par N] [-out DIR] [-md FILE]
-//	            [-journal FILE] [-debug-addr ADDR]
+//	            [-summary] [-journal FILE] [-debug-addr ADDR]
 //	            [-checkpoint FILE] [-checkpoint-every N] [-resume]
 //
 // With -out, each figure's raw series is also written as CSV for
@@ -16,10 +16,12 @@
 // independently seeded and results are collected by index, so the tables
 // are byte-identical at any -par value.
 //
-// -journal appends every run event (generations, evaluations, cache
-// traffic, hint applications, pool scheduling) across all trials to one
-// JSONL file; -debug-addr serves live aggregate metrics and pprof while
-// the figures run. Neither changes any table.
+// Every trial reports to one trace stream. -summary prints its aggregate
+// totals (cache, hints, pool) and span latency table after the tables;
+// -journal writes every span and run event (generations, evaluations,
+// cache traffic, hint applications, pool scheduling) across all trials to
+// one JSONL file; -debug-addr serves live aggregate Prometheus metrics and
+// pprof while the figures run. None of them changes any table.
 //
 // -checkpoint persists each completed figure's tables to a progress file
 // (atomic rename); figures then run sequentially so a SIGINT/SIGTERM or
@@ -44,7 +46,6 @@ import (
 
 	"nautilus/internal/cliflags"
 	"nautilus/internal/experiments"
-	"nautilus/internal/telemetry"
 )
 
 func main() {
@@ -65,7 +66,7 @@ func realMain(ctx context.Context) {
 	par := cliflags.NewParallelism(flag.CommandLine, 0, true)
 	out := flag.String("out", "", "directory for CSV output (optional)")
 	md := flag.String("md", "", "also write a markdown report to this file (optional)")
-	obs := cliflags.NewObservability(flag.CommandLine)
+	obs := cliflags.NewObservability(flag.CommandLine, false)
 	checkpoint := flag.String("checkpoint", "", "persist each completed figure's tables to this progress file (figures run sequentially)")
 	checkpointEvery := flag.Int("checkpoint-every", 1, "persist the progress file after every N completed figures (with -checkpoint)")
 	resume := flag.Bool("resume", false, "skip figures already completed in the -checkpoint progress file")
@@ -86,15 +87,20 @@ func realMain(ctx context.Context) {
 	cfg := experiments.Config{Runs: *runs, Generations: *gens, Parallelism: par.Value(), OutDir: *out}
 
 	// The harness runs trials concurrently, so all sinks see one interleaved
-	// event stream; the collector's aggregates and the journal are still
-	// exact totals across every trial of the requested figures.
-	stack, err := obs.Build()
+	// stream; the collector's aggregates and the journal are still exact
+	// totals across every trial of the requested figures. A per-generation
+	// table would interleave thousands of concurrent trials meaninglessly,
+	// so the collector keeps only the aggregates.
+	stack, err := obs.Build("", 0)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 		os.Exit(1)
 	}
 	defer stack.Close()
-	cfg.Recorder = stack.Recorder
+	if stack.Collector != nil {
+		stack.Collector.DisableGenerationRetention()
+	}
+	cfg.Tracer = stack.Tracer
 
 	driver, ok := experiments.FindDriver(*fig)
 	if !ok {
@@ -146,14 +152,9 @@ func realMain(ctx context.Context) {
 	for i := range tables {
 		tables[i].Fprint(os.Stdout)
 	}
-	if obs.WantSummary() {
-		// The per-generation table would interleave thousands of concurrent
-		// trials meaninglessly, so the aggregate totals alone are printed.
-		agg := telemetry.NewCollector(stack.Collector.Registry())
-		if err := agg.WriteSummary(os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			os.Exit(1)
-		}
+	if err := stack.WriteSummary(os.Stdout); err != nil {
+		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
+		os.Exit(1)
 	}
 	if *md != "" {
 		f, err := os.Create(*md)

@@ -98,7 +98,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "mapspace: debug endpoint: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Fprintf(os.Stderr, "mapspace: debug endpoint http://%s/debug/vars\n", addr)
+		fmt.Fprintf(os.Stderr, "mapspace: debug endpoint http://%s/metrics\n", addr)
 	}
 
 	start := time.Now()

@@ -10,7 +10,7 @@
 //	         [-mode scalar|pareto|portfolio] [-queries Q1,Q2,...]
 //	         [-gens N] [-pop N] [-par N] [-seed N] [-summary] [-rtl FILE]
 //	         [-hints FILE] [-save-hints FILE] [-journal FILE] [-debug-addr ADDR]
-//	         [-trace-out FILE] [-trace-buffer N]
+//	         [-trace-buffer N]
 //	         [-checkpoint FILE] [-checkpoint-every N] [-resume FILE]
 //	         [-eval-timeout DUR] [-eval-retries N] [-quarantine-after N]
 //	         [-fault-rate F] [-fault-failures N] [-fault-seed N]
@@ -41,6 +41,13 @@
 // synthesis failures with jittered exponential backoff and quarantines
 // persistently failing points as infeasible; -fault-rate injects
 // deterministic transient faults to exercise it.
+//
+// Observability is one trace stream with a sink per flag: -summary prints
+// the per-generation trajectory, cache/hint/pool totals, and the span
+// latency table; -journal writes every span and run event as JSON lines;
+// -debug-addr serves live Prometheus metrics and pprof; -trace-buffer
+// keeps the last N spans and dumps them when the run fails or is
+// interrupted. None of them changes the search result.
 //
 // Exit codes: 0 success, 1 fatal error, 2 usage error, 3 interrupted with
 // checkpoint saved (resume with -resume).
@@ -177,8 +184,7 @@ func run(ctx context.Context) (int, error) {
 	pop := flag.Int("pop", 10, "GA population size")
 	par := cliflags.NewParallelism(flag.CommandLine, runtime.GOMAXPROCS(0), false)
 	seed := flag.Int64("seed", 1, "random seed")
-	obs := cliflags.NewObservability(flag.CommandLine)
-	trc := cliflags.NewTracing(flag.CommandLine)
+	obs := cliflags.NewObservability(flag.CommandLine, true)
 	emitRTL := flag.String("rtl", "", "write the best design's Verilog to this file")
 	hintsIn := flag.String("hints", "", "load the hint library from this JSON file instead of the built-in one")
 	hintsOut := flag.String("save-hints", "", "write the active hint library to this JSON file")
@@ -209,7 +215,7 @@ func run(ctx context.Context) (int, error) {
 	if err := sup.Validate(); err != nil {
 		return exitUsage, err
 	}
-	if err := trc.Validate(); err != nil {
+	if err := obs.Validate(); err != nil {
 		return exitUsage, err
 	}
 	if err := validateResilienceFlags(*checkpointEvery, *faultRate, *faultFailures); err != nil {
@@ -275,24 +281,17 @@ func run(ctx context.Context) (int, error) {
 		return exitFatal, err
 	}
 
-	// Telemetry assembly: a collector backs the -summary report and the
-	// debug endpoint, a journal streams events to disk. With none of the
-	// observability flags set the recorder stays nil and the run pays
-	// nothing for it.
-	stack, err := obs.Build()
+	// Telemetry assembly: one trace stream whose sinks back the -summary
+	// report, the debug endpoint, the journal, and the flight recorder.
+	// With none of the observability flags set the tracer stays nil and
+	// the run pays nothing for it. The stream is observational only: its
+	// span-ID stream is seeded separately from the search RNG, so an
+	// observed run's results match the plain run's byte for byte.
+	stack, err := obs.Build("", *seed)
 	if err != nil {
 		return exitFatal, err
 	}
 	defer stack.Close()
-
-	// Span tracing is observational only: the tracer's ID stream is seeded
-	// separately from the search RNG, so a traced run's results match the
-	// untraced run's byte for byte.
-	tstack, err := trc.Build("", *seed)
-	if err != nil {
-		return exitFatal, err
-	}
-	defer tstack.Close()
 
 	// A registry shared with the collector surfaces resilience and
 	// checkpoint metrics in -summary and on the debug endpoint.
@@ -326,7 +325,6 @@ func run(ctx context.Context) (int, error) {
 	}
 
 	cfg := ga.Config{PopulationSize: *pop, Generations: *gens, Seed: *seed, Parallelism: par.Value()}
-	cfg.Recorder = stack.Recorder
 	if *checkpoint != "" {
 		saver := resilience.NewSaver(*checkpoint, space, reg)
 		cfg.Checkpoint = saver.Save
@@ -340,10 +338,6 @@ func run(ctx context.Context) (int, error) {
 		cfg.Resume = snap
 		fmt.Fprintf(os.Stderr, "resuming from %s at generation %d\n", *resume, snap.Generation)
 	}
-	opts := []core.SearchOption{core.WithGuidance(guid)}
-	if tstack.Tracer != nil {
-		opts = append(opts, core.WithTracer(tstack.Tracer))
-	}
 	req := core.SearchRequest{
 		Space:       space,
 		Mode:        *mode,
@@ -352,21 +346,16 @@ func run(ctx context.Context) (int, error) {
 		EvaluateCtx: ctxEval,
 		Config:      cfg,
 	}
-	res, err := core.Search(ctx, req, opts...)
+	res, err := core.Search(ctx, req, core.WithGuidance(guid), core.WithTracer(stack.Tracer))
 	if err != nil {
 		// Post-mortem: the flight recorder holds the last spans before the
 		// failure - where the final moments of the run went.
-		tstack.DumpRing(os.Stderr)
+		stack.DumpRing(os.Stderr)
 		return exitFatal, err
 	}
 
-	if obs.WantSummary() {
-		if err := stack.Collector.WriteSummary(os.Stdout); err != nil {
-			return exitFatal, err
-		}
-		if err := tstack.WriteSummary(os.Stdout); err != nil {
-			return exitFatal, err
-		}
+	if err := stack.WriteSummary(os.Stdout); err != nil {
+		return exitFatal, err
 	}
 	if supv != nil {
 		if q := supv.Quarantined(); len(q) > 0 {
@@ -374,7 +363,7 @@ func run(ctx context.Context) (int, error) {
 		}
 	}
 	if res.Interrupted {
-		tstack.DumpRing(os.Stderr)
+		stack.DumpRing(os.Stderr)
 		if *checkpoint == "" {
 			return exitFatal, fmt.Errorf("interrupted (no -checkpoint configured; progress lost)")
 		}

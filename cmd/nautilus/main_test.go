@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"os/exec"
@@ -83,6 +84,45 @@ func TestExitSuccess(t *testing.T) {
 	}
 }
 
+// TestObservedRunMatchesPlain: a run feeding every observability sink
+// prints the same result block as a plain run, its one journal carries
+// every event kind plus the spans, and -summary ends with the span table.
+func TestObservedRunMatchesPlain(t *testing.T) {
+	base := []string{"-ip", "fft", "-query", "min-luts", "-gens", "6", "-pop", "6", "-seed", "3", "-par", "2"}
+	_, plain, _ := runNautilus(t, base...)
+	journal := filepath.Join(t.TempDir(), "run.jsonl")
+	code, out, stderr := runNautilus(t, append(base, "-summary", "-journal", journal, "-trace-buffer", "8")...)
+	if code != 0 {
+		t.Fatalf("exit %d, want 0\nstderr:\n%s", code, stderr)
+	}
+	if got, want := resultLines(out), resultLines(plain); got != want || want == "" {
+		t.Errorf("observed run's result differs:\n got %q\nwant %q", got, want)
+	}
+	if !strings.Contains(out, "== run telemetry ==") || !strings.Contains(out, "span latency") {
+		t.Errorf("summary lacks the run report or span table:\n%s", out)
+	}
+	data, err := os.ReadFile(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kinds := map[string]bool{}
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		var ev struct {
+			Event string   `json:"event"`
+			TMs   *float64 `json:"t_ms"`
+		}
+		if err := json.Unmarshal([]byte(line), &ev); err != nil || ev.TMs == nil {
+			t.Fatalf("bad journal line (%v): %s", err, line)
+		}
+		kinds[ev.Event] = true
+	}
+	for _, want := range []string{"generation", "eval", "hint", "cache", "pool", "span"} {
+		if !kinds[want] {
+			t.Errorf("journal has no %q lines (kinds %v)", want, kinds)
+		}
+	}
+}
+
 // TestExitUsage: every front-door validation failure exits 2, before any
 // search work happens.
 func TestExitUsage(t *testing.T) {
@@ -96,6 +136,8 @@ func TestExitUsage(t *testing.T) {
 		"unknown-guidance": {"-guidance", "psychic"},
 		"bad-fault-rate":   {"-fault-rate", "1.5"},
 		"bad-ckpt-every":   {"-checkpoint-every", "0"},
+		"bad-trace-buffer": {"-trace-buffer", "-1"},
+		"retired-flag":     {"-trace-out", "spans.jsonl"},
 		"undefined-flag":   {"-no-such-flag"},
 	}
 	for name, args := range cases {

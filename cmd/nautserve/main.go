@@ -1,8 +1,8 @@
 // Command nautserve runs the Nautilus search engine as a long-lived
 // service: a JSON HTTP API accepting search jobs, running them as
 // concurrent supervised sessions over a bounded, fairly shared evaluation
-// budget, with per-generation progress over SSE and live metrics under
-// /debug/.
+// budget, with per-generation progress over SSE, live Prometheus metrics
+// on /metrics, and per-session introspection and pprof under /debug/.
 //
 // Sessions on the same IP share one process-wide evaluation cache, so
 // concurrent searches of one space pay for each distinct design point

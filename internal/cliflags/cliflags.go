@@ -1,12 +1,11 @@
 // Package cliflags is the one home of the flag wiring the Nautilus command
 // line tools share: evaluation parallelism (-par), evaluation supervision
-// (-eval-timeout, -eval-retries, -quarantine-after), run observability
-// (-summary, -journal, -debug-addr), and span tracing (-trace-out,
-// -trace-buffer). Before this
-// package each tool re-declared the flags and re-implemented their
-// validation and the telemetry sink assembly; now there is exactly one
-// usage string, one validation path, and one assembly routine per concern,
-// and a new tool opts into a concern with one call.
+// (-eval-timeout, -eval-retries, -quarantine-after), and run observability
+// (-summary, -journal, -debug-addr, -trace-buffer). Before this package
+// each tool re-declared the flags and re-implemented their validation and
+// the telemetry sink assembly; now there is exactly one usage string, one
+// validation path, and one assembly routine per concern, and a new tool
+// opts into a concern with one call.
 package cliflags
 
 import (
@@ -112,27 +111,44 @@ func (s *Supervision) Policy() resilience.Policy {
 	return p
 }
 
-// Observability bundles the telemetry flags: -summary, -journal, and
-// -debug-addr.
+// Observability bundles the telemetry flags: -summary, -journal,
+// -debug-addr, and (for tools that can dump it) -trace-buffer. Every sink
+// they ask for hangs off one trace stream.
 type Observability struct {
 	Summary   *bool
 	Journal   *string
 	DebugAddr *string
+	// TraceBuffer is nil when the tool did not register -trace-buffer.
+	TraceBuffer *int
 }
 
-// NewObservability registers the observability flags on fs.
-func NewObservability(fs *flag.FlagSet) *Observability {
-	return &Observability{
-		Summary:   fs.Bool("summary", false, "print the end-of-run telemetry summary (per-generation trajectory, cache, hints, pool)"),
-		Journal:   fs.String("journal", "", "append structured run events as JSON lines to this file"),
+// NewObservability registers the observability flags on fs. withBuffer
+// adds -trace-buffer for tools that dump the span flight recorder when a
+// run fails or is interrupted.
+func NewObservability(fs *flag.FlagSet, withBuffer bool) *Observability {
+	o := &Observability{
+		Summary:   fs.Bool("summary", false, "print the end-of-run telemetry summary (per-generation trajectory, cache, hints, pool, span latencies)"),
+		Journal:   fs.String("journal", "", "write every span and run event (generation, eval, hint, cache, pool) as JSON lines to this file"),
 		DebugAddr: DebugAddr(fs),
 	}
+	if withBuffer {
+		o.TraceBuffer = fs.Int("trace-buffer", 0, "retain the last N spans in memory and dump them on interrupt or failure (0 = off)")
+	}
+	return o
 }
 
 // DebugAddr registers just -debug-addr, for tools (mapspace) that serve a
 // custom registry rather than the full collector stack.
 func DebugAddr(fs *flag.FlagSet) *string {
-	return fs.String("debug-addr", "", "serve live metrics (expvar) and pprof on this address, e.g. localhost:6060")
+	return fs.String("debug-addr", "", "serve live Prometheus metrics and pprof on this address, e.g. localhost:6060")
+}
+
+// Validate rejects out-of-range observability values.
+func (o *Observability) Validate() error {
+	if o.TraceBuffer != nil && *o.TraceBuffer < 0 {
+		return fmt.Errorf("-trace-buffer must be non-negative (0 = off), got %d", *o.TraceBuffer)
+	}
+	return nil
 }
 
 // WantSummary reports whether -summary was set.
@@ -140,29 +156,44 @@ func (o *Observability) WantSummary() bool {
 	return *o.Summary
 }
 
-// Stack is the assembled telemetry sinks an Observability flag set asked
-// for. The zero stack (no flags set) costs nothing: Recorder is nil and
-// every method no-ops.
+// Stack is the assembled trace stream an Observability flag set asked
+// for. The zero stack (no flags set) costs nothing: Tracer is nil - the
+// disabled stream - and every method no-ops.
 type Stack struct {
+	// Tracer is the run's stream, non-nil when any sink was assembled;
+	// hand it to the engine (core.WithTracer). It is observational only:
+	// span IDs come from a private seeded stream, so results are
+	// byte-identical either way.
+	Tracer *trace.Tracer
 	// Collector aggregates run events when -summary or -debug-addr asked
 	// for them; nil otherwise.
 	Collector *telemetry.Collector
-	// Recorder is the combined sink to hand the engine; nil when no
-	// observability flag was set.
-	Recorder telemetry.Recorder
-	closers  []func() error
+	// Durations aggregates per-span-name latency histograms for the
+	// summary's span table; nil without -summary.
+	Durations *trace.Durations
+	// Ring is the flight recorder behind -trace-buffer; nil otherwise.
+	Ring    *trace.Ring
+	closers []func() error
 }
 
-// Build assembles the sinks: a collector backing the summary report and
-// the debug endpoint, a JSONL journal, and the debug HTTP listener. The
-// debug endpoint's URL, when serving, is printed to stdout (matching the
-// tools' existing contract). Call Close when the run is done.
-func (o *Observability) Build() (*Stack, error) {
+// Build assembles the sinks on one stream: a collector backing the
+// summary report and the debug endpoint, a duration aggregator for the
+// summary's span table, a JSONL journal, a flight-recorder ring, and the
+// debug HTTP listener. The debug endpoint's URL, when serving, is printed
+// to stdout (matching the tools' existing contract). session labels every
+// span ("" for CLI runs); seed seeds the span-ID stream (pass the search
+// seed so traces of the same run are comparable). Call Close when the run
+// is done.
+func (o *Observability) Build(session string, seed int64) (*Stack, error) {
 	st := &Stack{}
-	var recorders []telemetry.Recorder
+	var sinks []trace.Sink
 	if o.WantSummary() || *o.DebugAddr != "" {
 		st.Collector = telemetry.NewCollector(nil)
-		recorders = append(recorders, st.Collector)
+		sinks = append(sinks, st.Collector)
+	}
+	if o.WantSummary() {
+		st.Durations = trace.NewDurations()
+		sinks = append(sinks, st.Durations)
 	}
 	if *o.Journal != "" {
 		f, err := os.Create(*o.Journal)
@@ -171,7 +202,11 @@ func (o *Observability) Build() (*Stack, error) {
 		}
 		j := telemetry.NewJournal(f)
 		st.closers = append(st.closers, j.Close, f.Close)
-		recorders = append(recorders, j)
+		sinks = append(sinks, j)
+	}
+	if o.TraceBuffer != nil && *o.TraceBuffer > 0 {
+		st.Ring = trace.NewRing(*o.TraceBuffer)
+		sinks = append(sinks, st.Ring)
 	}
 	if *o.DebugAddr != "" {
 		addr, err := telemetry.ServeDebug(*o.DebugAddr, st.Collector.Registry())
@@ -179,110 +214,25 @@ func (o *Observability) Build() (*Stack, error) {
 			st.Close()
 			return nil, fmt.Errorf("debug endpoint: %w", err)
 		}
-		fmt.Printf("debug endpoint:  http://%s/debug/vars\n", addr)
+		fmt.Printf("debug endpoint:  http://%s/metrics\n", addr)
 	}
-	if len(recorders) > 0 {
-		st.Recorder = telemetry.Multi(recorders...)
+	if len(sinks) > 0 {
+		st.Tracer = trace.New(trace.Config{Session: session, Seed: seed, Sinks: sinks})
 	}
 	return st, nil
 }
 
-// Tracing bundles the span-tracing flags: -trace-out streams completed
-// spans as JSON lines, -trace-buffer keeps an in-memory flight recorder of
-// the last N spans for post-mortems.
-type Tracing struct {
-	Out    *string
-	Buffer *int
-}
-
-// NewTracing registers -trace-out and -trace-buffer on fs.
-func NewTracing(fs *flag.FlagSet) *Tracing {
-	return &Tracing{
-		Out:    fs.String("trace-out", "", "append completed spans (generation, dispatch, cache, retry phases) as JSON lines to this file"),
-		Buffer: fs.Int("trace-buffer", 0, "retain the last N spans in memory and dump them on interrupt or failure (0 = off)"),
-	}
-}
-
-// Validate rejects out-of-range tracing values.
-func (t *Tracing) Validate() error {
-	if *t.Buffer < 0 {
-		return fmt.Errorf("-trace-buffer must be non-negative (0 = off), got %d", *t.Buffer)
-	}
-	return nil
-}
-
-// Enabled reports whether any tracing flag asks for a live tracer.
-func (t *Tracing) Enabled() bool { return *t.Out != "" || *t.Buffer > 0 }
-
-// TraceStack is the assembled tracer and its sinks. The zero stack (no
-// tracing flags set) costs nothing: Tracer is nil - the disabled tracer -
-// and every method no-ops.
-type TraceStack struct {
-	// Tracer is non-nil when a tracing flag was set; hand it to the engine
-	// (core.WithTracer). Tracing is observational only: span IDs come from
-	// a private seeded stream, so results are byte-identical either way.
-	Tracer *trace.Tracer
-	// Ring is the flight recorder behind -trace-buffer; nil otherwise.
-	Ring *trace.Ring
-	// Durations aggregates per-span-name latency histograms for the
-	// end-of-run span summary; nil when tracing is off.
-	Durations *trace.Durations
-	closers   []func() error
-}
-
-// Build assembles the tracer the flags describe: a JSONL journal sink for
-// -trace-out, a flight-recorder ring for -trace-buffer, and a duration
-// aggregator for the span summary. session labels every span ("" for CLI
-// runs); seed seeds the span-ID stream (pass the search seed so traces of
-// the same run are comparable). Call Close when the run is done.
-func (t *Tracing) Build(session string, seed int64) (*TraceStack, error) {
-	st := &TraceStack{}
-	if !t.Enabled() {
-		return st, nil
-	}
-	var sinks []trace.Sink
-	if *t.Out != "" {
-		f, err := os.Create(*t.Out)
-		if err != nil {
-			return nil, fmt.Errorf("trace-out: %w", err)
-		}
-		j := telemetry.NewJournal(f)
-		st.closers = append(st.closers, j.Close, f.Close)
-		sinks = append(sinks, trace.JournalSink{J: j})
-	}
-	if *t.Buffer > 0 {
-		st.Ring = trace.NewRing(*t.Buffer)
-		sinks = append(sinks, st.Ring)
-	}
-	st.Durations = trace.NewDurations()
-	sinks = append(sinks, st.Durations)
-	st.Tracer = trace.New(trace.Config{Session: session, Seed: seed, Sinks: sinks})
-	return st, nil
-}
-
-// DumpRing writes the flight recorder's retained spans as JSON lines,
-// oldest first - the post-mortem view of where the final moments of an
-// interrupted or failed run went. No-op without -trace-buffer.
-func (ts *TraceStack) DumpRing(w io.Writer) error {
-	if ts.Ring == nil {
+// WriteSummary prints the collector's end-of-run report followed by the
+// per-span-name latency table (count, p50, p99, mean). No-op without
+// -summary (the only flag that assembles Durations).
+func (s *Stack) WriteSummary(w io.Writer) error {
+	if s.Durations == nil {
 		return nil
 	}
-	enc := json.NewEncoder(w)
-	for _, sp := range ts.Ring.Snapshot() {
-		if err := enc.Encode(sp); err != nil {
-			return err
-		}
+	if err := s.Collector.WriteSummary(w); err != nil {
+		return err
 	}
-	return nil
-}
-
-// WriteSummary prints the per-span-name latency table (count, p50, p99,
-// mean) the Durations sink aggregated. No-op when tracing is off.
-func (ts *TraceStack) WriteSummary(w io.Writer) error {
-	if ts.Durations == nil {
-		return nil
-	}
-	snaps := ts.Durations.Hists.Snapshot()
+	snaps := s.Durations.Hists.Snapshot()
 	names := make([]string, 0, len(snaps))
 	for name := range snaps {
 		names = append(names, name)
@@ -295,26 +245,30 @@ func (ts *TraceStack) WriteSummary(w io.Writer) error {
 		return err
 	}
 	for _, name := range names {
-		s := snaps[name]
+		h := snaps[name]
 		us := func(ns float64) float64 { return ns / 1e3 }
 		if _, err := fmt.Fprintf(w, "  %-20s %7d  %10.1fµs %10.1fµs %10.1fµs\n",
-			name, s.Count, us(s.P50()), us(s.P99()), us(s.Mean())); err != nil {
+			name, h.Count, us(h.P50()), us(h.P99()), us(h.Mean())); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// Close flushes and closes the trace-out sink. Safe on the zero stack.
-func (ts *TraceStack) Close() error {
-	var first error
-	for _, c := range ts.closers {
-		if err := c(); err != nil && first == nil {
-			first = err
+// DumpRing writes the flight recorder's retained spans as JSON lines,
+// oldest first - the post-mortem view of where the final moments of an
+// interrupted or failed run went. No-op without -trace-buffer.
+func (s *Stack) DumpRing(w io.Writer) error {
+	if s.Ring == nil {
+		return nil
+	}
+	enc := json.NewEncoder(w)
+	for _, sp := range s.Ring.Snapshot() {
+		if err := enc.Encode(sp); err != nil {
+			return err
 		}
 	}
-	ts.closers = nil
-	return first
+	return nil
 }
 
 // Registry returns the collector's metric registry, or nil when no
@@ -327,7 +281,7 @@ func (s *Stack) Registry() *telemetry.Registry {
 	return s.Collector.Registry()
 }
 
-// Close flushes and closes the journal sinks. Safe on the zero stack.
+// Close flushes and closes the journal. Safe on the zero stack.
 func (s *Stack) Close() error {
 	var first error
 	for _, c := range s.closers {

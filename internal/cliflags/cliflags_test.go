@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"nautilus/internal/telemetry/trace"
 )
 
 func newFS() *flag.FlagSet {
@@ -110,7 +112,7 @@ func TestSupervisionValidateAndPolicy(t *testing.T) {
 
 func TestObservabilityWantSummary(t *testing.T) {
 	fs := newFS()
-	o := NewObservability(fs)
+	o := NewObservability(fs, true)
 	if o.WantSummary() {
 		t.Error("WantSummary() = true before -summary is set")
 	}
@@ -120,29 +122,39 @@ func TestObservabilityWantSummary(t *testing.T) {
 	if !o.WantSummary() {
 		t.Error("WantSummary() = false with -summary set")
 	}
-	if err := fs.Parse([]string{"-trace"}); err == nil {
-		t.Error("-trace parsed, but the flag no longer exists")
+	for _, gone := range []string{"-trace", "-trace-out"} {
+		if err := fs.Parse([]string{gone, "x"}); err == nil {
+			t.Errorf("%s parsed, but the flag no longer exists", gone)
+		}
+	}
+
+	// Tools without a flight-recorder dump do not register -trace-buffer.
+	fs = newFS()
+	o = NewObservability(fs, false)
+	if o.TraceBuffer != nil || fs.Lookup("trace-buffer") != nil {
+		t.Error("-trace-buffer registered without withBuffer")
 	}
 }
 
+// TestTracingBuild checks the one stream the observability flags
+// assemble: a zero stack with no flags, -trace-buffer validation, and a
+// full stack whose spans and records reach the journal, the ring, the
+// collector, and the summary's span table.
 func TestTracingBuild(t *testing.T) {
 	// Zero stack: no flags, nil tracer, every method no-ops.
 	fs := newFS()
-	tr := NewTracing(fs)
+	o := NewObservability(fs, true)
 	if err := fs.Parse(nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.Validate(); err != nil {
+	if err := o.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if tr.Enabled() {
-		t.Error("Enabled() = true with no tracing flags")
-	}
-	st, err := tr.Build("", 1)
+	st, err := o.Build("", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Tracer != nil || st.Ring != nil || st.Durations != nil {
+	if st.Tracer != nil || st.Ring != nil || st.Durations != nil || st.Collector != nil {
 		t.Errorf("zero stack not zero: %+v", st)
 	}
 	if err := st.DumpRing(discard{}); err != nil {
@@ -157,31 +169,33 @@ func TestTracingBuild(t *testing.T) {
 
 	// Negative buffer rejected.
 	fs = newFS()
-	tr = NewTracing(fs)
+	o = NewObservability(fs, true)
 	if err := fs.Parse([]string{"-trace-buffer", "-1"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.Validate(); err == nil {
+	if err := o.Validate(); err == nil {
 		t.Error("Validate() = nil with -trace-buffer -1")
 	}
 
-	// Full stack: spans reach the file, the ring, and the summary.
-	out := filepath.Join(t.TempDir(), "spans.jsonl")
+	// Full stack: spans and records reach the journal, the ring, the
+	// collector, and the summary.
+	out := filepath.Join(t.TempDir(), "events.jsonl")
 	fs = newFS()
-	tr = NewTracing(fs)
-	if err := fs.Parse([]string{"-trace-out", out, "-trace-buffer", "8"}); err != nil {
+	o = NewObservability(fs, true)
+	if err := fs.Parse([]string{"-summary", "-journal", out, "-trace-buffer", "8"}); err != nil {
 		t.Fatal(err)
 	}
-	st, err = tr.Build("", 42)
+	st, err = o.Build("", 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Tracer == nil || st.Ring == nil || st.Durations == nil {
-		t.Fatal("enabled stack missing tracer/ring/durations")
+	if st.Tracer == nil || st.Ring == nil || st.Durations == nil || st.Collector == nil {
+		t.Fatal("enabled stack missing tracer/ring/durations/collector")
 	}
 	sp := st.Tracer.Start("test.op")
 	sp.Child("test.child").End()
 	sp.End()
+	st.Tracer.RecordCache(trace.CacheRecord{Event: trace.CacheHit})
 	if err := st.Close(); err != nil {
 		t.Fatalf("Close() = %v", err)
 	}
@@ -189,8 +203,8 @@ func TestTracingBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(data), `"test.child"`) {
-		t.Errorf("trace-out file missing spans:\n%s", data)
+	if !strings.Contains(string(data), `"test.child"`) || !strings.Contains(string(data), `"event":"cache"`) {
+		t.Errorf("journal missing spans or records:\n%s", data)
 	}
 	if got := len(st.Ring.Snapshot()); got != 2 {
 		t.Errorf("ring retained %d spans, want 2", got)
@@ -199,34 +213,26 @@ func TestTracingBuild(t *testing.T) {
 	if err := st.WriteSummary(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), "test.op") {
-		t.Errorf("span summary missing test.op:\n%s", buf.String())
-	}
-
-	// An unwritable trace-out path surfaces as a Build error.
-	fs = newFS()
-	tr = NewTracing(fs)
-	if err := fs.Parse([]string{"-trace-out", filepath.Join(t.TempDir(), "no", "dir", "x.jsonl")}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tr.Build("", 1); err == nil || !strings.Contains(err.Error(), "trace-out") {
-		t.Errorf("Build() with bad trace-out path = %v, want trace-out error", err)
+	for _, want := range []string{"run telemetry", "1 hits", "span latency", "test.op"} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("summary missing %q:\n%s", want, buf.String())
+		}
 	}
 }
 
 func TestStackZeroCost(t *testing.T) {
 	fs := newFS()
-	o := NewObservability(fs)
+	o := NewObservability(fs, false)
 	if err := fs.Parse(nil); err != nil {
 		t.Fatal(err)
 	}
-	st, err := o.Build()
+	st, err := o.Build("", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	if st.Recorder != nil {
-		t.Error("Recorder non-nil with no observability flags")
+	if st.Tracer != nil {
+		t.Error("Tracer non-nil with no observability flags")
 	}
 	if st.Collector != nil {
 		t.Error("Collector non-nil with no observability flags")
@@ -242,16 +248,16 @@ func TestStackZeroCost(t *testing.T) {
 func TestStackAssembly(t *testing.T) {
 	journal := filepath.Join(t.TempDir(), "events.jsonl")
 	fs := newFS()
-	o := NewObservability(fs)
+	o := NewObservability(fs, false)
 	if err := fs.Parse([]string{"-summary", "-journal", journal}); err != nil {
 		t.Fatal(err)
 	}
-	st, err := o.Build()
+	st, err := o.Build("", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Collector == nil || st.Recorder == nil || st.Registry() == nil {
-		t.Fatal("summary+journal stack missing collector/recorder/registry")
+	if st.Collector == nil || st.Tracer == nil || st.Registry() == nil {
+		t.Fatal("summary+journal stack missing collector/tracer/registry")
 	}
 	if err := st.Close(); err != nil {
 		t.Fatalf("Close() = %v", err)
@@ -262,11 +268,11 @@ func TestStackAssembly(t *testing.T) {
 
 	// An unwritable journal path surfaces as a Build error.
 	fs = newFS()
-	o = NewObservability(fs)
+	o = NewObservability(fs, false)
 	if err := fs.Parse([]string{"-journal", filepath.Join(t.TempDir(), "no", "such", "dir", "x.jsonl")}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := o.Build(); err == nil || !strings.Contains(err.Error(), "journal") {
+	if _, err := o.Build("", 0); err == nil || !strings.Contains(err.Error(), "journal") {
 		t.Errorf("Build() with bad journal path = %v, want journal error", err)
 	}
 }

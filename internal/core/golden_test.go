@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -22,6 +23,8 @@ import (
 	"nautilus/internal/param"
 	"nautilus/internal/resilience"
 	"nautilus/internal/resilience/faulty"
+	"nautilus/internal/telemetry"
+	"nautilus/internal/telemetry/trace"
 )
 
 // goldenCase is one pinned search: a catalog space, a search mode, the
@@ -242,15 +245,27 @@ func dispatchVariants(eval dataset.ContextEvaluator) []dispatchVariant {
 		{name: "inline/par=1", par: 1},
 		{name: "batch/par=4", par: 4},
 		{name: "batch-backend/par=1", par: 1, opts: []core.SearchOption{core.WithBatchBackend(backend)}},
+		{name: "every-sink/par=1", par: 1, opts: everySink()},
+		{name: "every-sink/par=4", par: 4, opts: everySink()},
 	}
+}
+
+// everySink attaches one trace stream feeding every sink the tools wire:
+// collector, journal, flight recorder, and span-duration histograms.
+func everySink() []core.SearchOption {
+	tr := trace.New(trace.Config{Seed: 9, Sinks: []trace.Sink{
+		telemetry.NewJournal(io.Discard), trace.NewRing(32), trace.NewDurations(),
+	}})
+	return []core.SearchOption{core.WithTracer(tr), core.WithRecorder(telemetry.NewCollector(nil))}
 }
 
 // TestSearchGolden pins the JSON Result of every golden case at seeds 1-3
 // and the generation-5 checkpoint of one run. Both sides of the engine's
 // dispatch choice (inline and batched, the latter also at parallelism 1
-// through a batch backend), a run under 20% injected transient faults
-// with supervision, and a run resumed from its own generation-5 snapshot
-// must all reproduce the golden bytes.
+// through a batch backend), runs feeding every trace sink at parallelism
+// 1 and 4, a run under 20% injected transient faults with supervision,
+// and a run resumed from its own generation-5 snapshot must all reproduce
+// the golden bytes.
 func TestSearchGolden(t *testing.T) {
 	noSleep := resilience.Policy{Sleep: func(time.Duration) {}}
 	for _, gc := range goldenCases(t) {

@@ -7,7 +7,7 @@ import (
 	"strings"
 
 	"nautilus/internal/param"
-	"nautilus/internal/telemetry"
+	"nautilus/internal/telemetry/trace"
 )
 
 // Guidance is a hint library compiled against one optimization query. It
@@ -27,11 +27,11 @@ import (
 type Guidance struct {
 	space      *param.Space
 	confidence float64
-	// rec observes each guided-mutation decision (which mechanism fired,
+	// tr observes each guided-mutation decision (which mechanism fired,
 	// and the confidence-gate outcome) after the engine's RNG has already
-	// made it - the paper's Table 1 hints, now measurable per run. Never
-	// nil; telemetry.Nop by default.
-	rec telemetry.Recorder
+	// made it - the paper's Table 1 hints, now measurable per run. nil
+	// (the default) records nothing.
+	tr *trace.Tracer
 
 	importance []float64 // base importance per parameter (neutral = 1)
 	impSet     []bool
@@ -48,7 +48,6 @@ func newGuidance(space *param.Space, confidence float64) *Guidance {
 	return &Guidance{
 		space:      space,
 		confidence: confidence,
-		rec:        telemetry.Nop,
 		importance: make([]float64, n),
 		impSet:     make([]bool, n),
 		decay:      make([]float64, n),
@@ -75,13 +74,13 @@ func (g *Guidance) WithConfidence(c float64) *Guidance {
 	return &out
 }
 
-// WithRecorder returns a copy of the guidance reporting hint-application
-// events to rec (nil restores the no-op default). The copy shares the
-// compiled hint tables; Search uses this to give each engine its own
-// recorded view of a guidance shared across concurrent trials.
-func (g *Guidance) WithRecorder(rec telemetry.Recorder) *Guidance {
+// WithTracer returns a copy of the guidance reporting hint decisions to
+// tr (nil records nothing). The copy shares the compiled hint tables;
+// Search uses this to give each engine its own observed view of a
+// guidance shared across concurrent trials.
+func (g *Guidance) WithTracer(tr *trace.Tracer) *Guidance {
 	out := *g
-	out.rec = telemetry.OrNop(rec)
+	out.tr = tr
 	return &out
 }
 
@@ -153,17 +152,17 @@ func (g *Guidance) MutationGenes(r *rand.Rand, gen int, genome param.Point, rate
 			}
 		}
 	}
-	if g.rec.Enabled() {
+	if g.tr.Enabled() {
 		// Gene-pick blending is continuous rather than gated, so classify
 		// each pick by whether an importance skew was actually in effect
 		// for that gene at this generation (hint set, not fully decayed,
 		// confidence > 0); the complement is an effectively uniform pick.
 		for _, i := range picked {
-			mech := telemetry.HintGeneUniform
+			mech := trace.HintGeneUniform
 			if g.confidence > 0 && g.ImportanceAt(i, gen) > 1 {
-				mech = telemetry.HintGeneImportance
+				mech = trace.HintGeneImportance
 			}
-			g.rec.RecordHint(telemetry.HintRecord{Generation: gen, Gene: i, Mechanism: mech})
+			g.tr.RecordHint(trace.HintRecord{Generation: gen, Gene: i, Mechanism: mech})
 		}
 	}
 	return picked
@@ -221,15 +220,15 @@ func (g *Guidance) MutateValue(r *rand.Rand, gen int, i, current int) int {
 
 	guided := r.Float64() < g.confidence
 	if guided && g.hasTarget[i] {
-		g.rec.RecordHint(telemetry.HintRecord{
-			Generation: gen, Gene: i, Mechanism: telemetry.HintValueTarget, Guided: true,
+		g.tr.RecordHint(trace.HintRecord{
+			Generation: gen, Gene: i, Mechanism: trace.HintValueTarget, Guided: true,
 		})
 		return g.mutateTowardTarget(r, i, current)
 	}
 	if guided && g.bias[i] != 0 {
 		if v, ok := g.mutateAlongBias(r, i, current); ok {
-			g.rec.RecordHint(telemetry.HintRecord{
-				Generation: gen, Gene: i, Mechanism: telemetry.HintValueBias, Guided: true,
+			g.tr.RecordHint(trace.HintRecord{
+				Generation: gen, Gene: i, Mechanism: trace.HintValueBias, Guided: true,
 			})
 			return v
 		}
@@ -238,8 +237,8 @@ func (g *Guidance) MutateValue(r *rand.Rand, gen int, i, current int) int {
 	// confidence-gate outcome even here, so gate-open-but-deferred moves
 	// (weak bias, no hint for this gene) are distinguishable from
 	// gate-closed ones.
-	g.rec.RecordHint(telemetry.HintRecord{
-		Generation: gen, Gene: i, Mechanism: telemetry.HintValueUniform, Guided: guided,
+	g.tr.RecordHint(trace.HintRecord{
+		Generation: gen, Gene: i, Mechanism: trace.HintValueUniform, Guided: guided,
 	})
 	v := r.Intn(card - 1)
 	if v >= current {

@@ -69,9 +69,9 @@ func searchPortfolio(ctx context.Context, req SearchRequest, eval dataset.Contex
 	}
 	var entries []entry
 
-	// Lead strategy: guided when guidance is configured (telemetry and
-	// tracing follow the lead so progress streams describe one coherent
-	// search), otherwise the baseline leads and the guided slot is skipped.
+	// Lead strategy: guided when guidance is configured (the trace stream
+	// follows the lead so progress streams describe one coherent search),
+	// otherwise the baseline leads and the guided slot is skipped.
 	gaStrategy := func(k int, name string, lead bool) entry {
 		cfgS := cfg
 		cfgS.Seed = strategySeed(cfg.Seed, k)
@@ -79,7 +79,6 @@ func searchPortfolio(ctx context.Context, req SearchRequest, eval dataset.Contex
 		if lead {
 			strat = sc.strategy(&cfgS)
 		} else {
-			cfgS.Recorder = nil
 			cfgS.Tracer = nil
 		}
 		return entry{name: name, run: func(ctx context.Context) (ga.Result, error) {

@@ -54,7 +54,7 @@ type SearchRequest struct {
 	// deadlines and run-level cancellation reach the underlying tool run.
 	EvaluateCtx dataset.ContextEvaluator
 	// Config is the GA scale and operator configuration. Options layered on
-	// top of the request (WithRecorder, WithCheckpoint, ...) take precedence
+	// top of the request (WithTracer, WithCheckpoint, ...) take precedence
 	// over the corresponding Config fields.
 	Config ga.Config
 }
@@ -66,36 +66,37 @@ type searchConfig struct {
 	guidance  *Guidance
 	policy    *resilience.Policy
 	registry  *telemetry.Registry
+	sinks     []trace.Sink
 	overrides []func(*ga.Config)
 }
 
 // WithGuidance applies hint-guided mutation (nil or zero-confidence
-// guidance degrades to the unguided baseline). When a recorder is active,
-// the run is handed a recording copy of g; the caller's guidance is never
-// mutated.
+// guidance degrades to the unguided baseline). When the run has a trace
+// stream, it is handed a copy of g reporting hint decisions to it; the
+// caller's guidance is never mutated.
 func WithGuidance(g *Guidance) SearchOption {
 	return func(c *searchConfig) { c.guidance = g }
 }
 
-// WithRecorder attaches structured run telemetry (generations,
-// evaluations, cache lookups, pool scheduling, hint applications).
-// Recording is observational only: results are byte-identical with it on
-// or off.
-func WithRecorder(rec telemetry.Recorder) SearchOption {
+// WithRecorder adds sink to the run's trace stream (creating the stream
+// when no WithTracer is given): it then receives every span and run-event
+// record - generations, evaluations, cache lookups, pool scheduling, hint
+// applications. Like the rest of the stream it is observational only.
+func WithRecorder(sink trace.Sink) SearchOption {
 	return func(c *searchConfig) {
-		if rec != nil {
-			c.override(func(cfg *ga.Config) { cfg.Recorder = rec })
+		if sink != nil {
+			c.sinks = append(c.sinks, sink)
 		}
 	}
 }
 
-// WithTracer attaches span-based latency tracing: per-generation
+// WithTracer attaches the run's trace stream: per-generation
 // ga.generation spans with dispatch/selection/crossover/mutation phases,
 // the cache's batch-resolve phases, and - when a resilience policy is
 // also attached and its own Tracer is unset - supervisor attempt/backoff
-// spans. Like recording, tracing is observational only: span identity
-// comes from the tracer's own seeded stream, never the run RNG, so
-// results are byte-identical with tracing on or off.
+// spans, plus every run-event record. The stream is observational only:
+// span identity comes from the tracer's own seeded stream, never the run
+// RNG, so results are byte-identical with it on or off.
 func WithTracer(tr *trace.Tracer) SearchOption {
 	return func(c *searchConfig) {
 		if tr != nil {
@@ -195,6 +196,9 @@ func Search(ctx context.Context, req SearchRequest, opts ...SearchOption) (ga.Re
 	for _, f := range sc.overrides {
 		f(&cfg)
 	}
+	if len(sc.sinks) > 0 {
+		cfg.Tracer = cfg.Tracer.With(sc.sinks...)
+	}
 	if sc.policy != nil {
 		p := *sc.policy
 		if p.Tracer == nil {
@@ -235,15 +239,15 @@ func Search(ctx context.Context, req SearchRequest, opts ...SearchOption) (ga.Re
 }
 
 // strategy resolves the run's mutation strategy: the configured guidance
-// (wrapped with the recorder when one is active) or nil for the unguided
-// baseline.
+// (reporting to the run's trace stream when there is one) or nil for the
+// unguided baseline.
 func (c *searchConfig) strategy(cfg *ga.Config) ga.Strategy {
 	g := c.guidance
 	if g == nil {
 		return nil
 	}
-	if cfg.Recorder != nil {
-		g = g.WithRecorder(cfg.Recorder)
+	if cfg.Tracer != nil {
+		g = g.WithTracer(cfg.Tracer)
 	}
 	return g
 }

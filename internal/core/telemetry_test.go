@@ -9,7 +9,13 @@ import (
 	"nautilus/internal/metrics"
 	"nautilus/internal/param"
 	"nautilus/internal/telemetry"
+	"nautilus/internal/telemetry/trace"
 )
+
+// collectorStream builds a trace stream whose one sink is col.
+func collectorStream(col *telemetry.Collector) *trace.Tracer {
+	return trace.New(trace.Config{Sinks: []trace.Sink{col}})
+}
 
 // hintedGuidance compiles a guidance carrying all three value mechanisms:
 // importance on a, bias on b (via the monotone objective), target on c.
@@ -32,7 +38,7 @@ func hintedGuidance(t *testing.T, s *param.Space, confidence float64) *Guidance 
 func TestGuidanceHintTelemetry(t *testing.T) {
 	s := bigSpace()
 	col := telemetry.NewCollector(nil)
-	g := hintedGuidance(t, s, 0.9).WithRecorder(col)
+	g := hintedGuidance(t, s, 0.9).WithTracer(collectorStream(col))
 	r := rand.New(rand.NewSource(4))
 	genome := make(param.Point, s.Len())
 
@@ -81,7 +87,7 @@ func TestGuidanceHintTelemetry(t *testing.T) {
 func TestGuidanceConfidenceZeroGate(t *testing.T) {
 	s := bigSpace()
 	col := telemetry.NewCollector(nil)
-	g := hintedGuidance(t, s, 0).WithRecorder(col)
+	g := hintedGuidance(t, s, 0).WithTracer(collectorStream(col))
 	r := rand.New(rand.NewSource(5))
 	for i := 0; i < 500; i++ {
 		g.MutateValue(r, 0, 2, 8)
@@ -111,7 +117,7 @@ func TestGuidedRunTelemetryDeterminism(t *testing.T) {
 	}
 	col := telemetry.NewCollector(nil)
 	cfgRec := cfg
-	cfgRec.Recorder = col
+	cfgRec.Tracer = collectorStream(col)
 	recorded, err := runSearch(s, obj, eval, cfgRec, g)
 	if err != nil {
 		t.Fatal(err)
@@ -119,8 +125,8 @@ func TestGuidedRunTelemetryDeterminism(t *testing.T) {
 	if !reflect.DeepEqual(plain, recorded) {
 		t.Errorf("telemetry changed the guided search result:\n got %+v\nwant %+v", recorded, plain)
 	}
-	if g.rec != telemetry.Nop {
-		t.Error("Search mutated the caller's guidance recorder")
+	if g.tr != nil {
+		t.Error("Search mutated the caller's guidance stream")
 	}
 	snap := col.Registry().Snapshot()
 	hintEvents := snap.Counters["hints.value_target"] + snap.Counters["hints.value_bias"] +

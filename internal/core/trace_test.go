@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -16,12 +17,18 @@ import (
 )
 
 // TestTracingResultsByteIdentical is the observability layer's hard
-// invariant: a fully traced search (flight recorder, duration histograms,
-// JSONL span journal, supervisor spans, collector recording) returns a
-// Result deeply equal to the same search with tracing off. Span IDs come
-// from the tracer's own seeded stream, so nothing here may perturb the
-// run RNG.
+// invariant: a search feeding every sink of the stream (flight recorder,
+// duration histograms, JSONL journal, collector, supervisor spans)
+// returns a Result deeply equal to the same search with the stream off,
+// at parallelism 1 and 4. Span IDs come from the tracer's own seeded
+// stream, so nothing here may perturb the run RNG.
 func TestTracingResultsByteIdentical(t *testing.T) {
+	for _, par := range []int{1, 4} {
+		t.Run(fmt.Sprintf("par=%d", par), func(t *testing.T) { checkTracedRun(t, par) })
+	}
+}
+
+func checkTracedRun(t *testing.T, par int) {
 	s := bigSpace()
 	eval := monotoneEval(s)
 	obj := metrics.MinimizeMetric("cost")
@@ -33,7 +40,7 @@ func TestTracingResultsByteIdentical(t *testing.T) {
 			Seed:           11,
 			Generations:    15,
 			PopulationSize: 8,
-			Parallelism:    4,
+			Parallelism:    par,
 		},
 	}
 	run := func(extra ...SearchOption) ga.Result {
@@ -55,12 +62,13 @@ func TestTracingResultsByteIdentical(t *testing.T) {
 	ring := trace.NewRing(64)
 	durs := trace.NewDurations()
 	j := telemetry.NewJournal(&journal)
+	col := telemetry.NewCollector(nil)
 	tr := trace.New(trace.Config{
 		Session: "determinism",
 		Seed:    7,
-		Sinks:   []trace.Sink{ring, durs, trace.JournalSink{J: j}},
+		Sinks:   []trace.Sink{ring, durs, j},
 	})
-	traced := run(WithTracer(tr), WithRecorder(telemetry.NewCollector(nil)))
+	traced := run(WithTracer(tr), WithRecorder(col))
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -71,13 +79,18 @@ func TestTracingResultsByteIdentical(t *testing.T) {
 
 	// The traced run must actually have produced spans, or the invariant
 	// test is vacuous: every phase of the span taxonomy shows up in the
-	// duration histograms.
+	// duration histograms. The inline (parallelism 1) path resolves each
+	// point on its own, without cache.batch phases.
 	snap := durs.Hists.Snapshot()
-	for _, name := range []string{
+	names := []string{
 		"ga.generation", "ga.dispatch",
 		"ga.selection", "ga.crossover", "ga.mutation",
-		"cache.batch", "resilience.evaluate", "resilience.attempt",
-	} {
+		"resilience.evaluate", "resilience.attempt",
+	}
+	if par > 1 {
+		names = append(names, "cache.batch")
+	}
+	for _, name := range names {
 		h, ok := snap[name]
 		if !ok || h.Count == 0 {
 			t.Errorf("span %q missing from duration histograms (got %d names)", name, len(snap))
@@ -85,6 +98,10 @@ func TestTracingResultsByteIdentical(t *testing.T) {
 	}
 	if len(ring.Snapshot()) == 0 {
 		t.Error("flight recorder captured no spans")
+	}
+	// The sink added through WithRecorder rides the same stream.
+	if got := col.Registry().Counter(telemetry.MetricGenerations).Value(); got != 16 {
+		t.Errorf("collector saw %d generations, want 16", got)
 	}
 
 	// Journal lines decode as span events carrying the session label and

@@ -22,7 +22,6 @@ import (
 	"nautilus/internal/metrics"
 	"nautilus/internal/param"
 	"nautilus/internal/pool"
-	"nautilus/internal/telemetry"
 	"nautilus/internal/telemetry/trace"
 )
 
@@ -305,33 +304,32 @@ func (c *Cache) batchResolve(ctx context.Context, sc *batchScratch, hashes []uin
 		phaseStart = now
 	}
 
-	// Telemetry mirrors the single-point path's per-lookup classification:
-	// the first request of an owned point is the miss, every further
-	// duplicate would have been answered from the cache (a hit); merged
-	// points are singleflight-deduplicated waits. The dedup counter is
-	// updated regardless of recording, like the single path.
-	recording := c.rec.Enabled()
+	// Cache records mirror the single-point path's per-lookup
+	// classification: the first request of an owned point is the miss,
+	// every further duplicate would have been answered from the cache (a
+	// hit); merged points are singleflight-deduplicated waits. The dedup
+	// counter is updated regardless of tracing, like the single path.
 	for j := range uniq {
 		u := &uniq[j]
 		if u.wait {
 			c.dedup.Add(int64(u.requests))
 		}
-		if !recording {
+		if !tracing {
 			continue
 		}
 		switch {
 		case u.owned:
-			c.rec.RecordCache(telemetry.CacheRecord{Event: telemetry.CacheMiss, Shard: u.shard})
+			c.tracer.RecordCache(trace.CacheRecord{Event: trace.CacheMiss, Shard: u.shard})
 			for k := 1; k < u.requests; k++ {
-				c.rec.RecordCache(telemetry.CacheRecord{Event: telemetry.CacheHit, Shard: u.shard})
+				c.tracer.RecordCache(trace.CacheRecord{Event: trace.CacheHit, Shard: u.shard})
 			}
 		case u.wait:
 			for k := 0; k < u.requests; k++ {
-				c.rec.RecordCache(telemetry.CacheRecord{Event: telemetry.CacheDedup, Shard: u.shard})
+				c.tracer.RecordCache(trace.CacheRecord{Event: trace.CacheDedup, Shard: u.shard})
 			}
 		default:
 			for k := 0; k < u.requests; k++ {
-				c.rec.RecordCache(telemetry.CacheRecord{Event: telemetry.CacheHit, Shard: u.shard})
+				c.tracer.RecordCache(trace.CacheRecord{Event: trace.CacheHit, Shard: u.shard})
 			}
 		}
 	}
@@ -381,10 +379,10 @@ func (c *Cache) batchResolve(ctx context.Context, sc *batchScratch, hashes []uin
 			oerrs = sc.oerrs[:len(owned)]
 			ran := sc.ran[:len(owned)]
 			clear(ran)
-			_ = pool.EachRecCtx(ctx, par, len(owned), func(k int) {
+			_ = pool.EachCtx(ctx, par, len(owned), func(k int) {
 				oms[k], oerrs[k] = c.resolve(ctx, opts[k])
 				ran[k] = true
-			}, c.rec)
+			}, c.tracer)
 			for k := range ran {
 				if !ran[k] {
 					// Never started: the run was canceled before this point's
@@ -406,9 +404,7 @@ func (c *Cache) batchResolve(ctx context.Context, sc *batchScratch, hashes []uin
 			if oerrs[k] != nil && IsTransient(oerrs[k]) {
 				transient++
 				withdraw[u.shard] = append(withdraw[u.shard], j)
-				if recording {
-					c.rec.RecordCache(telemetry.CacheRecord{Event: telemetry.CacheTransient, Shard: u.shard})
-				}
+				c.tracer.RecordCache(trace.CacheRecord{Event: trace.CacheTransient, Shard: u.shard})
 			} else {
 				distinct++
 			}

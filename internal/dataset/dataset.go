@@ -27,7 +27,6 @@ import (
 	"nautilus/internal/metrics"
 	"nautilus/internal/param"
 	"nautilus/internal/pool"
-	"nautilus/internal/telemetry"
 	"nautilus/internal/telemetry/trace"
 )
 
@@ -158,7 +157,6 @@ const cacheShardBits = 5
 type Cache struct {
 	space  *param.Space
 	eval   ContextEvaluator
-	rec    telemetry.Recorder
 	tracer *trace.Tracer
 	batch  BatchEvaluator
 	remote Remote
@@ -205,38 +203,29 @@ func NewCache(space *param.Space, eval Evaluator) *Cache {
 // evaluator, so per-evaluation deadlines and run-level cancellation reach
 // the underlying tool run.
 func NewCacheContext(space *param.Space, eval ContextEvaluator) *Cache {
-	return &Cache{space: space, eval: eval, rec: telemetry.Nop, hashFn: space.Hash64}
+	return &Cache{space: space, eval: eval, hashFn: space.Hash64}
 }
 
-// SetRecorder attaches a telemetry recorder that receives one cache event
-// (hit, miss, or singleflight-dedup wait, with the shard index) per
-// lookup. Call it before the cache is shared across goroutines; a nil
-// recorder restores the free no-op default. Recording observes lookup
-// outcomes only - counters and results are identical with any recorder.
-func (c *Cache) SetRecorder(rec telemetry.Recorder) {
-	c.rec = telemetry.OrNop(rec)
-}
-
-// SetTracer attaches a span tracer covering batch resolution phases
-// (dedup, probe, fan-out, merge waits) and singleflight wait time. Call
-// it before the cache is shared across goroutines; nil (the default)
-// disables tracing at the cost of one nil check per phase. Tracing
-// observes timing only - results and counters are identical with it on
-// or off.
+// SetTracer attaches the trace stream: one cache record (hit, miss, or
+// singleflight-dedup wait, with the shard index) per lookup plus
+// transient withdrawals and collision probes, and spans covering batch
+// resolution phases (dedup, probe, fan-out, merge waits) and singleflight
+// wait time. Call it before the cache is shared across goroutines; nil
+// (the default) disables the stream at the cost of one nil check per
+// event. The stream observes lookups only - results and counters are
+// identical with it on or off.
 func (c *Cache) SetTracer(tr *trace.Tracer) { c.tracer = tr }
 
 // noteCollisions folds a lookup's collision-probe count into the cache's
-// counter and telemetry. Called outside the shard lock; n is almost
+// counter and the trace stream. Called outside the shard lock; n is almost
 // always 0 (Hash64 is injective on packable spaces).
 func (c *Cache) noteCollisions(n, shi int) {
 	if n == 0 {
 		return
 	}
 	c.collisions.Add(int64(n))
-	if c.rec.Enabled() {
-		for k := 0; k < n; k++ {
-			c.rec.RecordCache(telemetry.CacheRecord{Event: telemetry.CacheCollision, Shard: shi})
-		}
+	for k := 0; k < n; k++ {
+		c.tracer.RecordCache(trace.CacheRecord{Event: trace.CacheCollision, Shard: shi})
 	}
 }
 
@@ -263,10 +252,10 @@ func (c *Cache) EvaluateCtx(ctx context.Context, pt param.Point) (metrics.Metric
 func (c *Cache) waitShared(ctx context.Context, e *cacheEntry, shi int) (metrics.Metrics, error) {
 	select {
 	case <-e.done:
-		c.rec.RecordCache(telemetry.CacheRecord{Event: telemetry.CacheHit, Shard: shi})
+		c.tracer.RecordCache(trace.CacheRecord{Event: trace.CacheHit, Shard: shi})
 	default:
 		c.dedup.Add(1)
-		c.rec.RecordCache(telemetry.CacheRecord{Event: telemetry.CacheDedup, Shard: shi})
+		c.tracer.RecordCache(trace.CacheRecord{Event: trace.CacheDedup, Shard: shi})
 		sp := c.tracer.Start("cache.wait")
 		select {
 		case <-e.done:
@@ -305,7 +294,7 @@ func (c *Cache) EvaluateHashedCtx(ctx context.Context, h uint64, pt param.Point)
 	sh.table.insert(e)
 	sh.mu.Unlock()
 	c.noteCollisions(probes, shi)
-	c.rec.RecordCache(telemetry.CacheRecord{Event: telemetry.CacheMiss, Shard: shi})
+	c.tracer.RecordCache(trace.CacheRecord{Event: trace.CacheMiss, Shard: shi})
 
 	// This goroutine owns the evaluation; concurrent requesters for the
 	// same point block on e.done instead of re-running the evaluator. A
@@ -317,7 +306,7 @@ func (c *Cache) EvaluateHashedCtx(ctx context.Context, h uint64, pt param.Point)
 		sh.table.remove(e)
 		sh.mu.Unlock()
 		c.transient.Add(1)
-		c.rec.RecordCache(telemetry.CacheRecord{Event: telemetry.CacheTransient, Shard: shi})
+		c.tracer.RecordCache(trace.CacheRecord{Event: trace.CacheTransient, Shard: shi})
 		close(e.done)
 		return e.m, e.err
 	}
@@ -566,7 +555,7 @@ func BuildParallel(space *param.Space, eval Evaluator, parallelism int) (*Datase
 			var o outcome
 			o.m, o.err = eval(space.PointAt(uint64(i)))
 			return o, nil
-		})
+		}, nil)
 		for i, o := range results {
 			if o.err != nil {
 				d.infeasible++

@@ -8,6 +8,7 @@ import (
 	"nautilus/internal/metrics"
 	"nautilus/internal/param"
 	"nautilus/internal/telemetry"
+	"nautilus/internal/telemetry/trace"
 )
 
 func statSpace(t *testing.T) (*param.Space, Evaluator) {
@@ -54,7 +55,7 @@ func TestCacheTelemetryEvents(t *testing.T) {
 	s, eval := statSpace(t)
 	c := NewCache(s, eval)
 	col := telemetry.NewCollector(nil)
-	c.SetRecorder(col)
+	c.SetTracer(trace.New(trace.Config{Sinks: []trace.Sink{col}}))
 	for _, x := range []int{5, 5, 6, 5} {
 		if _, err := c.Evaluate(param.Point{x}); err != nil {
 			t.Fatal(err)
@@ -67,8 +68,8 @@ func TestCacheTelemetryEvents(t *testing.T) {
 	if got := snap.Counters[telemetry.MetricCacheHits]; got != 2 {
 		t.Errorf("hits = %d, want 2", got)
 	}
-	// A nil recorder must restore the free default, not panic.
-	c.SetRecorder(nil)
+	// A nil stream must restore the free default, not panic.
+	c.SetTracer(nil)
 	if _, err := c.Evaluate(param.Point{7}); err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +90,7 @@ func TestCacheDedupTelemetry(t *testing.T) {
 	}
 	c := NewCache(s, eval)
 	col := telemetry.NewCollector(nil)
-	c.SetRecorder(col)
+	c.SetTracer(trace.New(trace.Config{Sinks: []trace.Sink{col}}))
 
 	var wg sync.WaitGroup
 	wg.Add(2)

@@ -33,7 +33,7 @@ func Ablations(cfg Config) ([]Table, error) {
 	runs, gens := cfg.runs(40), cfg.generations(80)
 
 	measure := func(name string, g *core.Guidance) ([]string, error) {
-		results, err := runGA(s, obj, ds.Evaluator(), g, "ablation", name, runs, gens, cfg.parallelism(), cfg.Recorder)
+		results, err := runGA(s, obj, ds.Evaluator(), g, "ablation", name, runs, gens, cfg.parallelism(), cfg.Tracer)
 		if err != nil {
 			return nil, err
 		}
@@ -209,15 +209,15 @@ func gaParamTable(cfg Config, ds *dataset.Dataset, obj metrics.Objective, relaxe
 		{"mutation 0.4 (explore)", func(c *ga.Config) { c.MutationRate = 0.4 }},
 	}
 	for _, v := range variants {
-		results, err := pool.MapRec(cfg.parallelism(), runs, func(i int) (ga.Result, error) {
-			gcfg := ga.Config{Seed: seedFor("ablation_ga", v.name, i), Generations: gens, Recorder: cfg.Recorder}
+		results, err := pool.Map(cfg.parallelism(), runs, func(i int) (ga.Result, error) {
+			gcfg := ga.Config{Seed: seedFor("ablation_ga", v.name, i), Generations: gens, Tracer: cfg.Tracer}
 			v.mod(&gcfg)
 			engine, err := ga.New(s, obj, ds.Evaluator(), gcfg, nil)
 			if err != nil {
 				return ga.Result{}, err
 			}
 			return engine.Run(), nil
-		}, cfg.Recorder)
+		}, cfg.Tracer)
 		if err != nil {
 			return nil, err
 		}

@@ -26,7 +26,7 @@ import (
 	"nautilus/internal/param"
 	"nautilus/internal/pool"
 	"nautilus/internal/synth"
-	"nautilus/internal/telemetry"
+	"nautilus/internal/telemetry/trace"
 )
 
 // Config scales the experiments. The zero value reproduces the paper's
@@ -47,12 +47,12 @@ type Config struct {
 	Parallelism int
 	// OutDir, when non-empty, receives CSV files per figure.
 	OutDir string
-	// Recorder, when non-nil, observes every GA trial and harness fan-out:
-	// generations, evaluations, cache traffic, hint applications, and pool
-	// occupancy aggregate across all figures into one stream. It must be
-	// safe for concurrent use (trials run concurrently, so per-run event
-	// streams interleave); recording never changes any table.
-	Recorder telemetry.Recorder
+	// Tracer, when non-nil, observes every GA trial and harness fan-out:
+	// spans, generations, evaluations, cache traffic, hint applications,
+	// and pool occupancy aggregate across all figures into one stream. Its
+	// sinks must be safe for concurrent use (trials run concurrently, so
+	// per-run streams interleave); observing never changes any table.
+	Tracer *trace.Tracer
 }
 
 func (c Config) runs(paperDefault int) int {
@@ -161,9 +161,9 @@ func seedFor(experiment, variant string, run int) int64 {
 // (experiment, variant, run), so the result set is identical at any par.
 func runGA(space *param.Space, obj metrics.Objective, eval dataset.Evaluator,
 	g *core.Guidance, experiment, variant string, runs, generations, par int,
-	rec telemetry.Recorder) ([]ga.Result, error) {
-	return pool.MapRec(par, runs, func(i int) (ga.Result, error) {
-		cfg := ga.Config{Seed: seedFor(experiment, variant, i), Generations: generations, Recorder: rec}
+	tr *trace.Tracer) ([]ga.Result, error) {
+	return pool.Map(par, runs, func(i int) (ga.Result, error) {
+		cfg := ga.Config{Seed: seedFor(experiment, variant, i), Generations: generations, Tracer: tr}
 		res, err := core.Search(context.Background(), core.SearchRequest{
 			Space:     space,
 			Objective: obj,
@@ -174,7 +174,7 @@ func runGA(space *param.Space, obj metrics.Objective, eval dataset.Evaluator,
 			return ga.Result{}, fmt.Errorf("%s/%s run %d: %w", experiment, variant, i, err)
 		}
 		return res, nil
-	}, rec)
+	}, tr)
 }
 
 // variantSpec names one guidance configuration of a figure.
@@ -189,9 +189,9 @@ type variantSpec struct {
 func runVariants(cfg Config, space *param.Space, obj metrics.Objective, eval dataset.Evaluator,
 	experiment string, runs, generations int, vs ...variantSpec) ([][]ga.Result, error) {
 	par := cfg.parallelism()
-	return pool.MapRec(par, len(vs), func(i int) ([]ga.Result, error) {
-		return runGA(space, obj, eval, vs[i].g, experiment, vs[i].name, runs, generations, par, cfg.Recorder)
-	}, cfg.Recorder)
+	return pool.Map(par, len(vs), func(i int) ([]ga.Result, error) {
+		return runGA(space, obj, eval, vs[i].g, experiment, vs[i].name, runs, generations, par, cfg.Tracer)
+	}, cfg.Tracer)
 }
 
 // f renders a float compactly for table cells.
@@ -216,9 +216,9 @@ func All(cfg Config) ([]Table, error) {
 		Fig1, Fig2, Fig3, Fig4, Fig5, Fig6, Fig7, Headline, Ablations,
 		ExtensionBaselines, ExtensionPareto, ExtensionSimVsAnalytical, ExtensionThirdIP,
 	}
-	per, err := pool.MapRec(cfg.parallelism(), len(figs), func(i int) ([]Table, error) {
+	per, err := pool.Map(cfg.parallelism(), len(figs), func(i int) ([]Table, error) {
 		return figs[i](cfg)
-	}, cfg.Recorder)
+	}, cfg.Tracer)
 	if err != nil {
 		return nil, err
 	}

@@ -37,9 +37,9 @@ func ExtensionBaselines(cfg Config) ([]Table, error) {
 	budget := 500
 
 	collect := func(variant string, run func(seed int64) (ga.Result, error)) ([]ga.Result, error) {
-		return pool.MapRec(cfg.parallelism(), runs, func(i int) (ga.Result, error) {
+		return pool.Map(cfg.parallelism(), runs, func(i int) (ga.Result, error) {
 			return run(seedFor("ext_baselines", variant, i))
-		}, cfg.Recorder)
+		}, cfg.Tracer)
 	}
 
 	random, err := collect("random", func(seed int64) (ga.Result, error) {
@@ -157,7 +157,7 @@ func ExtensionPareto(cfg Config) ([]Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := runGA(s, q.obj, ds.Evaluator(), g, "ext_pareto", q.name, 1, cfg.generations(80), cfg.parallelism(), cfg.Recorder)
+		res, err := runGA(s, q.obj, ds.Evaluator(), g, "ext_pareto", q.name, 1, cfg.generations(80), cfg.parallelism(), cfg.Tracer)
 		if err != nil {
 			return nil, err
 		}
@@ -201,7 +201,7 @@ func ExtensionSimVsAnalytical(cfg Config) ([]Table, error) {
 	}
 	// Each topology's simulation is independent and internally seeded, so
 	// the sweep fans out; rows are assembled in topology order afterwards.
-	rows, err := pool.MapRec(cfg.parallelism(), len(topos), func(i int) (simRow, error) {
+	rows, err := pool.Map(cfg.parallelism(), len(topos), func(i int) (simRow, error) {
 		pt := make([]int, s.Len())
 		ptP := s.Set(pt, noc.ParamTopology, topos[i])
 		ptP = s.Set(ptP, noc.ParamVCs, "2")
@@ -220,7 +220,7 @@ func ExtensionSimVsAnalytical(cfg Config) ([]Table, error) {
 		sat, _ := sim.Get(noc.MetricSatThroughput)
 		lat, _ := sim.Get(noc.MetricZeroLoadLatency)
 		return simRow{bw, sat, lat}, nil
-	}, cfg.Recorder)
+	}, cfg.Tracer)
 	if err != nil {
 		return nil, err
 	}

@@ -175,11 +175,11 @@ func Fig6(cfg Config) ([]Table, error) {
 		n  int
 		ok bool
 	}
-	draws, err := pool.MapRec(cfg.parallelism(), runs, func(i int) (draw, error) {
+	draws, err := pool.Map(cfg.parallelism(), runs, func(i int) (draw, error) {
 		n, ok := search.RandomUntil(s, obj, ds.Evaluator(), relaxed,
 			ds.Size()+ds.Infeasible(), seedFor("fig6", "random", i))
 		return draw{n, ok}, nil
-	}, cfg.Recorder)
+	}, cfg.Tracer)
 	if err != nil {
 		return nil, err
 	}

@@ -128,9 +128,9 @@ func Fig2(cfg Config) ([]Table, error) {
 	// enumeration order so the scatter and family rows stay byte-identical
 	// to a sequential sweep.
 	points := int(s.Cardinality())
-	evals, err := pool.MapRec(cfg.parallelism(), points, func(i int) (metrics.Metrics, error) {
+	evals, err := pool.Map(cfg.parallelism(), points, func(i int) (metrics.Metrics, error) {
 		return noc.NetworkEvaluate(s, s.PointAt(uint64(i)))
-	}, cfg.Recorder)
+	}, cfg.Tracer)
 	if err != nil {
 		return nil, err
 	}

@@ -2,9 +2,12 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"testing"
 
 	"nautilus/internal/telemetry"
+	"nautilus/internal/telemetry/trace"
 )
 
 // renderFig runs a figure and flattens its tables (header, rows, notes) to
@@ -61,23 +64,30 @@ func TestFig2ParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestRecorderDoesNotPerturbFigures asserts a wired Recorder leaves every
-// table byte-identical while actually observing the harness's GA trials.
+// TestRecorderDoesNotPerturbFigures asserts a trace stream feeding every
+// sink leaves every table byte-identical, at parallelism 1 and 4, while
+// actually observing the harness's GA trials.
 func TestRecorderDoesNotPerturbFigures(t *testing.T) {
-	cfg := fastCfg()
-	cfg.Parallelism = 4
-	plain := renderFig(t, Fig4, cfg)
-	col := telemetry.NewCollector(nil)
-	cfg.Recorder = col
-	recorded := renderFig(t, Fig4, cfg)
-	if !bytes.Equal(plain, recorded) {
-		t.Errorf("fig4 output differs with a Recorder wired:\n--- plain ---\n%s\n--- recorded ---\n%s", plain, recorded)
-	}
-	snap := col.Registry().Snapshot()
-	if snap.Counters[telemetry.MetricGenerations] == 0 {
-		t.Error("recorder saw no generations despite observing a full figure")
-	}
-	if snap.Counters[telemetry.MetricPoolTasks] == 0 {
-		t.Error("recorder saw no pool tasks despite the trial fan-out")
+	for _, par := range []int{1, 4} {
+		t.Run(fmt.Sprintf("par=%d", par), func(t *testing.T) {
+			cfg := fastCfg()
+			cfg.Parallelism = par
+			plain := renderFig(t, Fig4, cfg)
+			col := telemetry.NewCollector(nil)
+			cfg.Tracer = trace.New(trace.Config{Sinks: []trace.Sink{
+				col, telemetry.NewJournal(io.Discard), trace.NewRing(32), trace.NewDurations(),
+			}})
+			recorded := renderFig(t, Fig4, cfg)
+			if !bytes.Equal(plain, recorded) {
+				t.Errorf("fig4 output differs with a stream wired:\n--- plain ---\n%s\n--- recorded ---\n%s", plain, recorded)
+			}
+			snap := col.Registry().Snapshot()
+			if snap.Counters[telemetry.MetricGenerations] == 0 {
+				t.Error("collector saw no generations despite observing a full figure")
+			}
+			if snap.Counters[telemetry.MetricPoolTasks] == 0 {
+				t.Error("collector saw no pool tasks despite the trial fan-out")
+			}
+		})
 	}
 }

@@ -29,7 +29,6 @@ import (
 	"nautilus/internal/param"
 	"nautilus/internal/pareto"
 	"nautilus/internal/pool"
-	"nautilus/internal/telemetry"
 	"nautilus/internal/telemetry/trace"
 )
 
@@ -86,21 +85,17 @@ type Config struct {
 	// which further generations only revisit cached designs. 0 disables
 	// early stopping (the paper's fixed-generation methodology).
 	ConvergenceWindow int
-	// Recorder receives structured telemetry events (per-generation stats,
-	// per-individual evaluations, cache lookups, pool scheduling). nil
-	// defaults to telemetry.Nop, which is free. Recording is purely
-	// observational: it never draws from the run's RNG, so results are
-	// identical with telemetry on or off. The recorder must be safe for
-	// concurrent use when Parallelism > 1.
-	Recorder telemetry.Recorder
-	// Tracer receives latency spans: a ga.generation root per generation
-	// with a ga.dispatch child around evaluation, pre-measured
-	// ga.selection / ga.crossover / ga.mutation breeding phases, and the
-	// cache's batch-resolve phases underneath. nil disables tracing at the
-	// cost of one boolean test per phase. Like the Recorder, tracing is
-	// purely observational - span IDs come from the tracer's own seeded
-	// stream, never the run RNG - so results are byte-identical with
-	// tracing on or off.
+	// Tracer is the run's observability stream. It receives latency spans
+	// (a ga.generation root per generation with a ga.dispatch child around
+	// evaluation, pre-measured ga.selection / ga.crossover / ga.mutation
+	// breeding phases, and the cache's batch-resolve phases underneath)
+	// and the run-event records (per-generation stats, per-individual
+	// evaluations, cache lookups, pool scheduling, and - through a guided
+	// strategy - hint decisions). nil disables it at the cost of one nil
+	// check per event. The stream is purely observational - span IDs come
+	// from the tracer's own seeded stream and nothing draws from the run
+	// RNG - so results are byte-identical with it on or off. Its sinks
+	// must be safe for concurrent use when Parallelism > 1.
 	Tracer *trace.Tracer
 	// Checkpoint, when non-nil, receives a full resumable Snapshot of the
 	// run at generation boundaries: every CheckpointEvery generations, and
@@ -173,9 +168,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CheckpointEvery == 0 {
 		c.CheckpointEvery = 1
-	}
-	if c.Recorder == nil {
-		c.Recorder = telemetry.Nop
 	}
 	if c.Migration != nil {
 		c.Migration = c.Migration.withDefaults()
@@ -368,10 +360,10 @@ type Engine struct {
 	cache    *dataset.Cache
 	cfg      Config
 	strategy Strategy
-	rec      telemetry.Recorder
 	tracer   *trace.Tracer
-	// tracing caches tracer.Enabled() so breeding-phase clock reads cost
-	// one boolean test when tracing is off.
+	// tracing caches tracer.Enabled() so breeding-phase clock reads and
+	// per-generation record building cost one boolean test when the
+	// stream is off.
 	tracing bool
 	// phaseSel/phaseCx/phaseMut accumulate breeding-phase wall time across
 	// one generation's breedInto calls, emitted as pre-measured spans at
@@ -426,7 +418,6 @@ func NewContext(space *param.Space, obj metrics.Objective, eval dataset.ContextE
 		strategy = Baseline{Space: space}
 	}
 	cache := dataset.NewCacheContext(space, eval)
-	cache.SetRecorder(cfg.Recorder)
 	cache.SetTracer(cfg.Tracer)
 	if cfg.BatchBackend != nil {
 		cache.SetBatchBackend(cfg.BatchBackend)
@@ -437,7 +428,6 @@ func NewContext(space *param.Space, obj metrics.Objective, eval dataset.ContextE
 		cache:    cache,
 		cfg:      cfg,
 		strategy: strategy,
-		rec:      cfg.Recorder,
 		tracer:   cfg.Tracer,
 		tracing:  cfg.Tracer.Enabled(),
 	}, nil
@@ -584,11 +574,10 @@ func (e *Engine) RunContext(ctx context.Context) (Result, error) {
 		}
 	}
 
-	// Telemetry is observational only: wall-clock timing and the
-	// per-generation record are built solely when a live recorder asks for
+	// The stream is observational only: wall-clock timing and the
+	// per-generation record are built solely when a live tracer asks for
 	// them, and nothing here touches r, so runs are byte-identical with
-	// telemetry on or off.
-	recording := e.rec.Enabled()
+	// the stream on or off.
 	checkpointing := e.cfg.Checkpoint != nil
 
 	// boundary is the resumable state at the start of the generation being
@@ -606,11 +595,9 @@ func (e *Engine) RunContext(ctx context.Context) (Result, error) {
 			}
 		}
 		var genStart time.Time
-		if recording {
-			genStart = time.Now()
-		}
 		var gspan, dspan trace.Active
 		if e.tracing {
+			genStart = time.Now()
 			gspan = e.tracer.Start("ga.generation")
 			dspan = gspan.Child("ga.dispatch")
 		}
@@ -685,12 +672,12 @@ func (e *Engine) RunContext(ctx context.Context) (Result, error) {
 			gp.FrontSize, gp.Hypervolume = mv.stats()
 		}
 		trajectory = append(trajectory, gp)
-		if recording {
+		if e.tracing {
 			mean := math.NaN()
 			if feasible > 0 {
 				mean = sum / float64(feasible)
 			}
-			e.rec.RecordGeneration(telemetry.GenerationRecord{
+			e.tracer.RecordGeneration(trace.GenerationRecord{
 				Generation:    gen,
 				BestValue:     best.value,
 				BestFitness:   best.fitness,
@@ -835,13 +822,13 @@ func (e *Engine) evaluateInline(ctx context.Context, gen int, pop []individual) 
 		ind := &pop[i]
 		m, err := e.cache.EvaluateHashedCtx(ctx, ind.hash, ind.genome)
 		e.score(ind, m, err)
-		e.rec.RecordEvaluation(telemetry.EvaluationRecord{
+		e.tracer.RecordEvaluation(trace.EvaluationRecord{
 			Generation: gen,
 			Feasible:   ind.ok,
 			Fitness:    ind.fitness,
 		})
 	}
-	return pool.EachRecCtx(ctx, 1, len(pop), eval, e.rec)
+	return pool.EachCtx(ctx, 1, len(pop), eval, e.tracer)
 }
 
 // evaluateBatch submits the whole generation to the cache as one batch.
@@ -864,7 +851,7 @@ func (e *Engine) evaluateBatch(ctx context.Context, gen int, pop []individual) e
 	for i := range pop {
 		ind := &pop[i]
 		e.score(ind, ms[i], errs[i])
-		e.rec.RecordEvaluation(telemetry.EvaluationRecord{
+		e.tracer.RecordEvaluation(trace.EvaluationRecord{
 			Generation: gen,
 			Feasible:   ind.ok,
 			Fitness:    ind.fitness,

@@ -5,7 +5,7 @@
 // Every fan-out in this repository (GA trials, figure variants, whole
 // figures, design-space enumerations, population fitness evaluation) is a
 // fixed list of independent jobs whose *outputs* must not depend on
-// scheduling. Map and Each therefore identify jobs by index: a fixed set of
+// scheduling. Map and EachCtx therefore identify jobs by index: a fixed set of
 // workers claims indices from a shared counter, and results land in a
 // pre-sized slice slot per index. Running with parallelism 1 and
 // parallelism N yields identical result slices.
@@ -16,7 +16,7 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"nautilus/internal/telemetry"
+	"nautilus/internal/telemetry/trace"
 )
 
 // Map runs fn(i) for every i in [0,n) using at most parallelism concurrent
@@ -26,16 +26,12 @@ import (
 // in-flight calls, and the error with the lowest index among those recorded
 // is returned. With parallelism <= 1 the jobs run sequentially on the
 // calling goroutine and the first error returns immediately.
-func Map[T any](parallelism, n int, fn func(i int) (T, error)) ([]T, error) {
-	return MapRec[T](parallelism, n, fn, nil)
-}
-
-// MapRec is Map with scheduling telemetry: each task run, worker start
-// (busy), and worker exit (idle) is reported to rec, so pool occupancy and
-// effective parallelism are observable. A nil rec records nothing and
-// costs nothing; recording never alters scheduling or results.
-func MapRec[T any](parallelism, n int, fn func(i int) (T, error), rec telemetry.Recorder) ([]T, error) {
-	rec = telemetry.OrNop(rec)
+//
+// Each task run, worker start (busy), and worker exit (idle) is reported to
+// tr, so pool occupancy and effective parallelism are observable. A nil tr
+// records nothing and costs one nil check per event; recording never
+// alters scheduling or results.
+func Map[T any](parallelism, n int, fn func(i int) (T, error), tr *trace.Tracer) ([]T, error) {
 	out := make([]T, n)
 	if n == 0 {
 		return out, nil
@@ -44,11 +40,11 @@ func MapRec[T any](parallelism, n int, fn func(i int) (T, error), rec telemetry.
 		parallelism = n
 	}
 	if parallelism <= 1 {
-		rec.RecordPool(telemetry.PoolRecord{Event: telemetry.PoolWorkerBusy, Worker: 0})
-		defer rec.RecordPool(telemetry.PoolRecord{Event: telemetry.PoolWorkerIdle, Worker: 0})
+		tr.RecordPool(trace.PoolRecord{Event: trace.PoolWorkerBusy, Worker: 0})
+		defer tr.RecordPool(trace.PoolRecord{Event: trace.PoolWorkerIdle, Worker: 0})
 		for i := 0; i < n; i++ {
 			v, err := fn(i)
-			rec.RecordPool(telemetry.PoolRecord{Event: telemetry.PoolTask, Worker: 0})
+			tr.RecordPool(trace.PoolRecord{Event: trace.PoolTask, Worker: 0})
 			if err != nil {
 				return nil, err
 			}
@@ -65,15 +61,15 @@ func MapRec[T any](parallelism, n int, fn func(i int) (T, error), rec telemetry.
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			rec.RecordPool(telemetry.PoolRecord{Event: telemetry.PoolWorkerBusy, Worker: w})
-			defer rec.RecordPool(telemetry.PoolRecord{Event: telemetry.PoolWorkerIdle, Worker: w})
+			tr.RecordPool(trace.PoolRecord{Event: trace.PoolWorkerBusy, Worker: w})
+			defer tr.RecordPool(trace.PoolRecord{Event: trace.PoolWorkerIdle, Worker: w})
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= n || failed.Load() {
 					return
 				}
 				v, err := fn(i)
-				rec.RecordPool(telemetry.PoolRecord{Event: telemetry.PoolTask, Worker: w})
+				tr.RecordPool(trace.PoolRecord{Event: trace.PoolTask, Worker: w})
 				if err != nil {
 					errs[i] = err
 					failed.Store(true)
@@ -94,24 +90,24 @@ func MapRec[T any](parallelism, n int, fn func(i int) (T, error), rec telemetry.
 	return out, nil
 }
 
-// EachCtx is Each under a context: workers stop claiming new indices once
-// ctx is canceled, in-flight calls run to completion (the pool fully
-// drains), and the context's error is returned whenever it was canceled -
-// even when every index had already been claimed, because in-flight calls
-// may have observed the canceled context and produced void results. A nil
-// error therefore guarantees every index ran under a live context.
-func EachCtx(ctx context.Context, parallelism, n int, fn func(i int)) error {
-	return EachRecCtx(ctx, parallelism, n, fn, nil)
-}
-
-// EachRecCtx is EachCtx with scheduling telemetry, mirroring MapRec.
+// EachCtx runs fn(i) for every i in [0,n) using at most parallelism
+// concurrent workers and waits for all calls to finish - Map for
+// side-effecting jobs that cannot fail (e.g. filling a pre-allocated slice
+// in place), under a context. Scheduling is reported to tr exactly as in
+// Map.
+//
+// Workers stop claiming new indices once ctx is canceled, in-flight calls
+// run to completion (the pool fully drains), and the context's error is
+// returned whenever it was canceled - even when every index had already
+// been claimed, because in-flight calls may have observed the canceled
+// context and produced void results. A nil error therefore guarantees
+// every index ran under a live context.
 //
 // Cancellation is a claim barrier, not a preemption: fn itself observes ctx
-// only if its closure captures it. Workers always drain - after EachRecCtx
+// only if its closure captures it. Workers always drain - after EachCtx
 // returns, no pool goroutine remains, which is what makes mid-run timeout
 // storms safe (see the drain test).
-func EachRecCtx(ctx context.Context, parallelism, n int, fn func(i int), rec telemetry.Recorder) error {
-	rec = telemetry.OrNop(rec)
+func EachCtx(ctx context.Context, parallelism, n int, fn func(i int), tr *trace.Tracer) error {
 	if n == 0 {
 		return nil
 	}
@@ -119,14 +115,14 @@ func EachRecCtx(ctx context.Context, parallelism, n int, fn func(i int), rec tel
 		parallelism = n
 	}
 	if parallelism <= 1 {
-		rec.RecordPool(telemetry.PoolRecord{Event: telemetry.PoolWorkerBusy, Worker: 0})
-		defer rec.RecordPool(telemetry.PoolRecord{Event: telemetry.PoolWorkerIdle, Worker: 0})
+		tr.RecordPool(trace.PoolRecord{Event: trace.PoolWorkerBusy, Worker: 0})
+		defer tr.RecordPool(trace.PoolRecord{Event: trace.PoolWorkerIdle, Worker: 0})
 		for i := 0; i < n; i++ {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
 			fn(i)
-			rec.RecordPool(telemetry.PoolRecord{Event: telemetry.PoolTask, Worker: 0})
+			tr.RecordPool(trace.PoolRecord{Event: trace.PoolTask, Worker: 0})
 		}
 		return ctx.Err()
 	}
@@ -136,8 +132,8 @@ func EachRecCtx(ctx context.Context, parallelism, n int, fn func(i int), rec tel
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			rec.RecordPool(telemetry.PoolRecord{Event: telemetry.PoolWorkerBusy, Worker: w})
-			defer rec.RecordPool(telemetry.PoolRecord{Event: telemetry.PoolWorkerIdle, Worker: w})
+			tr.RecordPool(trace.PoolRecord{Event: trace.PoolWorkerBusy, Worker: w})
+			defer tr.RecordPool(trace.PoolRecord{Event: trace.PoolWorkerIdle, Worker: w})
 			for {
 				if ctx.Err() != nil {
 					return
@@ -147,7 +143,7 @@ func EachRecCtx(ctx context.Context, parallelism, n int, fn func(i int), rec tel
 					return
 				}
 				fn(i)
-				rec.RecordPool(telemetry.PoolRecord{Event: telemetry.PoolTask, Worker: w})
+				tr.RecordPool(trace.PoolRecord{Event: trace.PoolTask, Worker: w})
 			}
 		}(w)
 	}
@@ -157,50 +153,4 @@ func EachRecCtx(ctx context.Context, parallelism, n int, fn func(i int), rec tel
 	// calls may have seen the dead context, so their results cannot be
 	// trusted as a completed batch.
 	return ctx.Err()
-}
-
-// Each runs fn(i) for every i in [0,n) using at most parallelism concurrent
-// workers and waits for all calls to finish. It is Map for side-effecting
-// jobs that cannot fail (e.g. filling a pre-allocated slice in place).
-func Each(parallelism, n int, fn func(i int)) {
-	EachRec(parallelism, n, fn, nil)
-}
-
-// EachRec is Each with scheduling telemetry, mirroring MapRec.
-func EachRec(parallelism, n int, fn func(i int), rec telemetry.Recorder) {
-	rec = telemetry.OrNop(rec)
-	if n == 0 {
-		return
-	}
-	if parallelism > n {
-		parallelism = n
-	}
-	if parallelism <= 1 {
-		rec.RecordPool(telemetry.PoolRecord{Event: telemetry.PoolWorkerBusy, Worker: 0})
-		defer rec.RecordPool(telemetry.PoolRecord{Event: telemetry.PoolWorkerIdle, Worker: 0})
-		for i := 0; i < n; i++ {
-			fn(i)
-			rec.RecordPool(telemetry.PoolRecord{Event: telemetry.PoolTask, Worker: 0})
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < parallelism; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rec.RecordPool(telemetry.PoolRecord{Event: telemetry.PoolWorkerBusy, Worker: w})
-			defer rec.RecordPool(telemetry.PoolRecord{Event: telemetry.PoolWorkerIdle, Worker: w})
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-				rec.RecordPool(telemetry.PoolRecord{Event: telemetry.PoolTask, Worker: w})
-			}
-		}(w)
-	}
-	wg.Wait()
 }

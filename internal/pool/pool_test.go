@@ -12,7 +12,7 @@ import (
 
 func TestMapOrderedResults(t *testing.T) {
 	for _, par := range []int{1, 2, 4, 16} {
-		out, err := Map(par, 100, func(i int) (int, error) { return i * i, nil })
+		out, err := Map(par, 100, func(i int) (int, error) { return i * i, nil }, nil)
 		if err != nil {
 			t.Fatalf("par=%d: %v", par, err)
 		}
@@ -31,7 +31,7 @@ func TestMapIdenticalAtAnyParallelism(t *testing.T) {
 	run := func(par int) []string {
 		out, err := Map(par, 37, func(i int) (string, error) {
 			return fmt.Sprintf("job-%03d", i), nil
-		})
+		}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,7 +61,7 @@ func TestMapBoundedConcurrency(t *testing.T) {
 		}
 		inFlight.Add(-1)
 		return struct{}{}, nil
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestMapError(t *testing.T) {
 		}
 		time.Sleep(200 * time.Microsecond)
 		return i, nil
-	})
+	}, nil)
 	if !errors.Is(err, wantErr) {
 		t.Fatalf("err = %v, want %v", err, wantErr)
 	}
@@ -99,7 +99,7 @@ func TestMapSequentialErrorStopsImmediately(t *testing.T) {
 			return 0, errors.New("stop")
 		}
 		return i, nil
-	})
+	}, nil)
 	if err == nil {
 		t.Fatal("expected error")
 	}
@@ -109,31 +109,38 @@ func TestMapSequentialErrorStopsImmediately(t *testing.T) {
 }
 
 func TestMapEmpty(t *testing.T) {
-	out, err := Map(8, 0, func(i int) (int, error) { return 0, nil })
+	out, err := Map(8, 0, func(i int) (int, error) { return 0, nil }, nil)
 	if err != nil || len(out) != 0 {
 		t.Fatalf("Map(8, 0) = %v, %v", out, err)
 	}
 }
 
+// TestEach checks EachCtx fills a slice in place at any parallelism and
+// never calls fn for an empty range.
 func TestEach(t *testing.T) {
+	ctx := context.Background()
 	for _, par := range []int{1, 4} {
 		out := make([]int, 64)
-		Each(par, len(out), func(i int) { out[i] = i + 1 })
+		if err := EachCtx(ctx, par, len(out), func(i int) { out[i] = i + 1 }, nil); err != nil {
+			t.Fatal(err)
+		}
 		for i, v := range out {
 			if v != i+1 {
 				t.Fatalf("par=%d: out[%d] = %d", par, i, v)
 			}
 		}
 	}
-	Each(4, 0, func(i int) { t.Error("fn called for n=0") })
+	if err := EachCtx(ctx, 4, 0, func(i int) { t.Error("fn called for n=0") }, nil); err != nil {
+		t.Fatal(err)
+	}
 }
 
-// TestEachCtxRunsAll proves the ctx variant is a drop-in Each when the
-// context never cancels.
+// TestEachCtxRunsAll proves every index runs exactly once when the context
+// never cancels.
 func TestEachCtxRunsAll(t *testing.T) {
 	for _, par := range []int{1, 4, 16} {
 		var ran atomic.Int64
-		if err := EachCtx(context.Background(), par, 200, func(i int) { ran.Add(1) }); err != nil {
+		if err := EachCtx(context.Background(), par, 200, func(i int) { ran.Add(1) }, nil); err != nil {
 			t.Fatalf("par=%d: %v", par, err)
 		}
 		if ran.Load() != 200 {
@@ -160,7 +167,7 @@ func TestEachCtxCancelDrainsWorkers(t *testing.T) {
 			}
 			<-ctx.Done() // every in-flight task blocks until cancellation
 			finished.Add(1)
-		})
+		}, nil)
 		cancel()
 		if err == nil {
 			t.Fatalf("round %d: want context error after cancellation", round)
@@ -196,7 +203,7 @@ func TestEachCtxSequentialCancel(t *testing.T) {
 		if ran == 7 {
 			cancel()
 		}
-	})
+	}, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

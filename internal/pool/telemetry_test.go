@@ -1,15 +1,18 @@
 package pool
 
 import (
+	"context"
 	"sync"
 	"testing"
 
 	"nautilus/internal/telemetry"
+	"nautilus/internal/telemetry/trace"
 )
 
-// poolEventCounter is a minimal Recorder counting scheduling events and
+// poolEventCounter is a minimal sink counting scheduling events and
 // tracking instantaneous/peak worker occupancy.
 type poolEventCounter struct {
+	trace.NopSink
 	mu    sync.Mutex
 	tasks int
 	busy  int
@@ -18,38 +21,33 @@ type poolEventCounter struct {
 	peak  int
 }
 
-func (c *poolEventCounter) Enabled() bool                               { return true }
-func (c *poolEventCounter) RecordGeneration(telemetry.GenerationRecord) {}
-func (c *poolEventCounter) RecordEvaluation(telemetry.EvaluationRecord) {}
-func (c *poolEventCounter) RecordHint(telemetry.HintRecord)             {}
-func (c *poolEventCounter) RecordCache(telemetry.CacheRecord)           {}
-
-func (c *poolEventCounter) RecordPool(p telemetry.PoolRecord) {
+func (c *poolEventCounter) OnPool(p trace.PoolRecord) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	switch p.Event {
-	case telemetry.PoolTask:
+	case trace.PoolTask:
 		c.tasks++
-	case telemetry.PoolWorkerBusy:
+	case trace.PoolWorkerBusy:
 		c.busy++
 		c.cur++
 		if c.cur > c.peak {
 			c.peak = c.cur
 		}
-	case telemetry.PoolWorkerIdle:
+	case trace.PoolWorkerIdle:
 		c.idle++
 		c.cur--
 	}
 }
 
-// TestMapRecTelemetry checks every task is reported, every worker that
-// went busy also went idle, and occupancy never exceeds the requested
+// TestMapTelemetry checks every task is reported, every worker that went
+// busy also went idle, and occupancy never exceeds the requested
 // parallelism - on both the sequential and the parallel path.
-func TestMapRecTelemetry(t *testing.T) {
+func TestMapTelemetry(t *testing.T) {
 	for _, par := range []int{1, 4} {
 		rec := &poolEventCounter{}
 		const n = 20
-		out, err := MapRec(par, n, func(i int) (int, error) { return i * i, nil }, rec)
+		tr := trace.New(trace.Config{Sinks: []trace.Sink{rec}})
+		out, err := Map(par, n, func(i int) (int, error) { return i * i, nil }, tr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,12 +74,15 @@ func TestMapRecTelemetry(t *testing.T) {
 	}
 }
 
-// TestEachRecTelemetry mirrors TestMapRecTelemetry for the side-effecting
+// TestEachCtxTelemetry mirrors TestMapTelemetry for the side-effecting
 // variant, and checks the collector's occupancy gauges settle back to zero.
-func TestEachRecTelemetry(t *testing.T) {
+func TestEachCtxTelemetry(t *testing.T) {
 	col := telemetry.NewCollector(nil)
+	tr := trace.New(trace.Config{Sinks: []trace.Sink{col}})
 	var hits [32]int
-	EachRec(4, len(hits), func(i int) { hits[i]++ }, col)
+	if err := EachCtx(context.Background(), 4, len(hits), func(i int) { hits[i]++ }, tr); err != nil {
+		t.Fatal(err)
+	}
 	for i, h := range hits {
 		if h != 1 {
 			t.Fatalf("index %d ran %d times", i, h)

@@ -58,7 +58,7 @@ func (e *FailedError) Error() string {
 //	                            shared-cache hit/collision accounting
 //	GET    /debug/sessions      per-session metric registry snapshots
 //	                            plus each session's span flight recorder
-//	/debug/vars, /debug/pprof/...   telemetry.DebugMux over the registry
+//	GET    /debug/pprof/...     Go profiling handlers (telemetry.DebugMux)
 //
 // Every /v1 route is wrapped in the latency/status middleware feeding
 // /metrics. Errors use a uniform envelope:
@@ -320,8 +320,8 @@ func (s *Server) handleSessions(w http.ResponseWriter, _ *http.Request) {
 }
 
 // handleDebugSessions dumps each session's private metric registry - the
-// per-session half of the introspection story (the global half lives at
-// /debug/vars via the shared registry).
+// per-session half of the introspection story (the global half is the
+// server registry on /metrics).
 func (s *Server) handleDebugSessions(w http.ResponseWriter, _ *http.Request) {
 	type sessionDebug struct {
 		Status  JobStatus          `json:"status"`

@@ -151,11 +151,15 @@ func TestAPI(t *testing.T) {
 		t.Fatalf("stats: status %d, body %s", resp.StatusCode, body)
 	}
 
-	// The debug surface is mounted: expvar, pprof, per-session registries.
-	for _, path := range []string{"/debug/vars", "/debug/pprof/cmdline", "/debug/sessions", "/v1/healthz"} {
+	// The debug surface is mounted: metrics, pprof, per-session
+	// registries. The process-global expvar page is gone.
+	for _, path := range []string{"/metrics", "/debug/pprof/cmdline", "/debug/sessions", "/v1/healthz"} {
 		if resp, _ := c.do("GET", path, nil); resp.StatusCode != http.StatusOK {
 			t.Fatalf("GET %s: status %d", path, resp.StatusCode)
 		}
+	}
+	if resp, _ := c.do("GET", "/debug/vars", nil); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET /debug/vars: status %d, want 404", resp.StatusCode)
 	}
 
 	// Cancel flow: a long job canceled over HTTP ends canceled, and its
@@ -178,6 +182,30 @@ func TestAPI(t *testing.T) {
 	c.decode(body, &errBody)
 	if resp.StatusCode != http.StatusConflict || errBody.Error.Code != CodeFailed || errBody.Error.State != StateCanceled {
 		t.Fatalf("result after cancel: status %d, body %s", resp.StatusCode, body)
+	}
+}
+
+// TestServersReportOwnRegistries runs two servers in one process and
+// checks each /metrics renders its own registry. Nothing on the debug
+// surface is process-global: a shared expvar page used to show the last
+// mounted server's counters on every server.
+func TestServersReportOwnRegistries(t *testing.T) {
+	a, b := newTestServer(t, Options{}), newTestServer(t, Options{})
+	defer a.Drain(context.Background())
+	defer b.Drain(context.Background())
+	a.Registry().Counter("probe.value").Add(111)
+	b.Registry().Counter("probe.value").Add(222)
+	for srv, want := range map[*Server]string{a: "nautilus_probe_value 111\n", b: "nautilus_probe_value 222\n"} {
+		rr := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/metrics", nil))
+		if rr.Code != http.StatusOK || !strings.Contains(rr.Body.String(), want) {
+			t.Errorf("/metrics: status %d, want a line %q", rr.Code, want)
+		}
+		rr = httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/debug/vars", nil))
+		if rr.Code != http.StatusNotFound {
+			t.Errorf("/debug/vars: status %d, want 404", rr.Code)
+		}
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 	"nautilus/internal/ga"
 	"nautilus/internal/metrics"
 	"nautilus/internal/param"
-	"nautilus/internal/telemetry"
+	"nautilus/internal/telemetry/trace"
 )
 
 // MetricClusterPeers is the gauge carrying the ring's member count
@@ -206,12 +206,14 @@ func (s *Server) runClusterIsland(ctx context.Context, spec cluster.IslandSpec) 
 // searchCluster runs one submitted session as an island-model search over
 // the cluster and folds the merged outcome back into the ga.Result shape
 // the session state machine consumes. The merged trajectory replays
-// through the session recorder afterwards, so status, SSE subscribers,
-// and /v1/sessions see the same per-generation progress a solo run
-// streams live. Session-private cache accounting (TotalQueries/CacheHits)
-// stays zero here: islands run in parallel across nodes and their private
-// counters do not compose into one meaningful session number - the
-// cluster-wide dedup story lives in nautilus_cluster_remote_hits instead.
+// through the session's progress sink afterwards, so status and SSE
+// subscribers see the same per-generation progress a solo run streams
+// live. The replay carries no wall times, so /v1/sessions reports no
+// generation latencies for a clustered session rather than zeros.
+// Session-private cache accounting (TotalQueries/CacheHits) stays zero
+// here: islands run in parallel across nodes and their private counters
+// do not compose into one meaningful session number - the cluster-wide
+// dedup story lives in nautilus_cluster_remote_hits instead.
 func (s *Server) searchCluster(ctx context.Context, sess *session) (ga.Result, error) {
 	co := s.opts.Cluster
 	payload, err := json.Marshal(sess.spec)
@@ -243,14 +245,13 @@ func (s *Server) searchCluster(ctx context.Context, sess *session) (ga.Result, e
 		Hypervolume:   cres.Hypervolume,
 		Nadir:         cres.Nadir,
 	}
-	rec := sessionRecorder{s: sess}
 	worst := sess.entry.Objective.Worst()
 	for _, gp := range cres.Trajectory {
 		feasible := 0
 		if gp.BestValue != worst {
 			feasible = 1
 		}
-		rec.RecordGeneration(telemetry.GenerationRecord{
+		sess.progress.publish(trace.GenerationRecord{
 			Generation:    gp.Generation,
 			BestValue:     gp.BestValue,
 			Feasible:      feasible,

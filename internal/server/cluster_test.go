@@ -125,8 +125,8 @@ func TestClusterServerDeterminism(t *testing.T) {
 		t.Error("no node served a peer's cache lookup")
 	}
 
-	// The island fan-out replays merged progress through the session
-	// recorder, so status and /v1/sessions carry real generation data.
+	// The island fan-out replays merged progress through the session's
+	// progress sink, so status carries real generation data.
 	st, err := env.servers[0].Status(res.ID)
 	if err != nil {
 		t.Fatal(err)
@@ -190,16 +190,30 @@ func TestClusterServerProxy(t *testing.T) {
 	}
 
 	// /v1/sessions carries the cluster block with each node's own identity.
+	// The owner lists the session with its replayed progress but no
+	// generation latencies: the replay was not timed on this node, so it
+	// reports none rather than zeros.
 	for i := range env.servers {
 		code, body = get(i, "/v1/sessions")
 		var sess struct {
-			Cluster *ClusterInfo `json:"cluster"`
+			Sessions []SessionPerf `json:"sessions"`
+			Cluster  *ClusterInfo  `json:"cluster"`
 		}
 		if err := json.Unmarshal(body, &sess); err != nil || code != http.StatusOK {
 			t.Fatalf("sessions on node %d: %d %s", i, code, body)
 		}
 		if sess.Cluster == nil || sess.Cluster.Node != fmt.Sprintf("n%d", i) || len(sess.Cluster.Members) != 2 {
 			t.Errorf("node %d cluster block = %+v", i, sess.Cluster)
+		}
+		if i != 0 {
+			continue
+		}
+		if len(sess.Sessions) != 1 {
+			t.Fatalf("owner lists %d sessions, want 1", len(sess.Sessions))
+		}
+		if p := sess.Sessions[0]; p.Generation != res.Generations || p.Generations != 0 ||
+			p.GenLatencyP50Micros != 0 || p.GenLatencyP99Micros != 0 {
+			t.Errorf("clustered session perf = %+v, want generation %d with no latency samples", p, res.Generations)
 		}
 	}
 

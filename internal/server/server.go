@@ -70,7 +70,7 @@ type Options struct {
 	// in flight; production leaves it 0.
 	EvalDelay time.Duration
 	// Registry receives server, scheduler, and aggregated run metrics
-	// (default: a fresh registry, exposed at /debug/vars).
+	// (default: a fresh registry, exposed at /metrics).
 	Registry *telemetry.Registry
 	// Network is the transport Listen binds through (default
 	// faultnet.System, i.e. real TCP). Tests and the fault harness swap in
@@ -196,9 +196,7 @@ func (s *Server) restore() error {
 		if rerr != nil {
 			// The record predates a spec-breaking change; surface it as a
 			// failed session rather than refusing to start.
-			sess := &session{id: rec.ID, seq: rec.Seq, spec: rec.Spec,
-				hub: newProgressHub(), col: telemetry.NewCollector(nil),
-				done: make(chan struct{}), gen: -1}
+			sess := newSession(rec.ID, rec.Seq, rec.Spec, nil, nil, nil)
 			sess.finish(StateFailed, fmt.Sprintf("unresolvable after restart: %v", rerr), nil)
 			s.register(sess)
 			continue
@@ -332,7 +330,6 @@ func (s *Server) run(ctx context.Context, sess *session, resume *ga.Snapshot) {
 		Generations:    sess.spec.Generations,
 		Seed:           sess.spec.Seed,
 		Parallelism:    sess.spec.Parallelism,
-		Recorder:       telemetry.Multi(sessionRecorder{s: sess}, sess.col, s.global),
 		Resume:         resume,
 		BatchBackend:   batch,
 	}
@@ -347,15 +344,17 @@ func (s *Server) run(ctx context.Context, sess *session, resume *ga.Snapshot) {
 		cfg.Checkpoint = saver.Save
 		cfg.CheckpointEvery = s.opts.CheckpointEvery
 	}
-	// The session's tracer feeds its private flight recorder (the last
-	// spans, dumped by /debug/sessions) and the server-wide per-phase
+	// The session's one trace stream feeds its live progress (status, SSE,
+	// /v1/sessions), its private collector (/debug/sessions), the
+	// server-wide collector (/metrics), its span flight recorder (the last
+	// spans, dumped by /debug/sessions), and the server-wide per-phase
 	// duration histograms on /metrics. Span IDs come from the tracer's own
-	// seeded stream, so tracing cannot perturb the run RNG and session
-	// results stay byte-identical to an untraced CLI run.
-	tr := trace.New(trace.Config{
+	// seeded stream and no sink touches the run RNG, so session results
+	// stay byte-identical to an unobserved CLI run.
+	cfg.Tracer = trace.New(trace.Config{
 		Session: sess.id,
 		Seed:    sess.spec.Seed,
-		Sinks:   []trace.Sink{sess.ring, s.durs},
+		Sinks:   []trace.Sink{sess.progress, sess.col, s.global, sess.ring, s.durs},
 	})
 	var res ga.Result
 	var err error
@@ -377,7 +376,7 @@ func (s *Server) run(ctx context.Context, sess *session, resume *ga.Snapshot) {
 			Objectives:  sess.objs,
 			EvaluateCtx: eval,
 			Config:      cfg,
-		}, core.WithGuidance(sess.guid), core.WithTracer(tr))
+		}, core.WithGuidance(sess.guid))
 	}
 
 	var state State

@@ -276,12 +276,14 @@ type session struct {
 	hub  *progressHub
 	col  *telemetry.Collector
 	done chan struct{}
-	// genLat distributes completed-generation wall times (power-of-two
-	// nanosecond buckets) for /v1/sessions and the SSE stream; ring is the
-	// session's span flight recorder, dumped by /debug/sessions. Both are
-	// observational only.
-	genLat hist.Hist
-	ring   *trace.Ring
+	// progress is the session's live-progress sink on the trace stream;
+	// genLat distributes the wall times of the generations it saw run
+	// (power-of-two nanosecond buckets) for /v1/sessions and the SSE
+	// stream; ring is the session's span flight recorder, dumped by
+	// /debug/sessions. All are observational only.
+	progress *progressSink
+	genLat   hist.Hist
+	ring     *trace.Ring
 
 	mu          sync.Mutex
 	cancel      context.CancelFunc
@@ -299,7 +301,7 @@ type session struct {
 }
 
 func newSession(id string, seq int, spec JobSpec, entry *catalog.Entry, guid *core.Guidance, objs []metrics.Objective) *session {
-	return &session{
+	s := &session{
 		id:    id,
 		seq:   seq,
 		spec:  spec,
@@ -313,6 +315,8 @@ func newSession(id string, seq int, spec JobSpec, entry *catalog.Entry, guid *co
 		state: StateRunning,
 		gen:   -1,
 	}
+	s.progress = newProgressSink(s)
+	return s
 }
 
 // status snapshots the session for the API.
@@ -355,18 +359,6 @@ type SessionPerf struct {
 	CacheHitRate         float64 `json:"cache_hit_rate"`
 }
 
-// cacheHitRate reads the session collector's cache counters into a hit
-// ratio; ok is false before any lookup happened.
-func (s *session) cacheHitRate() (rate float64, ok bool) {
-	snap := s.col.Registry().Snapshot()
-	hits := snap.Counters[telemetry.MetricCacheHits]
-	total := hits + snap.Counters[telemetry.MetricCacheMisses] + snap.Counters[telemetry.MetricCacheDedups]
-	if total == 0 {
-		return 0, false
-	}
-	return float64(hits) / float64(total), true
-}
-
 // perf snapshots the session's performance view for /v1/sessions.
 func (s *session) perf() SessionPerf {
 	st := s.status()
@@ -382,7 +374,7 @@ func (s *session) perf() SessionPerf {
 		GenLatencyP99Micros:  lat.P99() / 1e3,
 		GenLatencyMeanMicros: lat.Mean() / 1e3,
 	}
-	if hr, ok := s.cacheHitRate(); ok {
+	if hr, ok := s.progress.cacheHitRate(); ok {
 		p.CacheHitRate = hr
 	}
 	return p
@@ -420,17 +412,53 @@ func (s *session) finish(state State, errMsg string, result *JobResult) {
 	close(s.done)
 }
 
-// sessionRecorder feeds per-generation progress into the session's status
-// and SSE hub. It observes records the engine already built (a live
-// collector is always teed in, so Enabled is true) and never touches the
-// run RNG - streaming progress cannot change a search result.
-type sessionRecorder struct{ s *session }
+// progressSink is the session's live-progress sink on the trace stream:
+// each generation record updates the session's status, its latency
+// histogram, and the SSE hub. It observes records the engine already
+// built and never touches the run RNG - streaming progress cannot change
+// a search result.
+type progressSink struct {
+	trace.NopSink
+	s *session
+	// hits, misses, and dedups are the session collector's cache counters,
+	// held so the per-generation hit rate reads three atomics.
+	hits, misses, dedups *telemetry.Counter
+}
 
-func (r sessionRecorder) Enabled() bool { return true }
+func newProgressSink(s *session) *progressSink {
+	reg := s.col.Registry()
+	return &progressSink{
+		s:      s,
+		hits:   reg.Counter(telemetry.MetricCacheHits),
+		misses: reg.Counter(telemetry.MetricCacheMisses),
+		dedups: reg.Counter(telemetry.MetricCacheDedups),
+	}
+}
 
-func (r sessionRecorder) RecordGeneration(g telemetry.GenerationRecord) {
-	s := r.s
-	s.genLat.ObserveDuration(g.Elapsed)
+// cacheHitRate is the session cache's running hit ratio; ok is false
+// before any lookup happened.
+func (p *progressSink) cacheHitRate() (rate float64, ok bool) {
+	hits := p.hits.Value()
+	total := hits + p.misses.Value() + p.dedups.Value()
+	if total == 0 {
+		return 0, false
+	}
+	return float64(hits) / float64(total), true
+}
+
+// OnGeneration implements trace.Sink: a generation that ran here is
+// timed into the latency histogram, then published.
+func (p *progressSink) OnGeneration(g trace.GenerationRecord) {
+	p.s.genLat.ObserveDuration(g.Elapsed)
+	p.publish(g)
+}
+
+// publish folds one generation into the session status and the SSE hub.
+// Replayed generations (a clustered session's merged trajectory) enter
+// here directly: they were not timed on this node, so they stay out of
+// the latency histogram.
+func (p *progressSink) publish(g trace.GenerationRecord) {
+	s := p.s
 	s.mu.Lock()
 	s.gen = g.Generation
 	s.distinct = g.DistinctEvals
@@ -457,7 +485,7 @@ func (r sessionRecorder) RecordGeneration(g telemetry.GenerationRecord) {
 		FrontSize:        g.FrontSize,
 		Hypervolume:      g.Hypervolume,
 	}
-	if hr, ok := s.cacheHitRate(); ok {
+	if hr, ok := p.cacheHitRate(); ok {
 		ev.CacheHitRate = &hr
 	}
 	if feasible {
@@ -472,11 +500,6 @@ func (r sessionRecorder) RecordGeneration(g telemetry.GenerationRecord) {
 		s.hub.publish(b)
 	}
 }
-
-func (r sessionRecorder) RecordEvaluation(telemetry.EvaluationRecord) {}
-func (r sessionRecorder) RecordHint(telemetry.HintRecord)             {}
-func (r sessionRecorder) RecordCache(telemetry.CacheRecord)           {}
-func (r sessionRecorder) RecordPool(telemetry.PoolRecord)             {}
 
 // progressHub broadcasts generation events to SSE subscribers. Delivery to
 // live subscribers is best-effort (a stalled client drops events rather

@@ -6,6 +6,8 @@ import (
 	"math"
 	"sync"
 	"time"
+
+	"nautilus/internal/telemetry/trace"
 )
 
 // Metric names the Collector maintains in its Registry. Exported so tests
@@ -37,11 +39,13 @@ const (
 // time: sub-millisecond analytical models through multi-minute synthesis.
 var generationMillisBounds = []float64{0.01, 0.1, 1, 10, 100, 1_000, 10_000, 60_000}
 
-// Collector aggregates run events into a Registry and retains the
-// per-generation trajectory, powering the end-of-run summary and the live
-// debug endpoint. It is safe for concurrent use; counter updates are
-// atomic and only generation retention takes a mutex.
+// Collector is the trace sink that aggregates run events into a Registry
+// and retains the per-generation trajectory, powering the end-of-run
+// summary and the live metrics endpoints. Spans pass it by (the Durations
+// sink aggregates those). It is safe for concurrent use; counter updates
+// are atomic and only generation retention takes a mutex.
 type Collector struct {
+	trace.NopSink
 	reg *Registry
 
 	generations    *Counter
@@ -68,7 +72,7 @@ type Collector struct {
 	poolMax   *Gauge
 
 	mu     sync.Mutex
-	gens   []GenerationRecord
+	gens   []trace.GenerationRecord
 	retain bool
 }
 
@@ -101,8 +105,8 @@ func NewCollector(reg *Registry) *Collector {
 	}
 	c.retain = true
 	for _, mech := range []string{
-		HintGeneImportance, HintGeneUniform,
-		HintValueTarget, HintValueBias, HintValueUniform,
+		trace.HintGeneImportance, trace.HintGeneUniform,
+		trace.HintValueTarget, trace.HintValueBias, trace.HintValueUniform,
 	} {
 		c.hintCounters[mech] = reg.Counter(hintMetricPrefix + mech)
 	}
@@ -124,11 +128,8 @@ func (c *Collector) DisableGenerationRetention() {
 // Registry returns the collector's backing registry (for ServeDebug).
 func (c *Collector) Registry() *Registry { return c.reg }
 
-// Enabled implements Recorder.
-func (c *Collector) Enabled() bool { return true }
-
-// RecordGeneration implements Recorder.
-func (c *Collector) RecordGeneration(g GenerationRecord) {
+// OnGeneration implements trace.Sink.
+func (c *Collector) OnGeneration(g trace.GenerationRecord) {
 	c.generations.Inc()
 	c.genMillis.Observe(float64(g.Elapsed) / float64(time.Millisecond))
 	c.bestValue.Set(g.BestValue)
@@ -142,21 +143,21 @@ func (c *Collector) RecordGeneration(g GenerationRecord) {
 	c.mu.Unlock()
 }
 
-// RecordEvaluation implements Recorder.
-func (c *Collector) RecordEvaluation(e EvaluationRecord) {
+// OnEvaluation implements trace.Sink.
+func (c *Collector) OnEvaluation(e trace.EvaluationRecord) {
 	c.evals.Inc()
 	if !e.Feasible {
 		c.evalInfeasible.Inc()
 	}
 }
 
-// RecordHint implements Recorder.
-func (c *Collector) RecordHint(h HintRecord) {
+// OnHint implements trace.Sink.
+func (c *Collector) OnHint(h trace.HintRecord) {
 	if ctr, ok := c.hintCounters[h.Mechanism]; ok {
 		ctr.Inc()
 	}
 	switch h.Mechanism {
-	case HintValueTarget, HintValueBias, HintValueUniform:
+	case trace.HintValueTarget, trace.HintValueBias, trace.HintValueUniform:
 		if h.Guided {
 			c.gateGuided.Inc()
 		} else {
@@ -165,44 +166,44 @@ func (c *Collector) RecordHint(h HintRecord) {
 	}
 }
 
-// RecordCache implements Recorder.
-func (c *Collector) RecordCache(r CacheRecord) {
+// OnCache implements trace.Sink.
+func (c *Collector) OnCache(r trace.CacheRecord) {
 	switch r.Event {
-	case CacheHit:
+	case trace.CacheHit:
 		c.cacheHits.Inc()
-	case CacheMiss:
+	case trace.CacheMiss:
 		c.cacheMisses.Inc()
-	case CacheDedup:
+	case trace.CacheDedup:
 		c.cacheDedups.Inc()
 		// Dedup waits are contention events, rare by design; resolving the
 		// per-shard counter lazily here keeps the hit/miss fast path
 		// allocation-free.
 		c.reg.Counter(fmt.Sprintf(dedupShardFmt, r.Shard)).Inc()
-	case CacheTransient:
+	case trace.CacheTransient:
 		c.cacheTransient.Inc()
-	case CacheCollision:
+	case trace.CacheCollision:
 		c.cacheCollisions.Inc()
 	}
 }
 
-// RecordPool implements Recorder.
-func (c *Collector) RecordPool(p PoolRecord) {
+// OnPool implements trace.Sink.
+func (c *Collector) OnPool(p trace.PoolRecord) {
 	switch p.Event {
-	case PoolTask:
+	case trace.PoolTask:
 		c.poolTasks.Inc()
-	case PoolWorkerBusy:
+	case trace.PoolWorkerBusy:
 		c.poolBusy.Add(1)
 		c.poolMax.Max(c.poolBusy.Value())
-	case PoolWorkerIdle:
+	case trace.PoolWorkerIdle:
 		c.poolBusy.Add(-1)
 	}
 }
 
 // Generations returns a copy of the retained per-generation records.
-func (c *Collector) Generations() []GenerationRecord {
+func (c *Collector) Generations() []trace.GenerationRecord {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return append([]GenerationRecord(nil), c.gens...)
+	return append([]trace.GenerationRecord(nil), c.gens...)
 }
 
 // hintCount returns the aggregated count for a mechanism.
@@ -214,10 +215,10 @@ func (c *Collector) hintCount(mech string) int64 {
 }
 
 // WriteSummary renders the human-readable end-of-run report: the
-// per-generation trajectory table (the successor of the ad-hoc -trace
-// table), then evaluation, cache, hint-application, and pool totals. Hint
-// rates read directly against the paper's confidence sweep: at confidence
-// c, roughly a fraction c of value moves should be guided.
+// per-generation trajectory table (omitted once generation retention is
+// disabled), then evaluation, cache, hint-application, and pool totals.
+// Hint rates read directly against the paper's confidence sweep: at
+// confidence c, roughly a fraction c of value moves should be guided.
 func (c *Collector) WriteSummary(w io.Writer) error {
 	gens := c.Generations()
 	fmt.Fprintln(w, "== run telemetry ==")
@@ -258,12 +259,12 @@ func (c *Collector) WriteSummary(w io.Writer) error {
 			retries, timeouts, quarantined)
 	}
 
-	genePicks := c.hintCount(HintGeneImportance) + c.hintCount(HintGeneUniform)
-	valueMoves := c.hintCount(HintValueTarget) + c.hintCount(HintValueBias) + c.hintCount(HintValueUniform)
+	genePicks := c.hintCount(trace.HintGeneImportance) + c.hintCount(trace.HintGeneUniform)
+	valueMoves := c.hintCount(trace.HintValueTarget) + c.hintCount(trace.HintValueBias) + c.hintCount(trace.HintValueUniform)
 	if genePicks+valueMoves > 0 {
 		fmt.Fprintf(w, "hints:        gene picks %d importance-weighted / %d uniform; value moves %d target, %d bias, %d uniform\n",
-			c.hintCount(HintGeneImportance), c.hintCount(HintGeneUniform),
-			c.hintCount(HintValueTarget), c.hintCount(HintValueBias), c.hintCount(HintValueUniform))
+			c.hintCount(trace.HintGeneImportance), c.hintCount(trace.HintGeneUniform),
+			c.hintCount(trace.HintValueTarget), c.hintCount(trace.HintValueBias), c.hintCount(trace.HintValueUniform))
 		guided, unguided := c.gateGuided.Value(), c.gateUnguided.Value()
 		if gate := guided + unguided; gate > 0 {
 			fmt.Fprintf(w, "confidence:   gate guided %d / unguided %d (%.1f%% applied)\n",

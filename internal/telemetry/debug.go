@@ -1,19 +1,9 @@
 package telemetry
 
 import (
-	"expvar"
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sync"
-	"sync/atomic"
-)
-
-// debugRegistry is the registry the process-wide "nautilus" expvar reads
-// from; ServeDebug installs the most recently served registry.
-var (
-	debugRegistry atomic.Pointer[Registry]
-	publishOnce   sync.Once
 )
 
 // DebugMux returns the introspection routes over reg as a mux, so hosts
@@ -21,27 +11,17 @@ var (
 // their API instead of opening a second port:
 //
 //	/metrics      - the registry in Prometheus text exposition format
-//	/debug/vars   - expvar, including the registry snapshot as "nautilus"
 //	/debug/pprof  - the standard Go profiling handlers
 //
-// The registry becomes the process-wide "nautilus" expvar (the most
-// recently installed registry wins, matching expvar's global semantics).
+// Nothing is published process-wide: each mux renders only its own
+// registry, so several servers in one process never see each other's
+// counters.
 func DebugMux(reg *Registry) *http.ServeMux {
 	if reg == nil {
 		reg = NewRegistry()
 	}
-	debugRegistry.Store(reg)
-	publishOnce.Do(func() {
-		expvar.Publish("nautilus", expvar.Func(func() any {
-			if r := debugRegistry.Load(); r != nil {
-				return r.Snapshot()
-			}
-			return Snapshot{}
-		}))
-	})
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", MetricsHandler(reg))
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -54,8 +34,8 @@ func DebugMux(reg *Registry) *http.ServeMux {
 // bound address (useful with ":0"). It serves DebugMux(reg), so a long
 // search can be watched live (hint rates, cache hit rates, pool occupancy)
 // and profiled without stopping it. The server runs on its own goroutine
-// for the life of the process; errors after startup are dropped, matching
-// expvar's own best-effort semantics.
+// for the life of the process; errors after startup are dropped - the
+// endpoint is best-effort introspection, never part of the run.
 func ServeDebug(addr string, reg *Registry) (string, error) {
 	mux := DebugMux(reg)
 	ln, err := net.Listen("tcp", addr)

@@ -7,14 +7,17 @@ import (
 	"math"
 	"sync"
 	"time"
+
+	"nautilus/internal/telemetry/trace"
 )
 
-// Journal is a Recorder that writes one JSON object per event line (JSONL)
-// - the machine-readable run record that survives the process, replayable
-// by any downstream analysis. Every line carries an "event" discriminator
-// and "t_ms", milliseconds of wall clock since the journal was opened.
-// Wall time is observational only; journaling never feeds back into the
-// search, so results stay byte-identical with journaling on or off.
+// Journal is the trace sink that writes one JSON object per span or record
+// (JSONL) - the machine-readable run record that survives the process,
+// replayable by any downstream analysis. Every line carries an "event"
+// discriminator and "t_ms", milliseconds of wall clock since the journal
+// was opened. Wall time is observational only; journaling never feeds back
+// into the search, so results stay byte-identical with journaling on or
+// off.
 //
 // Writes are buffered and serialized under a mutex (events arrive from
 // concurrent evaluation workers); call Close (or at least Flush) when the
@@ -58,22 +61,15 @@ func (j *Journal) sinceMillis() float64 {
 	return float64(time.Since(j.start)) / float64(time.Millisecond)
 }
 
-// SinceMillis returns the journal-relative wall clock in milliseconds -
-// the same clock every line's "t_ms" field uses - so external emitters
-// (the span tracer's JSONL sink) timestamp consistently with run events.
-func (j *Journal) SinceMillis() float64 { return j.sinceMillis() }
-
-// EmitRaw writes one arbitrary event line through the journal's encoder,
-// serialized with the Recorder events and sharing their sticky-error
-// handling. The event should carry its own "event" discriminator field;
-// callers own the schema of what they emit.
-func (j *Journal) EmitRaw(event any) { j.emit(event) }
-
-// Enabled implements Recorder.
-func (j *Journal) Enabled() bool { return true }
-
 // journal line formats, one struct per event type. Field names are part of
 // the JSONL contract documented in the README's Observability section.
+type journalSpan struct {
+	Event   string  `json:"event"`
+	TMillis float64 `json:"t_ms"`
+	trace.Span
+	DurMicros float64 `json:"dur_us"`
+}
+
 type journalGeneration struct {
 	Event         string   `json:"event"`
 	TMillis       float64  `json:"t_ms"`
@@ -118,8 +114,18 @@ type journalPool struct {
 	Worker  int     `json:"worker"`
 }
 
-// RecordGeneration implements Recorder.
-func (j *Journal) RecordGeneration(g GenerationRecord) {
+// OnSpan implements trace.Sink.
+func (j *Journal) OnSpan(sp trace.Span) {
+	j.emit(journalSpan{
+		Event:     "span",
+		TMillis:   j.sinceMillis(),
+		Span:      sp,
+		DurMicros: float64(sp.Duration) / float64(time.Microsecond),
+	})
+}
+
+// OnGeneration implements trace.Sink.
+func (j *Journal) OnGeneration(g trace.GenerationRecord) {
 	j.emit(journalGeneration{
 		Event:         "generation",
 		TMillis:       j.sinceMillis(),
@@ -134,8 +140,8 @@ func (j *Journal) RecordGeneration(g GenerationRecord) {
 	})
 }
 
-// RecordEvaluation implements Recorder.
-func (j *Journal) RecordEvaluation(e EvaluationRecord) {
+// OnEvaluation implements trace.Sink.
+func (j *Journal) OnEvaluation(e trace.EvaluationRecord) {
 	j.emit(journalEvaluation{
 		Event:      "eval",
 		TMillis:    j.sinceMillis(),
@@ -145,8 +151,8 @@ func (j *Journal) RecordEvaluation(e EvaluationRecord) {
 	})
 }
 
-// RecordHint implements Recorder.
-func (j *Journal) RecordHint(h HintRecord) {
+// OnHint implements trace.Sink.
+func (j *Journal) OnHint(h trace.HintRecord) {
 	j.emit(journalHint{
 		Event:      "hint",
 		TMillis:    j.sinceMillis(),
@@ -157,13 +163,13 @@ func (j *Journal) RecordHint(h HintRecord) {
 	})
 }
 
-// RecordCache implements Recorder.
-func (j *Journal) RecordCache(c CacheRecord) {
+// OnCache implements trace.Sink.
+func (j *Journal) OnCache(c trace.CacheRecord) {
 	j.emit(journalCache{Event: "cache", TMillis: j.sinceMillis(), Kind: c.Event, Shard: c.Shard})
 }
 
-// RecordPool implements Recorder.
-func (j *Journal) RecordPool(p PoolRecord) {
+// OnPool implements trace.Sink.
+func (j *Journal) OnPool(p trace.PoolRecord) {
 	j.emit(journalPool{Event: "pool", TMillis: j.sinceMillis(), Kind: p.Event, Worker: p.Worker})
 }
 

@@ -1,249 +1,21 @@
-// Package telemetry is the observability backbone of the search engine: a
-// lock-cheap metrics registry (atomic counters, gauges, and fixed-bucket
-// histograms with a consistent Snapshot export) plus a Recorder interface
-// for structured run events - generation completed, individual evaluated,
-// hint applied or skipped, cache hit/miss/dedup, worker busy/idle.
+// Package telemetry is the aggregation side of the search engine's
+// observability: a lock-cheap metrics registry (atomic counters, gauges,
+// and fixed-bucket histograms with a consistent Snapshot export), its
+// Prometheus rendering, and the two run-event sinks of the one trace
+// stream - Collector and Journal.
 //
 // The paper's central claim is about search *efficiency* - quality reached
 // per distinct design-point evaluation - and diagnosing why a search
 // converges or stalls needs live visibility into the quantities behind
 // that claim: how often hints actually fire versus random mutation (the
 // confidence knob of Table 1), cache hit rates over time, worker-pool
-// occupancy, and per-generation convergence.
+// occupancy, and per-generation convergence. The engine reports those as
+// records on its *trace.Tracer (see package trace for the stream's
+// nil-safety and determinism contract); the sinks here turn them into:
 //
-// Design constraints, in order:
-//
-//   - Disabled telemetry is free. Nop is the default recorder everywhere;
-//     its methods are empty, take records by value, and allocate nothing,
-//     so the GA hot loop pays one static interface call per event.
-//   - Telemetry never perturbs the search. Recorders observe decisions the
-//     engine already made; they must not draw from the run's RNG, so the
-//     parallelism-determinism guarantee (same seed => same result at any
-//     parallelism, with telemetry on or off) is preserved by construction.
-//   - Recorders are safe for concurrent use: fitness evaluation fans out
-//     across workers, and the experiment harness shares one recorder
-//     across concurrent GA trials.
-//
-// Sinks provided here: Collector (aggregates into a Registry and retains
-// the per-generation trajectory for an end-of-run summary), Journal
-// (structured JSONL run events), and ServeDebug (live expvar + pprof HTTP
-// endpoint). Multi tees events to several sinks.
+//   - Collector: registry counters, gauges, and histograms plus the
+//     retained per-generation trajectory for the end-of-run summary;
+//   - Journal: one JSON line per span and record, the machine-readable
+//     run record that survives the process;
+//   - DebugMux/ServeDebug: /metrics and pprof over a registry.
 package telemetry
-
-import "time"
-
-// Recorder receives structured run events. Implementations must be safe
-// for concurrent use and must not draw from any search RNG. Hot paths may
-// consult Enabled to skip building expensive records (timing, means);
-// cheap records are sent unconditionally because the no-op sink costs one
-// empty method call.
-type Recorder interface {
-	// Enabled reports whether events are consumed at all. A false return
-	// lets instrumented code skip record construction entirely.
-	Enabled() bool
-	// RecordGeneration reports one completed GA generation.
-	RecordGeneration(GenerationRecord)
-	// RecordEvaluation reports one individual's fitness evaluation.
-	RecordEvaluation(EvaluationRecord)
-	// RecordHint reports one guided-mutation decision.
-	RecordHint(HintRecord)
-	// RecordCache reports one evaluation-cache lookup outcome.
-	RecordCache(CacheRecord)
-	// RecordPool reports one worker-pool scheduling event.
-	RecordPool(PoolRecord)
-}
-
-// GenerationRecord summarizes one completed generation of a GA run.
-type GenerationRecord struct {
-	// Generation is the 0-based generation index.
-	Generation int
-	// BestValue is the best objective value found so far (Objective.Worst
-	// if nothing feasible yet).
-	BestValue float64
-	// BestFitness is the best raw fitness found so far (-Inf if nothing
-	// feasible yet).
-	BestFitness float64
-	// MeanFitness averages fitness over the generation's feasible
-	// individuals (NaN when none are feasible).
-	MeanFitness float64
-	// Feasible counts feasible individuals in this generation.
-	Feasible int
-	// UniqueGenomes counts distinct genomes in the population - the
-	// diversity signal that collapses as the GA converges.
-	UniqueGenomes int
-	// DistinctEvals is the cumulative number of distinct design points
-	// evaluated - the paper's search-cost metric.
-	DistinctEvals int
-	// FrontSize and Hypervolume describe the non-dominated archive in
-	// multi-objective (pareto) runs: its cardinality after this generation
-	// and, for two-objective runs, the dominated area relative to the
-	// nadir-derived reference. Zero in scalar runs.
-	FrontSize   int
-	Hypervolume float64
-	// Elapsed is the wall-clock time this generation took (evaluation
-	// through bookkeeping). Wall time never feeds back into the search.
-	Elapsed time.Duration
-}
-
-// EvaluationRecord reports one individual's fitness evaluation.
-type EvaluationRecord struct {
-	// Generation is the generation the individual belongs to.
-	Generation int
-	// Feasible reports whether the design point was feasible under the
-	// objective.
-	Feasible bool
-	// Fitness is the raw fitness assigned (-Inf when infeasible).
-	Fitness float64
-}
-
-// Hint mechanisms - which rule produced a guided-mutation decision. These
-// are the measurable counterparts of the paper's Table 1 hint vocabulary.
-const (
-	// HintGeneImportance: the mutated gene was drawn from the
-	// importance-weighted distribution (importance hint in effect).
-	HintGeneImportance = "gene_importance"
-	// HintGeneUniform: the mutated gene was drawn with no effective
-	// importance skew (no hint set, fully decayed, or confidence 0).
-	HintGeneUniform = "gene_uniform"
-	// HintValueTarget: the new value was sampled around a target hint.
-	HintValueTarget = "value_target"
-	// HintValueBias: the new value moved along an oriented bias hint.
-	HintValueBias = "value_bias"
-	// HintValueUniform: the new value fell back to the baseline uniform
-	// draw (gate closed, no hint, or bias deferred).
-	HintValueUniform = "value_uniform"
-)
-
-// HintRecord reports one guided-mutation decision: either a gene pick
-// (which gene mutates) or a value move (what the gene becomes).
-type HintRecord struct {
-	// Generation is the breeding generation.
-	Generation int
-	// Gene is the parameter index the decision concerns.
-	Gene int
-	// Mechanism is one of the Hint* constants above.
-	Mechanism string
-	// Guided reports the confidence-gate outcome for value moves: true
-	// when the per-mutation confidence coin landed guided (even if the
-	// mechanism then deferred to uniform). Always false for gene picks,
-	// whose blending is continuous rather than gated.
-	Guided bool
-}
-
-// Cache lookup outcomes.
-const (
-	// CacheHit: the design point was already characterized.
-	CacheHit = "hit"
-	// CacheMiss: this lookup owns the evaluation (a spent synthesis job).
-	CacheMiss = "miss"
-	// CacheDedup: another goroutine is evaluating the same point; this
-	// lookup blocked on its result (singleflight wait).
-	CacheDedup = "dedup"
-	// CacheTransient: the owned evaluation ended in a transient error; the
-	// entry was withdrawn so the point stays re-evaluable (never memoized).
-	CacheTransient = "transient"
-	// CacheCollision: a hash-keyed lookup probed past an entry whose
-	// 64-bit hash matched but whose packed genome did not. Collisions are
-	// correctness-neutral (identity is (hash, genome)) but each one costs
-	// an extra probe, so a rising rate flags a degenerate hash seed.
-	CacheCollision = "collision"
-)
-
-// CacheRecord reports one evaluation-cache lookup.
-type CacheRecord struct {
-	// Event is one of CacheHit, CacheMiss, CacheDedup.
-	Event string
-	// Shard is the lock stripe the key hashed to.
-	Shard int
-}
-
-// Worker-pool events.
-const (
-	// PoolTask: a worker ran one task.
-	PoolTask = "task"
-	// PoolWorkerBusy: a worker started claiming tasks.
-	PoolWorkerBusy = "busy"
-	// PoolWorkerIdle: a worker ran out of tasks and exited.
-	PoolWorkerIdle = "idle"
-)
-
-// PoolRecord reports one worker-pool scheduling event.
-type PoolRecord struct {
-	// Event is one of PoolTask, PoolWorkerBusy, PoolWorkerIdle.
-	Event string
-	// Worker is the worker's index within its pool.
-	Worker int
-}
-
-// nop is the disabled recorder: every method is an empty body, so the
-// compiled hot loop pays only the interface dispatch.
-type nop struct{}
-
-func (nop) Enabled() bool                     { return false }
-func (nop) RecordGeneration(GenerationRecord) {}
-func (nop) RecordEvaluation(EvaluationRecord) {}
-func (nop) RecordHint(HintRecord)             {}
-func (nop) RecordCache(CacheRecord)           {}
-func (nop) RecordPool(PoolRecord)             {}
-
-// Nop is the default, zero-allocation recorder that discards every event.
-var Nop Recorder = nop{}
-
-// OrNop returns r, or Nop when r is nil - the guard every instrumented
-// component applies so a nil recorder is always safe.
-func OrNop(r Recorder) Recorder {
-	if r == nil {
-		return Nop
-	}
-	return r
-}
-
-// multi fans events out to several recorders in order.
-type multi []Recorder
-
-func (m multi) Enabled() bool { return true }
-func (m multi) RecordGeneration(rec GenerationRecord) {
-	for _, r := range m {
-		r.RecordGeneration(rec)
-	}
-}
-func (m multi) RecordEvaluation(rec EvaluationRecord) {
-	for _, r := range m {
-		r.RecordEvaluation(rec)
-	}
-}
-func (m multi) RecordHint(rec HintRecord) {
-	for _, r := range m {
-		r.RecordHint(rec)
-	}
-}
-func (m multi) RecordCache(rec CacheRecord) {
-	for _, r := range m {
-		r.RecordCache(rec)
-	}
-}
-func (m multi) RecordPool(rec PoolRecord) {
-	for _, r := range m {
-		r.RecordPool(rec)
-	}
-}
-
-// Multi tees events to every non-nil, non-Nop recorder given. It returns
-// Nop when nothing remains and the single recorder unwrapped when only one
-// does, so the common cases pay no fan-out cost.
-func Multi(rs ...Recorder) Recorder {
-	kept := make(multi, 0, len(rs))
-	for _, r := range rs {
-		if r == nil || r == Nop {
-			continue
-		}
-		kept = append(kept, r)
-	}
-	switch len(kept) {
-	case 0:
-		return Nop
-	case 1:
-		return kept[0]
-	}
-	return kept
-}

@@ -8,59 +8,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"nautilus/internal/telemetry/trace"
 )
-
-// TestNopZeroAlloc pins the subsystem's core promise: the disabled
-// recorder allocates nothing per event, so instrumentation is free on the
-// GA hot loop when telemetry is off.
-func TestNopZeroAlloc(t *testing.T) {
-	var rec Recorder = Nop
-	n := testing.AllocsPerRun(200, func() {
-		rec.RecordGeneration(GenerationRecord{Generation: 1, BestValue: 2, MeanFitness: 3})
-		rec.RecordEvaluation(EvaluationRecord{Generation: 1, Feasible: true, Fitness: 4})
-		rec.RecordHint(HintRecord{Generation: 1, Gene: 2, Mechanism: HintValueBias, Guided: true})
-		rec.RecordCache(CacheRecord{Event: CacheHit, Shard: 3})
-		rec.RecordPool(PoolRecord{Event: PoolTask, Worker: 1})
-		if rec.Enabled() {
-			t.Fatal("Nop reports enabled")
-		}
-	})
-	if n != 0 {
-		t.Errorf("Nop recorder allocates %v per event batch, want 0", n)
-	}
-}
-
-func TestOrNop(t *testing.T) {
-	if OrNop(nil) != Nop {
-		t.Error("OrNop(nil) != Nop")
-	}
-	c := NewCollector(nil)
-	if OrNop(c) != Recorder(c) {
-		t.Error("OrNop did not pass through a real recorder")
-	}
-}
-
-func TestMulti(t *testing.T) {
-	if Multi() != Nop {
-		t.Error("empty Multi != Nop")
-	}
-	if Multi(nil, Nop) != Nop {
-		t.Error("Multi of nil and Nop != Nop")
-	}
-	c := NewCollector(nil)
-	if Multi(nil, c, Nop) != Recorder(c) {
-		t.Error("single-survivor Multi should unwrap")
-	}
-	c2 := NewCollector(nil)
-	m := Multi(c, c2)
-	if !m.Enabled() {
-		t.Error("Multi of live recorders reports disabled")
-	}
-	m.RecordCache(CacheRecord{Event: CacheMiss})
-	if c.cacheMisses.Value() != 1 || c2.cacheMisses.Value() != 1 {
-		t.Error("Multi did not fan the event out to both recorders")
-	}
-}
 
 func TestRegistryCountersGaugesHistograms(t *testing.T) {
 	reg := NewRegistry()
@@ -113,7 +63,8 @@ func TestRegistryCountersGaugesHistograms(t *testing.T) {
 }
 
 // TestSnapshotJSONSafe ensures a snapshot with non-finite gauges still
-// marshals - the expvar endpoint depends on it.
+// marshals - /debug/sessions and the benchmark's metric dumps depend on
+// it.
 func TestSnapshotJSONSafe(t *testing.T) {
 	reg := NewRegistry()
 	reg.Gauge("bad").Set(math.Inf(-1))
@@ -161,19 +112,19 @@ func TestRegistryConcurrentUse(t *testing.T) {
 
 func TestCollectorAggregation(t *testing.T) {
 	col := NewCollector(nil)
-	col.RecordGeneration(GenerationRecord{Generation: 0, BestValue: 10, MeanFitness: -3, UniqueGenomes: 7, DistinctEvals: 10, Elapsed: time.Millisecond})
-	col.RecordGeneration(GenerationRecord{Generation: 1, BestValue: 8, MeanFitness: -2, UniqueGenomes: 5, DistinctEvals: 14, Elapsed: time.Millisecond})
-	col.RecordEvaluation(EvaluationRecord{Feasible: true, Fitness: 1})
-	col.RecordEvaluation(EvaluationRecord{Feasible: false, Fitness: math.Inf(-1)})
-	col.RecordHint(HintRecord{Mechanism: HintGeneImportance})
-	col.RecordHint(HintRecord{Mechanism: HintValueTarget, Guided: true})
-	col.RecordHint(HintRecord{Mechanism: HintValueUniform, Guided: false})
-	col.RecordCache(CacheRecord{Event: CacheMiss, Shard: 1})
-	col.RecordCache(CacheRecord{Event: CacheHit, Shard: 1})
-	col.RecordCache(CacheRecord{Event: CacheDedup, Shard: 3})
-	col.RecordPool(PoolRecord{Event: PoolWorkerBusy, Worker: 0})
-	col.RecordPool(PoolRecord{Event: PoolTask, Worker: 0})
-	col.RecordPool(PoolRecord{Event: PoolWorkerIdle, Worker: 0})
+	col.OnGeneration(trace.GenerationRecord{Generation: 0, BestValue: 10, MeanFitness: -3, UniqueGenomes: 7, DistinctEvals: 10, Elapsed: time.Millisecond})
+	col.OnGeneration(trace.GenerationRecord{Generation: 1, BestValue: 8, MeanFitness: -2, UniqueGenomes: 5, DistinctEvals: 14, Elapsed: time.Millisecond})
+	col.OnEvaluation(trace.EvaluationRecord{Feasible: true, Fitness: 1})
+	col.OnEvaluation(trace.EvaluationRecord{Feasible: false, Fitness: math.Inf(-1)})
+	col.OnHint(trace.HintRecord{Mechanism: trace.HintGeneImportance})
+	col.OnHint(trace.HintRecord{Mechanism: trace.HintValueTarget, Guided: true})
+	col.OnHint(trace.HintRecord{Mechanism: trace.HintValueUniform, Guided: false})
+	col.OnCache(trace.CacheRecord{Event: trace.CacheMiss, Shard: 1})
+	col.OnCache(trace.CacheRecord{Event: trace.CacheHit, Shard: 1})
+	col.OnCache(trace.CacheRecord{Event: trace.CacheDedup, Shard: 3})
+	col.OnPool(trace.PoolRecord{Event: trace.PoolWorkerBusy, Worker: 0})
+	col.OnPool(trace.PoolRecord{Event: trace.PoolTask, Worker: 0})
+	col.OnPool(trace.PoolRecord{Event: trace.PoolWorkerIdle, Worker: 0})
 
 	s := col.Registry().Snapshot()
 	checks := map[string]int64{
@@ -215,26 +166,27 @@ func TestCollectorAggregation(t *testing.T) {
 	}
 }
 
-// TestJournalJSONL checks every event type emits one parseable JSON line
+// TestJournalJSONL checks every record kind emits one parseable JSON line
 // with its discriminator, and that non-finite floats encode as null rather
 // than breaking the encoder.
 func TestJournalJSONL(t *testing.T) {
 	var buf bytes.Buffer
 	j := NewJournal(&buf)
-	j.RecordGeneration(GenerationRecord{Generation: 3, BestValue: math.Inf(1), BestFitness: math.Inf(-1), MeanFitness: math.NaN(), DistinctEvals: 12})
-	j.RecordEvaluation(EvaluationRecord{Generation: 3, Feasible: true, Fitness: 1.5})
-	j.RecordHint(HintRecord{Generation: 3, Gene: 1, Mechanism: HintValueBias, Guided: true})
-	j.RecordCache(CacheRecord{Event: CacheDedup, Shard: 7})
-	j.RecordPool(PoolRecord{Event: PoolWorkerBusy, Worker: 2})
+	j.OnGeneration(trace.GenerationRecord{Generation: 3, BestValue: math.Inf(1), BestFitness: math.Inf(-1), MeanFitness: math.NaN(), DistinctEvals: 12})
+	j.OnEvaluation(trace.EvaluationRecord{Generation: 3, Feasible: true, Fitness: 1.5})
+	j.OnHint(trace.HintRecord{Generation: 3, Gene: 1, Mechanism: trace.HintValueBias, Guided: true})
+	j.OnCache(trace.CacheRecord{Event: trace.CacheDedup, Shard: 7})
+	j.OnPool(trace.PoolRecord{Event: trace.PoolWorkerBusy, Worker: 2})
+	j.OnSpan(trace.Span{Trace: 1, ID: 1, Name: "ga.generation", Duration: 1500 * time.Microsecond})
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 5 {
-		t.Fatalf("journal has %d lines, want 5:\n%s", len(lines), buf.String())
+	if len(lines) != 6 {
+		t.Fatalf("journal has %d lines, want 6:\n%s", len(lines), buf.String())
 	}
-	wantEvents := []string{"generation", "eval", "hint", "cache", "pool"}
+	wantEvents := []string{"generation", "eval", "hint", "cache", "pool", "span"}
 	for i, line := range lines {
 		var obj map[string]any
 		if err := json.Unmarshal([]byte(line), &obj); err != nil {
@@ -257,6 +209,13 @@ func TestJournalJSONL(t *testing.T) {
 	if gen["distinct_evals"].(float64) != 12 {
 		t.Errorf("distinct_evals = %v, want 12", gen["distinct_evals"])
 	}
+	var span map[string]any
+	if err := json.Unmarshal([]byte(lines[5]), &span); err != nil {
+		t.Fatal(err)
+	}
+	if span["name"] != "ga.generation" || span["dur_us"] != 1500.0 || span["dur_ns"] != 1.5e6 {
+		t.Errorf("span line = %v, want name ga.generation, dur_us 1500, dur_ns 1.5e6", span)
+	}
 }
 
 func TestJournalConcurrent(t *testing.T) {
@@ -268,7 +227,7 @@ func TestJournalConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				j.RecordPool(PoolRecord{Event: PoolTask, Worker: w})
+				j.OnPool(trace.PoolRecord{Event: trace.PoolTask, Worker: w})
 			}
 		}(w)
 	}
@@ -287,10 +246,10 @@ func TestJournalConcurrent(t *testing.T) {
 	}
 }
 
-// TestJournalConcurrentMixedWriters drives every Recorder event type plus
-// the raw-emit path (the span tracer's JSONL sink) from concurrent
-// goroutines and checks that no line is torn, every line is valid JSON
-// with the mandatory discriminator fields, and nothing is lost.
+// TestJournalConcurrentMixedWriters drives run-event records and spans
+// from concurrent goroutines and checks that no line is torn, every line
+// is valid JSON with the mandatory discriminator fields, and nothing is
+// lost.
 func TestJournalConcurrentMixedWriters(t *testing.T) {
 	var buf bytes.Buffer
 	j := NewJournal(&buf)
@@ -303,19 +262,15 @@ func TestJournalConcurrentMixedWriters(t *testing.T) {
 			for i := 0; i < perWorker; i++ {
 				switch i % 5 {
 				case 0:
-					j.RecordGeneration(GenerationRecord{Generation: i, MeanFitness: math.NaN()})
+					j.OnGeneration(trace.GenerationRecord{Generation: i, MeanFitness: math.NaN()})
 				case 1:
-					j.RecordEvaluation(EvaluationRecord{Generation: i, Feasible: true, Fitness: float64(i)})
+					j.OnEvaluation(trace.EvaluationRecord{Generation: i, Feasible: true, Fitness: float64(i)})
 				case 2:
-					j.RecordCache(CacheRecord{Event: CacheHit, Shard: w})
+					j.OnCache(trace.CacheRecord{Event: trace.CacheHit, Shard: w})
 				case 3:
-					j.RecordPool(PoolRecord{Event: PoolTask, Worker: w})
+					j.OnPool(trace.PoolRecord{Event: trace.PoolTask, Worker: w})
 				case 4:
-					j.EmitRaw(struct {
-						Event   string  `json:"event"`
-						TMillis float64 `json:"t_ms"`
-						Worker  int     `json:"worker"`
-					}{Event: "span", TMillis: j.SinceMillis(), Worker: w})
+					j.OnSpan(trace.Span{Name: "op", ID: uint64(i + 1), Duration: time.Duration(w)})
 				}
 			}
 		}(w)

@@ -1,37 +1,40 @@
-// Package trace is Nautilus' zero-dependency span tracer: a structural
-// complement to the telemetry package's counters. Counters say how often;
-// spans say where the wall-clock went on one specific request - which
-// generation, which batch resolve, which retry loop.
+// Package trace is Nautilus' one observability stream: a nil-safe,
+// seeded tracer that carries both latency spans and the structured run
+// events of a search - generation completed, individual evaluated, hint
+// applied or skipped, cache hit/miss/dedup, worker busy/idle. Spans say
+// where the wall clock went on one specific request; the records say how
+// the search itself behaved (the paper's distinct-evaluation cost and the
+// hint mechanisms behind it).
 //
 // Design constraints, in order:
 //
-//   - A nil *Tracer is the disabled tracer and costs one nil check per
+//   - A nil *Tracer is the disabled stream and costs one nil check per
 //     instrumentation point. Every method is nil-safe, so instrumented
 //     code threads the tracer unconditionally and never branches on a
 //     separate "enabled" flag.
-//   - Tracing never perturbs the search. Span IDs come from a private
+//   - The stream never perturbs the search. Span IDs come from a private
 //     splitmix64 stream seeded at construction and advanced by an atomic
-//     counter - never from the run RNG - so results are byte-identical
-//     with tracing on or off (enforced by test, like the Recorder
-//     contract).
-//   - Allocation-lean: Active handles are values, Start/Child/End
-//     allocate nothing themselves; the only per-span cost beyond two
-//     time.Now calls is whatever each sink does (the Ring copies a
-//     struct under a mutex, the hist sink does three atomic adds).
+//     counter - never from the run RNG - and sinks only observe decisions
+//     the engine already made, so results are byte-identical with the
+//     stream on or off (enforced by test).
+//   - Allocation-lean: Active handles are values and records travel by
+//     value, so Start/Child/End and the Record* methods allocate nothing
+//     themselves; the only per-event cost beyond the clock reads is
+//     whatever each sink does.
 //
-// Spans flow to Sinks: Ring (a fixed-size flight recorder of the most
-// recent spans, inspectable over the debug API after the fact), Spans'
-// duration aggregation into hist.Set (powering per-phase latency
-// histograms on /metrics), and JournalSink (JSONL export through a
-// telemetry.Journal).
+// Everything flows to Sinks, one method per kind. Provided here: Ring (a
+// fixed-size flight recorder of the most recent spans) and Durations
+// (per-span-name latency histograms for /metrics and the end-of-run span
+// table). The telemetry package adds Collector (run events aggregated
+// into a metric registry) and Journal (every span and record as JSONL).
 package trace
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"nautilus/internal/telemetry"
 	"nautilus/internal/telemetry/hist"
 )
 
@@ -57,12 +60,30 @@ type Span struct {
 	Duration time.Duration `json:"dur_ns"`
 }
 
-// Sink consumes completed spans. Implementations must be safe for
-// concurrent use and must return quickly: OnSpan runs inline at the
-// instrumentation point.
+// Sink consumes the stream: completed spans and run-event records.
+// Implementations must be safe for concurrent use and must return
+// quickly - every method runs inline at the instrumentation point, on
+// concurrent evaluation workers. Records arrive by value. Embed NopSink
+// to consume only some kinds.
 type Sink interface {
 	OnSpan(Span)
+	OnGeneration(GenerationRecord)
+	OnEvaluation(EvaluationRecord)
+	OnHint(HintRecord)
+	OnCache(CacheRecord)
+	OnPool(PoolRecord)
 }
+
+// NopSink discards everything. Embedded in a sink type, it supplies the
+// methods for the kinds that sink ignores.
+type NopSink struct{}
+
+func (NopSink) OnSpan(Span)                   {}
+func (NopSink) OnGeneration(GenerationRecord) {}
+func (NopSink) OnEvaluation(EvaluationRecord) {}
+func (NopSink) OnHint(HintRecord)             {}
+func (NopSink) OnCache(CacheRecord)           {}
+func (NopSink) OnPool(PoolRecord)             {}
 
 // Config parameterizes a Tracer.
 type Config struct {
@@ -71,33 +92,50 @@ type Config struct {
 	// Seed seeds the span-ID stream. Unrelated to (and never mixed with)
 	// any search RNG; two tracers with the same seed emit the same IDs.
 	Seed int64
-	// Sinks receive every completed span, in order.
+	// Sinks receive every span and record, in order.
 	Sinks []Sink
 }
 
-// Tracer mints spans and fans completed ones out to its sinks. The nil
-// Tracer is the disabled tracer: every method no-ops and Enabled reports
-// false.
+// Tracer mints spans and fans them, with every run-event record, out to
+// its sinks. The nil Tracer is the disabled stream: every method no-ops
+// and Enabled reports false.
 type Tracer struct {
 	session string
 	seed    uint64
-	ids     atomic.Uint64
+	ids     *atomic.Uint64
 	sinks   []Sink
 }
 
 // New builds a tracer. Sinks equal to nil are dropped.
 func New(cfg Config) *Tracer {
-	t := &Tracer{session: cfg.Session, seed: splitmix64(uint64(cfg.Seed))}
-	for _, s := range cfg.Sinks {
+	t := &Tracer{session: cfg.Session, seed: splitmix64(uint64(cfg.Seed)), ids: new(atomic.Uint64)}
+	t.add(cfg.Sinks)
+	return t
+}
+
+// With returns a tracer delivering to t's sinks and then to sinks, with
+// t's session label and span-ID stream (IDs stay unique across both). On
+// a nil t it returns a fresh seed-0 tracer over sinks.
+func (t *Tracer) With(sinks ...Sink) *Tracer {
+	if t == nil {
+		return New(Config{Sinks: sinks})
+	}
+	out := &Tracer{session: t.session, seed: t.seed, ids: t.ids, sinks: slices.Clone(t.sinks)}
+	out.add(sinks)
+	return out
+}
+
+// add appends the non-nil sinks.
+func (t *Tracer) add(sinks []Sink) {
+	for _, s := range sinks {
 		if s != nil {
 			t.sinks = append(t.sinks, s)
 		}
 	}
-	return t
 }
 
-// Enabled reports whether spans are consumed at all; instrumented code
-// may skip measuring phases when false.
+// Enabled reports whether anything consumes the stream; instrumented code
+// may skip measuring phases or building records when false.
 func (t *Tracer) Enabled() bool { return t != nil }
 
 // splitmix64 is the SplitMix64 finalizer - the same mixing construction
@@ -212,10 +250,62 @@ func (t *Tracer) deliver(s Span) {
 	}
 }
 
+// RecordGeneration delivers one completed-generation record.
+func (t *Tracer) RecordGeneration(r GenerationRecord) {
+	if t == nil {
+		return
+	}
+	for _, sink := range t.sinks {
+		sink.OnGeneration(r)
+	}
+}
+
+// RecordEvaluation delivers one individual's evaluation record.
+func (t *Tracer) RecordEvaluation(r EvaluationRecord) {
+	if t == nil {
+		return
+	}
+	for _, sink := range t.sinks {
+		sink.OnEvaluation(r)
+	}
+}
+
+// RecordHint delivers one guided-mutation decision.
+func (t *Tracer) RecordHint(r HintRecord) {
+	if t == nil {
+		return
+	}
+	for _, sink := range t.sinks {
+		sink.OnHint(r)
+	}
+}
+
+// RecordCache delivers one evaluation-cache event.
+func (t *Tracer) RecordCache(r CacheRecord) {
+	if t == nil {
+		return
+	}
+	for _, sink := range t.sinks {
+		sink.OnCache(r)
+	}
+}
+
+// RecordPool delivers one worker-pool scheduling event.
+func (t *Tracer) RecordPool(r PoolRecord) {
+	if t == nil {
+		return
+	}
+	for _, sink := range t.sinks {
+		sink.OnPool(r)
+	}
+}
+
 // Ring is a fixed-capacity flight recorder: it retains the last N
 // completed spans, overwriting the oldest. Snapshot returns them oldest
-// first. The zero Ring (or nil) drops everything.
+// first. The zero Ring (or nil) drops everything; run-event records are
+// ignored.
 type Ring struct {
+	NopSink
 	mu   sync.Mutex
 	buf  []Span
 	next int
@@ -264,8 +354,9 @@ func (r *Ring) Snapshot() []Span {
 
 // Durations aggregates span durations into a hist.Set keyed by span
 // name - the bridge from individual spans to the per-phase latency
-// histograms /metrics exposes.
+// histograms /metrics exposes. Run-event records are ignored.
 type Durations struct {
+	NopSink
 	Hists *hist.Set
 }
 
@@ -278,32 +369,4 @@ func (d *Durations) OnSpan(s Span) {
 		return
 	}
 	d.Hists.Observe(s.Name, int64(s.Duration))
-}
-
-// JournalSink exports spans as JSONL lines through a telemetry.Journal,
-// interleaved (and mutex-serialized) with the journal's run events. Each
-// line carries event="span" plus the Span fields.
-type JournalSink struct {
-	J *telemetry.Journal
-}
-
-// journalSpan is the JSONL line format for one span.
-type journalSpan struct {
-	Event   string  `json:"event"`
-	TMillis float64 `json:"t_ms"`
-	Span
-	DurMicros float64 `json:"dur_us"`
-}
-
-// OnSpan implements Sink.
-func (s JournalSink) OnSpan(sp Span) {
-	if s.J == nil {
-		return
-	}
-	s.J.EmitRaw(journalSpan{
-		Event:     "span",
-		TMillis:   s.J.SinceMillis(),
-		Span:      sp,
-		DurMicros: float64(sp.Duration) / float64(time.Microsecond),
-	})
 }

@@ -1,26 +1,44 @@
 package trace
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"sync"
 	"testing"
 	"time"
-
-	"nautilus/internal/telemetry"
 )
 
-// collect is a test sink accumulating every span.
+// collect is a test sink accumulating every span and counting records.
 type collect struct {
-	mu    sync.Mutex
-	spans []Span
+	mu      sync.Mutex
+	spans   []Span
+	records int
 }
 
 func (c *collect) OnSpan(s Span) {
 	c.mu.Lock()
 	c.spans = append(c.spans, s)
 	c.mu.Unlock()
+}
+
+func (c *collect) record() {
+	c.mu.Lock()
+	c.records++
+	c.mu.Unlock()
+}
+
+func (c *collect) OnGeneration(GenerationRecord) { c.record() }
+func (c *collect) OnEvaluation(EvaluationRecord) { c.record() }
+func (c *collect) OnHint(HintRecord)             { c.record() }
+func (c *collect) OnCache(CacheRecord)           { c.record() }
+func (c *collect) OnPool(PoolRecord)             { c.record() }
+
+// recordAll sends one record of every kind through tr.
+func recordAll(tr *Tracer) {
+	tr.RecordGeneration(GenerationRecord{Generation: 1, BestValue: 2, MeanFitness: 3})
+	tr.RecordEvaluation(EvaluationRecord{Generation: 1, Feasible: true, Fitness: 4})
+	tr.RecordHint(HintRecord{Generation: 1, Gene: 2, Mechanism: HintValueBias, Guided: true})
+	tr.RecordCache(CacheRecord{Event: CacheHit, Shard: 3})
+	tr.RecordPool(PoolRecord{Event: PoolTask, Worker: 1})
 }
 
 func TestNilTracerIsInert(t *testing.T) {
@@ -33,6 +51,50 @@ func TestNilTracerIsInert(t *testing.T) {
 	a.Emit("phase", time.Time{}, time.Second)
 	b.End()
 	a.End() // must not panic, must not deliver anywhere
+	tr.Event("event", time.Time{}, time.Second)
+	recordAll(tr)
+}
+
+// TestNopSinkZeroAlloc pins the stream's core promise: records travel by
+// value, so sending every kind through a nil stream or through one whose
+// only sink discards everything allocates nothing - the GA hot loop pays
+// a nil check or one empty interface call per event.
+func TestNopSinkZeroAlloc(t *testing.T) {
+	for name, tr := range map[string]*Tracer{
+		"nil": nil,
+		"nop": New(Config{Sinks: []Sink{NopSink{}}}),
+	} {
+		if n := testing.AllocsPerRun(200, func() { recordAll(tr) }); n != 0 {
+			t.Errorf("%s stream allocates %v per record batch, want 0", name, n)
+		}
+	}
+}
+
+// TestRecordsFanOut checks every record kind reaches every sink, spans
+// and records share one delivery order, and With extends a stream without
+// disturbing the original or its span-ID sequence.
+func TestRecordsFanOut(t *testing.T) {
+	a, b := &collect{}, &collect{}
+	tr := New(Config{Seed: 3, Sinks: []Sink{a, nil}})
+	recordAll(tr)
+	both := tr.With(b)
+	recordAll(both)
+	both.Start("op").End()
+	if a.records != 10 || b.records != 5 {
+		t.Errorf("records: original sink %d (want 10), added sink %d (want 5)", a.records, b.records)
+	}
+	if len(a.spans) != 1 || len(b.spans) != 1 {
+		t.Fatalf("spans: %d and %d, want 1 each", len(a.spans), len(b.spans))
+	}
+	// The derived stream shares the ID sequence: the next span from the
+	// original tracer does not reuse the ID the derived one minted.
+	tr.Start("next").End()
+	if a.spans[1].ID == a.spans[0].ID {
+		t.Error("With restarted the span-ID stream")
+	}
+	if got := (*Tracer)(nil).With(b); !got.Enabled() {
+		t.Error("With on a nil tracer should build a live stream")
+	}
 }
 
 func TestParentChildLinks(t *testing.T) {
@@ -145,42 +207,6 @@ func TestDurationsSink(t *testing.T) {
 	}
 	if snap["phase.a"].Count != 1 {
 		t.Errorf("phase.a count = %d, want 1", snap["phase.a"].Count)
-	}
-}
-
-func TestJournalSink(t *testing.T) {
-	var buf bytes.Buffer
-	j := telemetry.NewJournal(&buf)
-	tr := New(Config{Session: "sess", Seed: 1, Sinks: []Sink{JournalSink{J: j}}})
-	root := tr.Start("ga.generation")
-	root.Child("ga.dispatch").End()
-	root.End()
-	if err := j.Close(); err != nil {
-		t.Fatalf("journal close: %v", err)
-	}
-
-	lines := bytes.Split(bytes.TrimSpace(buf.Bytes()), []byte("\n"))
-	if len(lines) != 2 {
-		t.Fatalf("got %d journal lines, want 2", len(lines))
-	}
-	var line struct {
-		Event   string  `json:"event"`
-		TMillis float64 `json:"t_ms"`
-		Name    string  `json:"name"`
-		Session string  `json:"session"`
-		Trace   uint64  `json:"trace"`
-		ID      uint64  `json:"id"`
-		Parent  uint64  `json:"parent"`
-		DurNs   int64   `json:"dur_ns"`
-	}
-	if err := json.Unmarshal(lines[0], &line); err != nil {
-		t.Fatalf("bad JSONL line %s: %v", lines[0], err)
-	}
-	if line.Event != "span" || line.Name != "ga.dispatch" || line.Session != "sess" {
-		t.Errorf("line = %+v, want span/ga.dispatch/sess", line)
-	}
-	if line.Parent == 0 || line.Trace == 0 {
-		t.Errorf("line %+v missing trace/parent linkage", line)
 	}
 }
 
