@@ -7,7 +7,6 @@
 //	             ext-baselines|ext-pareto|ext-sim-validate|ext-thirdip]
 //	            [-runs N] [-gens N] [-par N] [-out DIR] [-md FILE]
 //	            [-summary] [-journal FILE] [-debug-addr ADDR]
-//	            [-checkpoint FILE] [-checkpoint-every N] [-resume]
 //
 // With -out, each figure's raw series is also written as CSV for
 // re-plotting; with -md, a markdown report is produced. Paper-scale
@@ -23,25 +22,17 @@
 // one JSONL file; -debug-addr serves live aggregate Prometheus metrics and
 // pprof while the figures run. None of them changes any table.
 //
-// -checkpoint persists each completed figure's tables to a progress file
-// (atomic rename); figures then run sequentially so a SIGINT/SIGTERM or
-// crash loses at most the in-flight figure, and -resume skips the
-// completed ones on the next invocation. Tables are deterministic per
-// (-runs, -gens), so a resumed run's output is identical to an
-// uninterrupted one; the progress file rejects mismatched scale settings.
+// The whole suite runs in seconds, so an interrupted run is simply run
+// again: SIGINT or SIGTERM stops the process at once, and the tables are
+// deterministic per (-runs, -gens).
 //
-// Exit codes: 0 success, 1 fatal error, 2 usage error, 3 interrupted with
-// progress saved (resume with -resume).
+// Exit codes: 0 success, 1 fatal error, 2 usage error.
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"nautilus/internal/cliflags"
@@ -49,17 +40,6 @@ import (
 )
 
 func main() {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	go func() {
-		// After the first signal starts the graceful stop, restore default
-		// handling so a second signal kills the process immediately.
-		<-ctx.Done()
-		stop()
-	}()
-	realMain(ctx)
-}
-
-func realMain(ctx context.Context) {
 	fig := flag.String("fig", "all", "which experiment to regenerate (all, fig1..fig7, headline, ablations, ext-*)")
 	runs := flag.Int("runs", 0, "override GA runs per variant (0 = paper defaults)")
 	gens := flag.Int("gens", 0, "override GA generations (0 = paper defaults)")
@@ -67,19 +47,12 @@ func realMain(ctx context.Context) {
 	out := flag.String("out", "", "directory for CSV output (optional)")
 	md := flag.String("md", "", "also write a markdown report to this file (optional)")
 	obs := cliflags.NewObservability(flag.CommandLine, false)
-	checkpoint := flag.String("checkpoint", "", "persist each completed figure's tables to this progress file (figures run sequentially)")
-	checkpointEvery := flag.Int("checkpoint-every", 1, "persist the progress file after every N completed figures (with -checkpoint)")
-	resume := flag.Bool("resume", false, "skip figures already completed in the -checkpoint progress file")
 	flag.Parse()
 	if err := validateFlags(*runs, *gens); err != nil {
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 		os.Exit(2)
 	}
 	if err := par.Validate(); err != nil {
-		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-		os.Exit(2)
-	}
-	if err := validateCheckpointFlags(*checkpoint, *checkpointEvery, *resume); err != nil {
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 		os.Exit(2)
 	}
@@ -110,41 +83,7 @@ func realMain(ctx context.Context) {
 	}
 
 	start := time.Now()
-	var tables []experiments.Table
-	if *checkpoint != "" {
-		// The resumable path trades figure-level concurrency for figure-level
-		// durability; within each figure the full -par fan-out still applies.
-		names := []string{*fig}
-		if *fig == "all" {
-			names = experiments.FigureNames()
-		}
-		var prog *experiments.Progress
-		if *resume {
-			if _, statErr := os.Stat(*checkpoint); statErr != nil {
-				fmt.Fprintf(os.Stderr, "experiments: -resume: progress file: %v\n", statErr)
-				os.Exit(1)
-			}
-			prog, err = experiments.LoadProgress(*checkpoint, cfg)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-				os.Exit(1)
-			}
-			if n := prog.CompletedCount(); n > 0 {
-				fmt.Fprintf(os.Stderr, "resuming from %s: %d figures already complete\n", *checkpoint, n)
-			}
-		} else {
-			prog = experiments.NewProgress(*checkpoint, cfg)
-		}
-		prog.SetSaveEvery(*checkpointEvery)
-		tables, err = experiments.RunResumable(ctx, cfg, names, prog)
-		if err != nil && errors.Is(err, context.Canceled) {
-			fmt.Fprintf(os.Stderr, "experiments: interrupted; %d figures saved to %s (continue with -resume)\n",
-				prog.CompletedCount(), *checkpoint)
-			os.Exit(3)
-		}
-	} else {
-		tables, err = driver(cfg)
-	}
+	tables, err := driver(cfg)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 		os.Exit(1)
@@ -187,17 +126,6 @@ func validateFlags(runs, gens int) error {
 	}
 	if gens < 0 {
 		return fmt.Errorf("-gens must be non-negative (0 = paper defaults), got %d", gens)
-	}
-	return nil
-}
-
-// validateCheckpointFlags front-doors the progress-file flags.
-func validateCheckpointFlags(checkpoint string, every int, resume bool) error {
-	if every < 1 {
-		return fmt.Errorf("-checkpoint-every must be at least 1 figure, got %d", every)
-	}
-	if resume && checkpoint == "" {
-		return fmt.Errorf("-resume requires -checkpoint to name the progress file")
 	}
 	return nil
 }

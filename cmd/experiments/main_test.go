@@ -2,13 +2,16 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
+	"time"
 )
 
 // Golden-file regression tests for the experiments command's table output.
@@ -139,5 +142,58 @@ func TestTablesParallelismInvariant(t *testing.T) {
 			}
 		}
 		t.Fatal("-par 1 and -par 8 tables differ")
+	}
+}
+
+// TestInterruptStopsSuite: SIGINT ends a running suite at once by the
+// signal's default action - no tables, no "completed in" footer. The
+// signal goes out once the journal shows the figures are under way.
+func TestInterruptStopsSuite(t *testing.T) {
+	journal := filepath.Join(t.TempDir(), "run.jsonl")
+	cmd := exec.Command(binPath, "-fig", "all", "-par", "1", "-journal", journal)
+	var stdout bytes.Buffer
+	cmd.Stdout = &stdout
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		if fi, err := os.Stat(journal); err == nil && fi.Size() > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			cmd.Process.Kill()
+			cmd.Wait()
+			t.Fatal("suite wrote no journal lines")
+		}
+	}
+	if err := cmd.Process.Signal(os.Interrupt); err != nil {
+		t.Fatal(err)
+	}
+	err := cmd.Wait()
+	var ee *exec.ExitError
+	if !errors.As(err, &ee) {
+		t.Fatalf("suite ignored SIGINT and exited cleanly (err %v)", err)
+	}
+	if ws, ok := ee.Sys().(syscall.WaitStatus); !ok || !ws.Signaled() || ws.Signal() != syscall.SIGINT {
+		t.Errorf("suite did not end by SIGINT: %v", err)
+	}
+	if strings.Contains(stdout.String(), "completed in") {
+		t.Errorf("interrupted suite printed its footer:\n%s", stdout.String())
+	}
+}
+
+// TestRetiredResumeFlagsExitUsage: the figure-level progress file is gone,
+// so its flags are usage errors like any undefined flag.
+func TestRetiredResumeFlagsExitUsage(t *testing.T) {
+	for _, args := range [][]string{
+		{"-checkpoint", "progress.json"},
+		{"-checkpoint-every", "2"},
+		{"-resume"},
+	} {
+		err := exec.Command(binPath, args...).Run()
+		var ee *exec.ExitError
+		if !errors.As(err, &ee) || ee.ExitCode() != 2 {
+			t.Errorf("experiments %v: %v, want exit 2", args, err)
+		}
 	}
 }

@@ -69,7 +69,7 @@ func main() {
 	}
 
 	if supFlags.Enabled() {
-		sup, err := resilience.Supervise(space, eval, supFlags.Policy(), nil)
+		sup, err := resilience.NewSupervisor(space, dataset.AdaptContext(eval), supFlags.Policy(), nil)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "mapspace: %v\n", err)
 			os.Exit(2)

@@ -316,12 +316,16 @@ func run(ctx context.Context) (int, error) {
 	}
 	var supv *resilience.Supervisor
 	if sup.Enabled() || *faultRate > 0 {
+		// The supervisor's evaluate/attempt/backoff spans join the run's
+		// one trace stream.
+		policy := sup.Policy()
+		policy.Tracer = stack.Tracer
 		var err error
-		supv, err = resilience.NewSupervisor(space, ctxEval, sup.Policy(), reg)
+		supv, err = resilience.NewSupervisor(space, ctxEval, policy, reg)
 		if err != nil {
 			return exitUsage, err
 		}
-		ctxEval = supv.Evaluator()
+		ctxEval = supv.Evaluate
 	}
 
 	cfg := ga.Config{PopulationSize: *pop, Generations: *gens, Seed: *seed, Parallelism: par.Value()}

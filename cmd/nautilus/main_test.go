@@ -84,14 +84,16 @@ func TestExitSuccess(t *testing.T) {
 	}
 }
 
-// TestObservedRunMatchesPlain: a run feeding every observability sink
-// prints the same result block as a plain run, its one journal carries
-// every event kind plus the spans, and -summary ends with the span table.
+// TestObservedRunMatchesPlain: a supervised run under 20% injected faults
+// feeding every observability sink prints the same result block as a
+// plain run, its one journal carries every event kind plus the spans -
+// the supervisor's among them - and -summary ends with the span table.
 func TestObservedRunMatchesPlain(t *testing.T) {
 	base := []string{"-ip", "fft", "-query", "min-luts", "-gens", "6", "-pop", "6", "-seed", "3", "-par", "2"}
 	_, plain, _ := runNautilus(t, base...)
 	journal := filepath.Join(t.TempDir(), "run.jsonl")
-	code, out, stderr := runNautilus(t, append(base, "-summary", "-journal", journal, "-trace-buffer", "8")...)
+	code, out, stderr := runNautilus(t, append(base, "-fault-rate", "0.2",
+		"-summary", "-journal", journal, "-trace-buffer", "8")...)
 	if code != 0 {
 		t.Fatalf("exit %d, want 0\nstderr:\n%s", code, stderr)
 	}
@@ -105,20 +107,29 @@ func TestObservedRunMatchesPlain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kinds := map[string]bool{}
+	kinds, spans := map[string]bool{}, map[string]bool{}
 	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
 		var ev struct {
 			Event string   `json:"event"`
 			TMs   *float64 `json:"t_ms"`
+			Name  string   `json:"name"`
 		}
 		if err := json.Unmarshal([]byte(line), &ev); err != nil || ev.TMs == nil {
 			t.Fatalf("bad journal line (%v): %s", err, line)
 		}
 		kinds[ev.Event] = true
+		if ev.Event == "span" {
+			spans[ev.Name] = true
+		}
 	}
 	for _, want := range []string{"generation", "eval", "hint", "cache", "pool", "span"} {
 		if !kinds[want] {
 			t.Errorf("journal has no %q lines (kinds %v)", want, kinds)
+		}
+	}
+	for _, want := range []string{"resilience.evaluate", "resilience.attempt"} {
+		if !spans[want] {
+			t.Errorf("journal has no %s span (spans %v)", want, spans)
 		}
 	}
 }

@@ -1,8 +1,10 @@
 package catalog
 
 import (
+	"context"
 	"testing"
 
+	"nautilus/internal/dataset"
 	"nautilus/internal/ga"
 )
 
@@ -83,12 +85,15 @@ func TestDeterministicSearch(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func() string {
-		eng, err := ga.New(e.Space, e.Objective, e.Eval,
+		eng, err := ga.NewContext(e.Space, e.Objective, dataset.AdaptContext(e.Eval),
 			ga.Config{PopulationSize: 6, Generations: 5, Seed: 3}, g)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := eng.Run()
+		res, err := eng.RunContext(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
 		if res.BestPoint == nil {
 			t.Fatal("no feasible point")
 		}

@@ -225,12 +225,15 @@ func TestClusterMatchesSoloWithoutMigration(t *testing.T) {
 	}
 	space, rawEval := testSpace()
 	for k, island := range res.Islands {
-		eng, err := ga.New(space, metrics.MinimizeMetric("cost"), rawEval,
+		eng, err := ga.NewContext(space, metrics.MinimizeMetric("cost"), dataset.AdaptContext(rawEval),
 			ga.Config{Seed: IslandSeed(seed, k), Generations: 12, PopulationSize: 8}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		solo := eng.Run()
+		solo, err := eng.RunContext(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
 		if island.BestValue != solo.BestValue || !param.Point(island.Best).Equal(solo.BestPoint) {
 			t.Errorf("island %d best (%v, %v) != solo (%v, %v)",
 				k, island.Best, island.BestValue, solo.BestPoint, solo.BestValue)

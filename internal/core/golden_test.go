@@ -207,11 +207,11 @@ func checkGolden(t *testing.T, name string, got []byte) {
 	}
 }
 
-// faultyEval injects transient faults into 20% of design points (one
-// failed attempt each) for the supervisor to absorb.
-func faultyEval(t *testing.T, gc goldenCase) dataset.ContextEvaluator {
+// supervisedFaultyEval injects transient faults into 20% of design points
+// (one failed attempt each) under a supervisor that absorbs them.
+func supervisedFaultyEval(t *testing.T, gc goldenCase, eval dataset.ContextEvaluator) dataset.ContextEvaluator {
 	t.Helper()
-	inj, err := faulty.New(gc.entry.Space, gc.entry.Eval, faulty.Config{
+	inj, err := faulty.NewContext(gc.entry.Space, eval, faulty.Config{
 		TransientRate:     0.2,
 		TransientFailures: 1,
 		Seed:              5,
@@ -219,16 +219,21 @@ func faultyEval(t *testing.T, gc goldenCase) dataset.ContextEvaluator {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return inj.Evaluate
+	sup, err := resilience.NewSupervisor(gc.entry.Space, inj.Evaluate, resilience.Policy{Sleep: func(time.Duration) {}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sup.Evaluate
 }
 
 // dispatchVariant is one way of routing a run's evaluations to its cache:
 // the engine looks points up inline at parallelism 1 with no batch
 // backend, and submits whole generations as batches otherwise.
 type dispatchVariant struct {
-	name string
-	par  int
-	opts []core.SearchOption
+	name    string
+	par     int
+	backend dataset.BatchEvaluator
+	opts    []core.SearchOption
 }
 
 func dispatchVariants(eval dataset.ContextEvaluator) []dispatchVariant {
@@ -244,7 +249,7 @@ func dispatchVariants(eval dataset.ContextEvaluator) []dispatchVariant {
 	return []dispatchVariant{
 		{name: "inline/par=1", par: 1},
 		{name: "batch/par=4", par: 4},
-		{name: "batch-backend/par=1", par: 1, opts: []core.SearchOption{core.WithBatchBackend(backend)}},
+		{name: "batch-backend/par=1", par: 1, backend: backend},
 		{name: "every-sink/par=1", par: 1, opts: everySink()},
 		{name: "every-sink/par=4", par: 4, opts: everySink()},
 	}
@@ -267,7 +272,6 @@ func everySink() []core.SearchOption {
 // and a run resumed from its own generation-5 snapshot must all reproduce
 // the golden bytes.
 func TestSearchGolden(t *testing.T) {
-	noSleep := resilience.Policy{Sleep: func(time.Duration) {}}
 	for _, gc := range goldenCases(t) {
 		for seed := int64(1); seed <= 3; seed++ {
 			gc, seed := gc, seed
@@ -286,8 +290,10 @@ func TestSearchGolden(t *testing.T) {
 						}
 						return nil
 					}
-					opts := append([]core.SearchOption{core.WithCheckpoint(save, 5)}, v.opts...)
-					got := gc.search(t, goldenCfg(seed, v.par), eval, opts...)
+					cfg := goldenCfg(seed, v.par)
+					cfg.BatchBackend = v.backend
+					cfg.Checkpoint, cfg.CheckpointEvery = save, 5
+					got := gc.search(t, cfg, eval, v.opts...)
 					if g := goldenJSON(t, got); !bytes.Equal(g, want) {
 						t.Errorf("%s: result differs from golden:\n%s", v.name, firstDiff(g, want))
 					}
@@ -296,22 +302,27 @@ func TestSearchGolden(t *testing.T) {
 					}
 				}
 
-				faulted := gc.search(t, goldenCfg(seed, 4), faultyEval(t, gc), core.WithResilience(noSleep, nil))
+				faulted := gc.search(t, goldenCfg(seed, 4), supervisedFaultyEval(t, gc, eval))
 				if g := goldenJSON(t, faulted); !bytes.Equal(g, want) {
 					t.Errorf("supervised run under injected faults differs from golden:\n%s", firstDiff(g, want))
 				}
 
 				var snap *ga.Snapshot
-				gc.search(t, goldenCfg(seed, 1), eval, core.WithCheckpoint(func(s *ga.Snapshot) error {
+				cfg := goldenCfg(seed, 1)
+				cfg.Checkpoint = func(s *ga.Snapshot) error {
 					if s.Generation == 5 {
 						snap = s
 					}
 					return nil
-				}, 5))
+				}
+				cfg.CheckpointEvery = 5
+				gc.search(t, cfg, eval)
 				if snap == nil {
 					t.Fatal("no generation-5 checkpoint")
 				}
-				resumed := gc.search(t, goldenCfg(seed, 1), eval, core.WithResume(snap))
+				cfg = goldenCfg(seed, 1)
+				cfg.Resume = snap
+				resumed := gc.search(t, cfg, eval)
 				if g := goldenJSON(t, resumed); !bytes.Equal(g, want) {
 					t.Errorf("run resumed from generation 5 differs from golden:\n%s", firstDiff(g, want))
 				}

@@ -41,9 +41,9 @@ func strategySeed(seed int64, k int) int64 {
 	return int64(z ^ (z >> 31))
 }
 
-// searchPortfolio runs the strategy race. eval is the fully resolved (and,
-// when configured, supervision-wrapped) evaluator; cfg is the effective GA
-// configuration after option overrides.
+// searchPortfolio runs the strategy race. eval is the request's resolved
+// evaluator; cfg is the request's GA configuration with the run's trace
+// stream attached.
 func searchPortfolio(ctx context.Context, req SearchRequest, eval dataset.ContextEvaluator, cfg ga.Config, sc *searchConfig) (ga.Result, error) {
 	// Checkpoint/resume snapshots describe a single GA run; a portfolio is
 	// three interleaved searches whose shared-cache state is not a Snapshot.
@@ -75,6 +75,10 @@ func searchPortfolio(ctx context.Context, req SearchRequest, eval dataset.Contex
 	gaStrategy := func(k int, name string, lead bool) entry {
 		cfgS := cfg
 		cfgS.Seed = strategySeed(cfg.Seed, k)
+		// A batch backend would send the strategy's misses past the race's
+		// shared tier, which then counts only the annealer; every strategy
+		// layers on the shared tier instead, as the annealer does.
+		cfgS.BatchBackend = nil
 		var strat ga.Strategy
 		if lead {
 			strat = sc.strategy(&cfgS)

@@ -8,8 +8,6 @@ import (
 	"nautilus/internal/ga"
 	"nautilus/internal/metrics"
 	"nautilus/internal/param"
-	"nautilus/internal/resilience"
-	"nautilus/internal/telemetry"
 	"nautilus/internal/telemetry/trace"
 )
 
@@ -31,9 +29,9 @@ const (
 
 // SearchRequest names everything a Nautilus search needs: the
 // characterized space, the objective (or objective vector), exactly one
-// evaluator form, and the GA scale. Cross-cutting concerns - guidance,
-// telemetry, resilience, batching, checkpointing - attach as SearchOptions
-// rather than widening this struct or the Search signature.
+// evaluator form, and the GA configuration - scale, operators,
+// checkpointing, resume, batch backend and migration all live in Config.
+// Guidance and the trace stream attach as SearchOptions.
 type SearchRequest struct {
 	// Space is the design space to search.
 	Space *param.Space
@@ -52,10 +50,11 @@ type SearchRequest struct {
 	Evaluate dataset.Evaluator
 	// EvaluateCtx is the context-aware evaluator form: per-evaluation
 	// deadlines and run-level cancellation reach the underlying tool run.
+	// A supervised search passes a resilience.Supervisor's Evaluate here.
 	EvaluateCtx dataset.ContextEvaluator
-	// Config is the GA scale and operator configuration. Options layered on
-	// top of the request (WithTracer, WithCheckpoint, ...) take precedence
-	// over the corresponding Config fields.
+	// Config is the GA configuration the run uses as given, except that a
+	// non-nil WithTracer stream replaces Config.Tracer and WithRecorder
+	// sinks extend it.
 	Config ga.Config
 }
 
@@ -63,11 +62,9 @@ type SearchRequest struct {
 type SearchOption func(*searchConfig)
 
 type searchConfig struct {
-	guidance  *Guidance
-	policy    *resilience.Policy
-	registry  *telemetry.Registry
-	sinks     []trace.Sink
-	overrides []func(*ga.Config)
+	guidance *Guidance
+	tracer   *trace.Tracer
+	sinks    []trace.Sink
 }
 
 // WithGuidance applies hint-guided mutation (nil or zero-confidence
@@ -90,86 +87,24 @@ func WithRecorder(sink trace.Sink) SearchOption {
 	}
 }
 
-// WithTracer attaches the run's trace stream: per-generation
-// ga.generation spans with dispatch/selection/crossover/mutation phases,
-// the cache's batch-resolve phases, and - when a resilience policy is
-// also attached and its own Tracer is unset - supervisor attempt/backoff
-// spans, plus every run-event record. The stream is observational only:
+// WithTracer attaches the run's trace stream, replacing Config.Tracer
+// (nil keeps it): per-generation ga.generation spans with
+// dispatch/selection/crossover/mutation phases, the cache's batch-resolve
+// phases, and every run-event record. The stream is observational only:
 // span identity comes from the tracer's own seeded stream, never the run
 // RNG, so results are byte-identical with it on or off.
 func WithTracer(tr *trace.Tracer) SearchOption {
-	return func(c *searchConfig) {
-		if tr != nil {
-			c.override(func(cfg *ga.Config) { cfg.Tracer = tr })
-		}
-	}
-}
-
-// WithResilience wraps the evaluator in a resilience.Supervisor built from
-// policy: per-attempt deadlines, bounded seeded-jitter retries, and the
-// quarantine circuit breaker. reg (optional) receives the supervisor's
-// counters. Callers that need the supervisor afterwards (e.g. to list
-// Quarantined points) should construct it themselves and pass its
-// Evaluator as EvaluateCtx instead.
-func WithResilience(policy resilience.Policy, reg *telemetry.Registry) SearchOption {
-	return func(c *searchConfig) {
-		p := policy
-		c.policy, c.registry = &p, reg
-	}
-}
-
-// WithBatchBackend routes each generation's residual cache misses to b as
-// whole batches (see dataset.Cache.SetBatchBackend).
-func WithBatchBackend(b dataset.BatchEvaluator) SearchOption {
-	return func(c *searchConfig) {
-		c.override(func(cfg *ga.Config) { cfg.BatchBackend = b })
-	}
-}
-
-// WithCheckpoint saves a resumable snapshot through save every `every`
-// generations (and once more on cancellation).
-func WithCheckpoint(save func(*ga.Snapshot) error, every int) SearchOption {
-	return func(c *searchConfig) {
-		c.override(func(cfg *ga.Config) {
-			cfg.Checkpoint = save
-			cfg.CheckpointEvery = every
-		})
-	}
-}
-
-// WithMigration makes the run one island of an island-model search: every
-// m.Interval generations its best genomes travel through m.Exchange and
-// the returned immigrants join the population (see ga.Migration for the
-// determinism contract). nil is a no-op.
-func WithMigration(m *ga.Migration) SearchOption {
-	return func(c *searchConfig) {
-		if m != nil {
-			c.override(func(cfg *ga.Config) { cfg.Migration = m })
-		}
-	}
-}
-
-// WithResume starts the run from a previously checkpointed snapshot.
-func WithResume(snap *ga.Snapshot) SearchOption {
-	return func(c *searchConfig) {
-		c.override(func(cfg *ga.Config) { cfg.Resume = snap })
-	}
-}
-
-// override queues a ga.Config mutation applied after the request's Config
-// is copied, so options win over request fields.
-func (c *searchConfig) override(f func(*ga.Config)) {
-	c.overrides = append(c.overrides, f)
+	return func(c *searchConfig) { c.tracer = tr }
 }
 
 // Search executes one Nautilus search described by req: a GA over
-// req.Space under req.Config, optionally guided, supervised, and recorded
-// via opts. It is the single entry point an IP generator embeds; omitting
-// WithGuidance runs the unguided baseline GA, the paper's comparison
-// point. req.Mode widens the shape - ModePareto swaps in
-// NSGA-II selection over req.Objectives, ModePortfolio races three
-// strategies over one shared dedup cache - without changing the signature
-// or the determinism contract.
+// req.Space under req.Config, optionally guided and traced via opts. It is
+// the single entry point an IP generator embeds; omitting WithGuidance
+// runs the unguided baseline GA, the paper's comparison point. req.Mode
+// widens the shape - ModePareto swaps in NSGA-II selection over
+// req.Objectives, ModePortfolio races three strategies over one shared
+// dedup cache - without changing the signature or the determinism
+// contract.
 //
 // Canceling ctx stops the search at the next evaluation boundary; with a
 // checkpoint configured the engine writes a final snapshot first and the
@@ -193,22 +128,11 @@ func Search(ctx context.Context, req SearchRequest, opts ...SearchOption) (ga.Re
 	}
 
 	cfg := req.Config
-	for _, f := range sc.overrides {
-		f(&cfg)
+	if sc.tracer != nil {
+		cfg.Tracer = sc.tracer
 	}
 	if len(sc.sinks) > 0 {
 		cfg.Tracer = cfg.Tracer.With(sc.sinks...)
-	}
-	if sc.policy != nil {
-		p := *sc.policy
-		if p.Tracer == nil {
-			p.Tracer = cfg.Tracer
-		}
-		sup, err := resilience.NewSupervisor(req.Space, eval, p, sc.registry)
-		if err != nil {
-			return ga.Result{}, err
-		}
-		eval = sup.Evaluate
 	}
 
 	switch req.Mode {

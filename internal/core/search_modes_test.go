@@ -192,12 +192,14 @@ func TestSearchModeValidation(t *testing.T) {
 	}
 	bad = base
 	bad.Mode = core.ModePortfolio
-	if _, err := core.Search(context.Background(), bad, core.WithCheckpoint(func(*ga.Snapshot) error { return nil }, 2)); err == nil {
+	bad.Config.Checkpoint, bad.Config.CheckpointEvery = func(*ga.Snapshot) error { return nil }, 2
+	if _, err := core.Search(context.Background(), bad); err == nil {
 		t.Error("portfolio + checkpoint should be rejected")
 	}
 	bad = base
 	bad.Mode = core.ModePortfolio
-	if _, err := core.Search(context.Background(), bad, core.WithMigration(&ga.Migration{Interval: 2, Count: 1, Exchange: func(context.Context, int, []ga.Migrant) ([]ga.Migrant, error) { return nil, nil }})); err == nil {
+	bad.Config.Migration = &ga.Migration{Interval: 2, Count: 1, Exchange: func(context.Context, int, []ga.Migrant) ([]ga.Migrant, error) { return nil, nil }}
+	if _, err := core.Search(context.Background(), bad); err == nil {
 		t.Error("portfolio + migration should be rejected")
 	}
 }
@@ -278,28 +280,42 @@ func TestPortfolioDedupBound(t *testing.T) {
 }
 
 // TestPortfolioDeterministic: the merged result (winner choice, per-
-// strategy outcomes, shared-cache accounting) is identical run to run and
-// across parallelism.
+// strategy outcomes, shared-cache accounting) is identical run to run,
+// across parallelism, and with a batch backend - which the server sets on
+// every session and which must not route the GA strategies' misses past
+// the race's shared tier.
 func TestPortfolioDeterministic(t *testing.T) {
 	space, eval, obj := portfolioSpace()
-	run := func(par int) ga.Result {
+	backend := func(ctx context.Context, pts []param.Point) ([]metrics.Metrics, []error) {
+		ms, errs := make([]metrics.Metrics, len(pts)), make([]error, len(pts))
+		for i, pt := range pts {
+			ms[i], errs[i] = eval(pt)
+		}
+		return ms, errs
+	}
+	run := func(par int, b dataset.BatchEvaluator) ga.Result {
 		res, err := core.Search(context.Background(), core.SearchRequest{
 			Space:     space,
 			Mode:      core.ModePortfolio,
 			Objective: obj,
 			Evaluate:  eval,
-			Config:    ga.Config{PopulationSize: 10, Generations: 30, Seed: 9, Parallelism: par},
+			Config:    ga.Config{PopulationSize: 10, Generations: 30, Seed: 9, Parallelism: par, BatchBackend: b},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	ref := run(1)
-	for _, par := range []int{1, 8} {
-		got := run(par)
+	ref := run(1, nil)
+	for _, v := range []struct {
+		par     int
+		backend dataset.BatchEvaluator
+	}{{1, nil}, {8, nil}, {1, backend}} {
+		got := run(v.par, v.backend)
 		if !reflect.DeepEqual(got, ref) {
-			t.Fatalf("par=%d portfolio diverged:\n got %+v\nwant %+v", par, got, ref)
+			t.Fatalf("par=%d backend=%t portfolio diverged: distinct/queries/hits %d/%d/%d, want %d/%d/%d\n got %+v\nwant %+v",
+				v.par, v.backend != nil, got.DistinctEvals, got.Cache.Total, got.Cache.Hits,
+				ref.DistinctEvals, ref.Cache.Total, ref.Cache.Hits, got, ref)
 		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"testing"
 
+	"nautilus/internal/dataset"
 	"nautilus/internal/ga"
 	"nautilus/internal/metrics"
 	"nautilus/internal/resilience"
@@ -32,31 +33,33 @@ func checkTracedRun(t *testing.T, par int) {
 	s := bigSpace()
 	eval := monotoneEval(s)
 	obj := metrics.MinimizeMetric("cost")
-	req := SearchRequest{
-		Space:     s,
-		Objective: obj,
-		Evaluate:  eval,
-		Config: ga.Config{
-			Seed:           11,
-			Generations:    15,
-			PopulationSize: 8,
-			Parallelism:    par,
-		},
-	}
-	run := func(extra ...SearchOption) ga.Result {
+	// Each run is supervised; the traced run's supervisor reports to its
+	// stream.
+	run := func(tr *trace.Tracer, extra ...SearchOption) ga.Result {
 		t.Helper()
-		opts := append([]SearchOption{
-			WithGuidance(hintedGuidance(t, s, 0.9)),
-			WithResilience(resilience.Policy{}, nil),
-		}, extra...)
-		res, err := Search(context.Background(), req, opts...)
+		sup, err := resilience.NewSupervisor(s, dataset.AdaptContext(eval), resilience.Policy{Tracer: tr}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req := SearchRequest{
+			Space:       s,
+			Objective:   obj,
+			EvaluateCtx: sup.Evaluate,
+			Config: ga.Config{
+				Seed:           11,
+				Generations:    15,
+				PopulationSize: 8,
+				Parallelism:    par,
+			},
+		}
+		res, err := Search(context.Background(), req, append([]SearchOption{WithGuidance(hintedGuidance(t, s, 0.9))}, extra...)...)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
 
-	plain := run()
+	plain := run(nil)
 
 	var journal bytes.Buffer
 	ring := trace.NewRing(64)
@@ -68,7 +71,7 @@ func checkTracedRun(t *testing.T, par int) {
 		Seed:    7,
 		Sinks:   []trace.Sink{ring, durs, j},
 	})
-	traced := run(WithTracer(tr), WithRecorder(col))
+	traced := run(tr, WithTracer(tr), WithRecorder(col))
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"nautilus/internal/core"
@@ -212,11 +213,11 @@ func gaParamTable(cfg Config, ds *dataset.Dataset, obj metrics.Objective, relaxe
 		results, err := pool.Map(cfg.parallelism(), runs, func(i int) (ga.Result, error) {
 			gcfg := ga.Config{Seed: seedFor("ablation_ga", v.name, i), Generations: gens, Tracer: cfg.Tracer}
 			v.mod(&gcfg)
-			engine, err := ga.New(s, obj, ds.Evaluator(), gcfg, nil)
+			engine, err := ga.NewContext(s, obj, dataset.AdaptContext(ds.Evaluator()), gcfg, nil)
 			if err != nil {
 				return ga.Result{}, err
 			}
-			return engine.Run(), nil
+			return engine.RunContext(context.Background())
 		}, cfg.Tracer)
 		if err != nil {
 			return nil, err

@@ -208,16 +208,49 @@ func ratio(a, b float64) string {
 	return fmt.Sprintf("%.1fx", a/b)
 }
 
+// Driver regenerates one figure (or figure group) of the paper.
+type Driver func(Config) ([]Table, error)
+
+// figureDrivers lists every individually runnable experiment in paper
+// order. "all" is not in this list - it is the whole list.
+var figureDrivers = []struct {
+	name string
+	fn   Driver
+}{
+	{"fig1", Fig1},
+	{"fig2", Fig2},
+	{"fig3", Fig3},
+	{"fig4", Fig4},
+	{"fig5", Fig5},
+	{"fig6", Fig6},
+	{"fig7", Fig7},
+	{"headline", Headline},
+	{"ablations", Ablations},
+	{"ext-baselines", ExtensionBaselines},
+	{"ext-pareto", ExtensionPareto},
+	{"ext-sim-validate", ExtensionSimVsAnalytical},
+	{"ext-thirdip", ExtensionThirdIP},
+}
+
+// FindDriver resolves an experiment name: "all" or a figureDrivers entry.
+func FindDriver(name string) (Driver, bool) {
+	if name == "all" {
+		return All, true
+	}
+	for _, d := range figureDrivers {
+		if d.name == name {
+			return d.fn, true
+		}
+	}
+	return nil, false
+}
+
 // All runs every experiment concurrently and returns the tables in figure
 // order. The figures sharing a memoized dataset simply block on its one
 // build; everything else proceeds independently.
 func All(cfg Config) ([]Table, error) {
-	figs := []func(Config) ([]Table, error){
-		Fig1, Fig2, Fig3, Fig4, Fig5, Fig6, Fig7, Headline, Ablations,
-		ExtensionBaselines, ExtensionPareto, ExtensionSimVsAnalytical, ExtensionThirdIP,
-	}
-	per, err := pool.Map(cfg.parallelism(), len(figs), func(i int) ([]Table, error) {
-		return figs[i](cfg)
+	per, err := pool.Map(cfg.parallelism(), len(figureDrivers), func(i int) ([]Table, error) {
+		return figureDrivers[i].fn(cfg)
 	}, cfg.Tracer)
 	if err != nil {
 		return nil, err

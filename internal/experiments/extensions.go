@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"nautilus/internal/core"
@@ -55,7 +56,8 @@ func ExtensionBaselines(cfg Config) ([]Table, error) {
 		return nil, err
 	}
 	annealed, err := collect("anneal", func(seed int64) (ga.Result, error) {
-		return search.Anneal(s, obj, ds.Evaluator(), search.AnnealConfig{Budget: budget, Seed: seed})
+		return search.AnnealCtx(context.Background(), s, obj, dataset.AdaptContext(ds.Evaluator()),
+			search.AnnealConfig{Budget: budget, Seed: seed})
 	})
 	if err != nil {
 		return nil, err

@@ -3,6 +3,7 @@ package ga
 import (
 	"testing"
 
+	"nautilus/internal/dataset"
 	"nautilus/internal/metrics"
 )
 
@@ -13,11 +14,11 @@ func BenchmarkRun(b *testing.B) {
 	b.ReportAllocs()
 	s, eval := quadSpace()
 	for i := 0; i < b.N; i++ {
-		e, err := New(s, metrics.MinimizeMetric("cost"), eval, Config{Seed: int64(i)}, nil)
+		e, err := NewContext(s, metrics.MinimizeMetric("cost"), dataset.AdaptContext(eval), Config{Seed: int64(i)}, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
-		e.Run()
+		mustRun(b, e)
 	}
 }
 
@@ -27,10 +28,10 @@ func BenchmarkRunParallel(b *testing.B) {
 	b.ReportAllocs()
 	s, eval := quadSpace()
 	for i := 0; i < b.N; i++ {
-		e, err := New(s, metrics.MinimizeMetric("cost"), eval, Config{Seed: int64(i), Parallelism: 8}, nil)
+		e, err := NewContext(s, metrics.MinimizeMetric("cost"), dataset.AdaptContext(eval), Config{Seed: int64(i), Parallelism: 8}, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
-		e.Run()
+		mustRun(b, e)
 	}
 }

@@ -52,11 +52,11 @@ func ckptConfig(seed int64) Config {
 func TestResumeByteIdentical(t *testing.T) {
 	space, obj, eval := ckptSpace(t)
 	for _, seed := range []int64{1, 7, 42} {
-		engine, err := New(space, obj, eval, ckptConfig(seed), nil)
+		engine, err := NewContext(space, obj, dataset.AdaptContext(eval), ckptConfig(seed), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := engine.Run()
+		want := mustRun(t, engine)
 
 		for _, killAfter := range []int{0, 1, 5, 17, 29} {
 			// Phase 1: run with checkpointing, cancel once generation
@@ -71,7 +71,7 @@ func TestResumeByteIdentical(t *testing.T) {
 				}
 				return nil
 			}
-			interruptedEngine, err := New(space, obj, eval, cfg, nil)
+			interruptedEngine, err := NewContext(space, obj, dataset.AdaptContext(eval), cfg, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -90,7 +90,7 @@ func TestResumeByteIdentical(t *testing.T) {
 			// Phase 2: resume from the final checkpoint and finish.
 			cfg2 := ckptConfig(seed)
 			cfg2.Resume = last
-			resumedEngine, err := New(space, obj, eval, cfg2, nil)
+			resumedEngine, err := NewContext(space, obj, dataset.AdaptContext(eval), cfg2, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -114,11 +114,11 @@ func TestResumeByteIdentical(t *testing.T) {
 func TestResumeAfterMidGenerationCancel(t *testing.T) {
 	space, obj, eval := ckptSpace(t)
 	const seed = 11
-	engine, err := New(space, obj, eval, ckptConfig(seed), nil)
+	engine, err := NewContext(space, obj, dataset.AdaptContext(eval), ckptConfig(seed), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := engine.Run()
+	want := mustRun(t, engine)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -137,7 +137,7 @@ func TestResumeAfterMidGenerationCancel(t *testing.T) {
 	cfg := ckptConfig(seed)
 	cfg.CheckpointEvery = 4
 	cfg.Checkpoint = func(s *Snapshot) error { last = s; return nil }
-	stormEngine, err := New(space, obj, stormEval, cfg, nil)
+	stormEngine, err := NewContext(space, obj, dataset.AdaptContext(stormEval), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestResumeAfterMidGenerationCancel(t *testing.T) {
 
 	cfg2 := ckptConfig(seed)
 	cfg2.Resume = last
-	resumed, err := New(space, obj, eval, cfg2, nil)
+	resumed, err := NewContext(space, obj, dataset.AdaptContext(eval), cfg2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,17 +169,17 @@ func TestResumeAfterMidGenerationCancel(t *testing.T) {
 // result of a run without them.
 func TestPeriodicCheckpointsDoNotPerturb(t *testing.T) {
 	space, obj, eval := ckptSpace(t)
-	plainEngine, err := New(space, obj, eval, ckptConfig(3), nil)
+	plainEngine, err := NewContext(space, obj, dataset.AdaptContext(eval), ckptConfig(3), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := plainEngine.Run()
+	want := mustRun(t, plainEngine)
 
 	cfg := ckptConfig(3)
 	cfg.CheckpointEvery = 1
 	count := 0
 	cfg.Checkpoint = func(s *Snapshot) error { count++; return nil }
-	ckptEngine, err := New(space, obj, eval, cfg, nil)
+	ckptEngine, err := NewContext(space, obj, dataset.AdaptContext(eval), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestResumeValidation(t *testing.T) {
 	// Keep the last snapshot, so snap.Generation is deep in the run and the
 	// shrunk-Generations case below stays a real (non-defaulted) config.
 	cfg.Checkpoint = func(s *Snapshot) error { snap = s; return nil }
-	engine, err := New(space, obj, eval, cfg, nil)
+	engine, err := NewContext(space, obj, dataset.AdaptContext(eval), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestResumeValidation(t *testing.T) {
 	for _, tc := range cases {
 		cfg2 := tc.mutate(ckptConfig(5))
 		cfg2.Resume = snap
-		engine2, err := New(space, obj, eval, cfg2, nil)
+		engine2, err := NewContext(space, obj, dataset.AdaptContext(eval), cfg2, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -18,7 +18,7 @@ func TestDispatchEquivalence(t *testing.T) {
 	obj := metrics.MinimizeMetric("cost")
 	run := func(par int) Result {
 		t.Helper()
-		e, err := New(s, obj, eval, Config{
+		e, err := NewContext(s, obj, dataset.AdaptContext(eval), Config{
 			Seed:           7,
 			PopulationSize: 14,
 			Generations:    30,
@@ -27,7 +27,7 @@ func TestDispatchEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return e.Run()
+		return mustRun(t, e)
 	}
 
 	inline := run(1)

@@ -3,6 +3,7 @@ package ga
 import (
 	"testing"
 
+	"nautilus/internal/dataset"
 	"nautilus/internal/metrics"
 	"nautilus/internal/param"
 )
@@ -57,7 +58,7 @@ func FuzzResumeSnapshot(f *testing.F) {
 		run := func() (Result, error) {
 			c := cfg
 			c.Resume = snap
-			eng, err := New(space, metrics.MinimizeMetric(metrics.LUTs), eval, c, nil)
+			eng, err := NewContext(space, metrics.MinimizeMetric(metrics.LUTs), dataset.AdaptContext(eval), c, nil)
 			if err != nil {
 				t.Fatalf("engine construction failed: %v", err)
 			}

@@ -118,7 +118,8 @@ type Config struct {
 	// single-point evaluator - the hook a layered cache (e.g. the server's
 	// process-wide shared cache) uses to coalesce in-flight batches across
 	// sessions. Setting it routes every generation through the batch path,
-	// even at Parallelism 1.
+	// even at Parallelism 1. Portfolio races (core.ModePortfolio) ignore
+	// it: their strategies share the race's own dedup tier instead.
 	BatchBackend dataset.BatchEvaluator
 	// Migration, when non-nil, makes the run one island of an island-model
 	// search: every Migration.Interval generations the island's best
@@ -392,20 +393,13 @@ type Engine struct {
 	mvCrowd []float64
 }
 
-// New builds an Engine. eval is the raw (uncached) evaluator; the engine
-// wraps it in a distinct-evaluation-counting cache per run. strategy nil
-// selects the unguided Baseline.
-func New(space *param.Space, obj metrics.Objective, eval dataset.Evaluator, cfg Config, strategy Strategy) (*Engine, error) {
-	if eval == nil {
-		return nil, fmt.Errorf("ga: nil space or evaluator")
-	}
-	return NewContext(space, obj, dataset.AdaptContext(eval), cfg, strategy)
-}
-
-// NewContext is New for a context-aware evaluator: the run context reaches
-// each evaluation through the cache's singleflight path, so supervised
-// evaluators (internal/resilience) can honor per-evaluation deadlines and
-// run-level cancellation.
+// NewContext builds an Engine. eval is the raw (uncached) evaluator; the
+// engine wraps it in a distinct-evaluation-counting cache per run, and the
+// run context reaches each evaluation through the cache's singleflight
+// path, so supervised evaluators (internal/resilience) can honor
+// per-evaluation deadlines and run-level cancellation. A plain evaluator
+// goes through dataset.AdaptContext. strategy nil selects the unguided
+// Baseline.
 func NewContext(space *param.Space, obj metrics.Objective, eval dataset.ContextEvaluator, cfg Config, strategy Strategy) (*Engine, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
@@ -482,24 +476,13 @@ func bindArena(pop []individual, arena []int, l int) {
 	}
 }
 
-// Run executes one full GA search and returns its result. The engine's
-// evaluation cache is reset per run; the paper's experiments use fresh
-// caches per run.
-func (e *Engine) Run() Result {
-	res, err := e.RunContext(context.Background())
-	if err != nil {
-		// Without Checkpoint or Resume configured, RunContext cannot fail;
-		// misconfigured resume state is a programming error here.
-		panic(err)
-	}
-	return res
-}
-
-// RunContext is Run under a context. Cancellation stops the search at the
-// nearest generation boundary: in-flight evaluations drain, a final
-// checkpoint is written when Config.Checkpoint is set, and the partial
-// result comes back with Interrupted set. The only error sources are a
-// failing Checkpoint call and an invalid Resume snapshot.
+// RunContext executes one full GA search and returns its result. The
+// engine's evaluation cache is reset per run; the paper's experiments use
+// fresh caches per run. Cancellation stops the search at the nearest
+// generation boundary: in-flight evaluations drain, a final checkpoint is
+// written when Config.Checkpoint is set, and the partial result comes back
+// with Interrupted set. The only error sources are a failing Checkpoint
+// call and an invalid Resume snapshot.
 func (e *Engine) RunContext(ctx context.Context) (Result, error) {
 	src := newCountingSource(e.cfg.Seed)
 	r := rand.New(src)

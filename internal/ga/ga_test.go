@@ -1,15 +1,28 @@
 package ga
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"nautilus/internal/dataset"
 	"nautilus/internal/metrics"
 	"nautilus/internal/param"
 )
+
+// mustRun runs e to completion under a background context, failing the
+// test on a run error.
+func mustRun(tb testing.TB, e *Engine) Result {
+	tb.Helper()
+	res, err := e.RunContext(context.Background())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res
+}
 
 // quadSpace is a 4-parameter space whose cost has a unique global minimum
 // at a known point, with gentle curvature - easy for a GA, good for tests.
@@ -57,21 +70,21 @@ func TestConfigValidate(t *testing.T) {
 		}
 	}
 	s, eval := quadSpace()
-	if _, err := New(nil, metrics.MinimizeMetric("cost"), eval, Config{}, nil); err == nil {
-		t.Error("New(nil space) should fail")
+	if _, err := NewContext(nil, metrics.MinimizeMetric("cost"), dataset.AdaptContext(eval), Config{}, nil); err == nil {
+		t.Error("NewContext(nil space) should fail")
 	}
-	if _, err := New(s, metrics.MinimizeMetric("cost"), nil, Config{}, nil); err == nil {
-		t.Error("New(nil evaluator) should fail")
+	if _, err := NewContext(s, metrics.MinimizeMetric("cost"), nil, Config{}, nil); err == nil {
+		t.Error("NewContext(nil evaluator) should fail")
 	}
 }
 
 func TestRunFindsOptimum(t *testing.T) {
 	s, eval := quadSpace()
-	e, err := New(s, metrics.MinimizeMetric("cost"), eval, Config{Seed: 42, Generations: 120}, nil)
+	e, err := NewContext(s, metrics.MinimizeMetric("cost"), dataset.AdaptContext(eval), Config{Seed: 42, Generations: 120}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := e.Run()
+	res := mustRun(t, e)
 	if res.BestPoint == nil {
 		t.Fatal("no feasible point found")
 	}
@@ -83,8 +96,8 @@ func TestRunFindsOptimum(t *testing.T) {
 func TestRunDeterministic(t *testing.T) {
 	s, eval := quadSpace()
 	mk := func() Result {
-		e, _ := New(s, metrics.MinimizeMetric("cost"), eval, Config{Seed: 7}, nil)
-		return e.Run()
+		e, _ := NewContext(s, metrics.MinimizeMetric("cost"), dataset.AdaptContext(eval), Config{Seed: 7}, nil)
+		return mustRun(t, e)
 	}
 	a, b := mk(), mk()
 	if a.BestValue != b.BestValue || a.DistinctEvals != b.DistinctEvals {
@@ -103,8 +116,8 @@ func TestRunDeterministic(t *testing.T) {
 func TestDifferentSeedsDiffer(t *testing.T) {
 	s, eval := quadSpace()
 	run := func(seed int64) Result {
-		e, _ := New(s, metrics.MinimizeMetric("cost"), eval, Config{Seed: seed, Generations: 3}, nil)
-		return e.Run()
+		e, _ := NewContext(s, metrics.MinimizeMetric("cost"), dataset.AdaptContext(eval), Config{Seed: seed, Generations: 3}, nil)
+		return mustRun(t, e)
 	}
 	a, b := run(1), run(2)
 	// Initial populations differ, so early trajectories should differ.
@@ -122,8 +135,8 @@ func TestDifferentSeedsDiffer(t *testing.T) {
 
 func TestTrajectoryShape(t *testing.T) {
 	s, eval := quadSpace()
-	e, _ := New(s, metrics.MinimizeMetric("cost"), eval, Config{Seed: 3, Generations: 20}, nil)
-	res := e.Run()
+	e, _ := NewContext(s, metrics.MinimizeMetric("cost"), dataset.AdaptContext(eval), Config{Seed: 3, Generations: 20}, nil)
+	res := mustRun(t, e)
 	if len(res.Trajectory) != 21 {
 		t.Fatalf("trajectory has %d points, want 21 (gen 0..20)", len(res.Trajectory))
 	}
@@ -152,8 +165,8 @@ func TestDistinctEvalsLessThanTotalWork(t *testing.T) {
 	// As the GA converges it revisits genomes; distinct evals must be well
 	// below PopulationSize * Generations (the paper relies on this).
 	s, eval := quadSpace()
-	e, _ := New(s, metrics.MinimizeMetric("cost"), eval, Config{Seed: 5, Generations: 80}, nil)
-	res := e.Run()
+	e, _ := NewContext(s, metrics.MinimizeMetric("cost"), dataset.AdaptContext(eval), Config{Seed: 5, Generations: 80}, nil)
+	res := mustRun(t, e)
 	totalWork := e.Config().PopulationSize * (e.Config().Generations + 1)
 	if res.DistinctEvals >= totalWork/2 {
 		t.Errorf("distinct evals %d vs total work %d: cache not reducing cost", res.DistinctEvals, totalWork)
@@ -169,8 +182,8 @@ func TestInfeasibleRegionsSurvivable(t *testing.T) {
 		}
 		return eval(pt)
 	}
-	e, _ := New(s, metrics.MinimizeMetric("cost"), spiky, Config{Seed: 9, Generations: 100}, nil)
-	res := e.Run()
+	e, _ := NewContext(s, metrics.MinimizeMetric("cost"), dataset.AdaptContext(spiky), Config{Seed: 9, Generations: 100}, nil)
+	res := mustRun(t, e)
 	if res.BestPoint == nil {
 		t.Fatal("no feasible point found in striped space")
 	}
@@ -182,10 +195,10 @@ func TestInfeasibleRegionsSurvivable(t *testing.T) {
 
 func TestAllInfeasibleYieldsNoBest(t *testing.T) {
 	s, _ := quadSpace()
-	e, _ := New(s, metrics.MinimizeMetric("cost"),
-		func(param.Point) (metrics.Metrics, error) { return nil, errors.New("nope") },
+	e, _ := NewContext(s, metrics.MinimizeMetric("cost"),
+		dataset.AdaptContext(func(param.Point) (metrics.Metrics, error) { return nil, errors.New("nope") }),
 		Config{Seed: 1, Generations: 3}, nil)
-	res := e.Run()
+	res := mustRun(t, e)
 	if res.BestPoint != nil {
 		t.Error("BestPoint should be nil when nothing is feasible")
 	}
@@ -196,9 +209,9 @@ func TestAllInfeasibleYieldsNoBest(t *testing.T) {
 
 func TestParallelEvaluationMatchesSerial(t *testing.T) {
 	s, eval := quadSpace()
-	serial, _ := New(s, metrics.MinimizeMetric("cost"), eval, Config{Seed: 11, Parallelism: 1}, nil)
-	parallel, _ := New(s, metrics.MinimizeMetric("cost"), eval, Config{Seed: 11, Parallelism: 8}, nil)
-	a, b := serial.Run(), parallel.Run()
+	serial, _ := NewContext(s, metrics.MinimizeMetric("cost"), dataset.AdaptContext(eval), Config{Seed: 11, Parallelism: 1}, nil)
+	parallel, _ := NewContext(s, metrics.MinimizeMetric("cost"), dataset.AdaptContext(eval), Config{Seed: 11, Parallelism: 8}, nil)
+	a, b := mustRun(t, serial), mustRun(t, parallel)
 	if a.BestValue != b.BestValue || a.DistinctEvals != b.DistinctEvals {
 		t.Errorf("parallel run diverged: %v/%d vs %v/%d", a.BestValue, a.DistinctEvals, b.BestValue, b.DistinctEvals)
 	}
@@ -207,8 +220,8 @@ func TestParallelEvaluationMatchesSerial(t *testing.T) {
 func TestMaximizationWorks(t *testing.T) {
 	s, eval := quadSpace()
 	// Maximize cost: optimum is a corner far from the target.
-	e, _ := New(s, metrics.MaximizeMetric("cost"), eval, Config{Seed: 13, Generations: 120}, nil)
-	res := e.Run()
+	e, _ := NewContext(s, metrics.MaximizeMetric("cost"), dataset.AdaptContext(eval), Config{Seed: 13, Generations: 120}, nil)
+	res := mustRun(t, e)
 	// Max cost = 1 + sum of max squared distances: 12^2+12^2+8^2... compute:
 	// w: max(3,12) dist 12 -> 144; x: max(12,3) 12 -> 144; y: 8 -> 64 wait
 	// y target 7: max dist = max(7, 15-7=8) = 8 -> 64; z target 9: max(9,6)=9 -> 81.
@@ -313,11 +326,11 @@ func TestQuickGenomesAlwaysValid(t *testing.T) {
 			}
 			return eval(pt)
 		}
-		e, err := New(s, metrics.MinimizeMetric("cost"), checked, Config{Seed: seed, Generations: 5}, nil)
+		e, err := NewContext(s, metrics.MinimizeMetric("cost"), dataset.AdaptContext(checked), Config{Seed: seed, Generations: 5}, nil)
 		if err != nil {
 			return false
 		}
-		e.Run()
+		mustRun(t, e)
 		return valid
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
@@ -330,11 +343,11 @@ func TestQuickTrajectoryMonotone(t *testing.T) {
 	s, eval := quadSpace()
 	obj := metrics.MinimizeMetric("cost")
 	f := func(seed int64) bool {
-		e, err := New(s, obj, eval, Config{Seed: seed, Generations: 10}, nil)
+		e, err := NewContext(s, obj, dataset.AdaptContext(eval), Config{Seed: seed, Generations: 10}, nil)
 		if err != nil {
 			return false
 		}
-		res := e.Run()
+		res := mustRun(t, e)
 		prev := math.Inf(1)
 		for _, gp := range res.Trajectory {
 			if gp.BestValue > prev {
@@ -351,8 +364,8 @@ func TestQuickTrajectoryMonotone(t *testing.T) {
 
 func TestUniqueGenomesTracked(t *testing.T) {
 	s, eval := quadSpace()
-	e, _ := New(s, metrics.MinimizeMetric("cost"), eval, Config{Seed: 21, Generations: 60}, nil)
-	res := e.Run()
+	e, _ := NewContext(s, metrics.MinimizeMetric("cost"), dataset.AdaptContext(eval), Config{Seed: 21, Generations: 60}, nil)
+	res := mustRun(t, e)
 	first := res.Trajectory[0].UniqueGenomes
 	if first < 2 || first > e.Config().PopulationSize {
 		t.Errorf("initial diversity %d implausible for population %d", first, e.Config().PopulationSize)
@@ -371,12 +384,12 @@ func TestConvergenceWindowStopsEarly(t *testing.T) {
 	flat := func(pt param.Point) (metrics.Metrics, error) {
 		return metrics.Metrics{"cost": 1}, nil
 	}
-	e, err := New(s, metrics.MinimizeMetric("cost"), flat,
+	e, err := NewContext(s, metrics.MinimizeMetric("cost"), dataset.AdaptContext(flat),
 		Config{Seed: 2, Generations: 300, ConvergenceWindow: 5, MutationRate: 0.0001}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := e.Run()
+	res := mustRun(t, e)
 	if !res.Converged {
 		t.Fatal("run did not report convergence")
 	}
@@ -387,8 +400,8 @@ func TestConvergenceWindowStopsEarly(t *testing.T) {
 
 func TestConvergenceWindowDisabledByDefault(t *testing.T) {
 	s, eval := quadSpace()
-	e, _ := New(s, metrics.MinimizeMetric("cost"), eval, Config{Seed: 3, Generations: 25}, nil)
-	res := e.Run()
+	e, _ := NewContext(s, metrics.MinimizeMetric("cost"), dataset.AdaptContext(eval), Config{Seed: 3, Generations: 25}, nil)
+	res := mustRun(t, e)
 	if res.Converged {
 		t.Error("Converged set without a convergence window")
 	}
@@ -407,12 +420,12 @@ func TestConvergenceWindowFiresAtExactlyWindow(t *testing.T) {
 		return metrics.Metrics{"cost": 7}, nil
 	}
 	const window = 4
-	e, err := New(s, metrics.MinimizeMetric("cost"), pinned,
+	e, err := NewContext(s, metrics.MinimizeMetric("cost"), dataset.AdaptContext(pinned),
 		Config{Seed: 1, Generations: 100, ConvergenceWindow: window}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := e.Run()
+	res := mustRun(t, e)
 	if !res.Converged {
 		t.Fatal("fully homogeneous run did not report convergence")
 	}
@@ -428,12 +441,12 @@ func TestConvergenceWindowZeroNeverFires(t *testing.T) {
 	pinned := func(pt param.Point) (metrics.Metrics, error) {
 		return metrics.Metrics{"cost": 7}, nil
 	}
-	e, err := New(s, metrics.MinimizeMetric("cost"), pinned,
+	e, err := NewContext(s, metrics.MinimizeMetric("cost"), dataset.AdaptContext(pinned),
 		Config{Seed: 1, Generations: 30, ConvergenceWindow: 0}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := e.Run()
+	res := mustRun(t, e)
 	if res.Converged {
 		t.Error("Converged set with ConvergenceWindow 0")
 	}

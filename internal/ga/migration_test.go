@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"nautilus/internal/dataset"
 	"nautilus/internal/metrics"
 	"nautilus/internal/param"
 )
@@ -19,11 +20,11 @@ func TestMigrationNeverPerturbsRNG(t *testing.T) {
 	s, eval := quadSpace()
 	obj := metrics.MinimizeMetric("cost")
 	run := func(mig *Migration) Result {
-		e, err := New(s, obj, eval, Config{Seed: 7, Generations: 30, Migration: mig}, nil)
+		e, err := NewContext(s, obj, dataset.AdaptContext(eval), Config{Seed: 7, Generations: 30, Migration: mig}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return e.Run()
+		return mustRun(t, e)
 	}
 	plain := run(nil)
 	empty := run(&Migration{Interval: 3, Count: 2, Exchange: func(ctx context.Context, gen int, out []Migrant) ([]Migrant, error) {
@@ -56,11 +57,11 @@ func TestMigrationSchedule(t *testing.T) {
 		emigrants = append(emigrants, out)
 		return nil, nil
 	}}
-	e, err := New(s, obj, eval, Config{Seed: 11, Generations: 12, Migration: mig}, nil)
+	e, err := NewContext(s, obj, dataset.AdaptContext(eval), Config{Seed: 11, Generations: 12, Migration: mig}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.Run()
+	mustRun(t, e)
 	if want := []int{4, 8, 12}; !reflect.DeepEqual(gens, want) {
 		t.Fatalf("exchange generations %v, want %v", gens, want)
 	}
@@ -94,11 +95,11 @@ func TestMigrationInjectsImmigrants(t *testing.T) {
 	// MutationRate tiny and crossover off so the planted optimum can only
 	// come from injection, not from breeding luck within 3 generations.
 	cfg := Config{Seed: 5, Generations: 3, PopulationSize: 6, MutationRate: 1e-9, CrossoverRate: 1e-9, Migration: mig}
-	e, err := New(s, obj, eval, cfg, nil)
+	e, err := NewContext(s, obj, dataset.AdaptContext(eval), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := e.Run()
+	res := mustRun(t, e)
 	if res.BestValue != 1 {
 		t.Fatalf("planted optimum not adopted: best %v, want 1", res.BestValue)
 	}

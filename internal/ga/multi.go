@@ -20,15 +20,6 @@ import (
 	"nautilus/internal/pareto"
 )
 
-// NewMulti builds a multi-objective Engine over a plain evaluator. See
-// NewMultiContext.
-func NewMulti(space *param.Space, objs []metrics.Objective, eval dataset.Evaluator, cfg Config, strategy Strategy) (*Engine, error) {
-	if eval == nil {
-		return nil, fmt.Errorf("ga: nil space or evaluator")
-	}
-	return NewMultiContext(space, objs, dataset.AdaptContext(eval), cfg, strategy)
-}
-
 // NewMultiContext builds an Engine that optimizes two or more objectives
 // simultaneously with NSGA-II-style non-dominated sorting and
 // crowding-distance selection. objs[0] is the primary objective: scalar

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"nautilus/internal/dataset"
 	"nautilus/internal/metrics"
 	"nautilus/internal/param"
 	"nautilus/internal/pareto"
@@ -40,21 +41,21 @@ func biConfig(seed int64) Config {
 
 func TestNewMultiRejectsSingleObjective(t *testing.T) {
 	s, eval, objs := biSpace()
-	if _, err := NewMulti(s, objs[:1], eval, biConfig(1), nil); err == nil {
-		t.Fatal("NewMulti should reject a single objective")
+	if _, err := NewMultiContext(s, objs[:1], dataset.AdaptContext(eval), biConfig(1), nil); err == nil {
+		t.Fatal("NewMultiContext should reject a single objective")
 	}
-	if _, err := NewMulti(s, objs, nil, biConfig(1), nil); err == nil {
-		t.Fatal("NewMulti should reject a nil evaluator")
+	if _, err := NewMultiContext(s, objs, nil, biConfig(1), nil); err == nil {
+		t.Fatal("NewMultiContext should reject a nil evaluator")
 	}
 }
 
 func TestMultiFrontMutuallyNonDominating(t *testing.T) {
 	s, eval, objs := biSpace()
-	e, err := NewMulti(s, objs, eval, biConfig(42), nil)
+	e, err := NewMultiContext(s, objs, dataset.AdaptContext(eval), biConfig(42), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := e.Run()
+	res := mustRun(t, e)
 	if len(res.Front) < 2 {
 		t.Fatalf("front has %d members, want a real trade-off set", len(res.Front))
 	}
@@ -105,11 +106,11 @@ func TestMultiByteIdentical(t *testing.T) {
 	run := func(par int) Result {
 		cfg := biConfig(7)
 		cfg.Parallelism = par
-		e, err := NewMulti(s, objs, eval, cfg, nil)
+		e, err := NewMultiContext(s, objs, dataset.AdaptContext(eval), cfg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return e.Run()
+		return mustRun(t, e)
 	}
 	ref := run(1)
 	if got := run(8); !reflect.DeepEqual(got, ref) {
@@ -137,11 +138,11 @@ func TestMultiMigrationShipsFrontMembers(t *testing.T) {
 			return nil, nil
 		},
 	}
-	e, err := NewMulti(s, objs, eval, cfg, nil)
+	e, err := NewMultiContext(s, objs, dataset.AdaptContext(eval), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.Run()
+	mustRun(t, e)
 	if len(shipped) == 0 {
 		t.Fatal("no migration rounds fired")
 	}
@@ -186,7 +187,7 @@ func TestMultiResumeByteIdentical(t *testing.T) {
 		return cfg
 	}
 	ref, err := func() (Result, error) {
-		e, err := NewMulti(s, objs, eval, mkCfg(), nil)
+		e, err := NewMultiContext(s, objs, dataset.AdaptContext(eval), mkCfg(), nil)
 		if err != nil {
 			return Result{}, err
 		}
@@ -207,7 +208,7 @@ func TestMultiResumeByteIdentical(t *testing.T) {
 			}
 			return nil
 		}
-		ie, err := NewMulti(s, objs, eval, cfg, nil)
+		ie, err := NewMultiContext(s, objs, dataset.AdaptContext(eval), cfg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -225,7 +226,7 @@ func TestMultiResumeByteIdentical(t *testing.T) {
 
 		rcfg := mkCfg()
 		rcfg.Resume = last
-		re, err := NewMulti(s, objs, eval, rcfg, nil)
+		re, err := NewMultiContext(s, objs, dataset.AdaptContext(eval), rcfg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

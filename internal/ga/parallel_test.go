@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"nautilus/internal/dataset"
 	"nautilus/internal/metrics"
 )
 
@@ -14,11 +15,11 @@ func TestRunParallelismDeterministic(t *testing.T) {
 	s, eval := quadSpace()
 	obj := metrics.MinimizeMetric("cost")
 	run := func(par int) Result {
-		e, err := New(s, obj, eval, Config{Seed: 42, Generations: 30, Parallelism: par}, nil)
+		e, err := NewContext(s, obj, dataset.AdaptContext(eval), Config{Seed: 42, Generations: 30, Parallelism: par}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return e.Run()
+		return mustRun(t, e)
 	}
 	seq := run(1)
 	for _, par := range []int{2, 4, 16} {

@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"testing"
 
+	"nautilus/internal/dataset"
 	"nautilus/internal/metrics"
 	"nautilus/internal/telemetry"
 	"nautilus/internal/telemetry/trace"
@@ -27,11 +28,11 @@ func TestTelemetryDoesNotPerturbSearch(t *testing.T) {
 	s, eval := quadSpace()
 	obj := metrics.MinimizeMetric("cost")
 	run := func(tr *trace.Tracer, par int) Result {
-		e, err := New(s, obj, eval, Config{Seed: 7, Generations: 25, Parallelism: par, Tracer: tr}, nil)
+		e, err := NewContext(s, obj, dataset.AdaptContext(eval), Config{Seed: 7, Generations: 25, Parallelism: par, Tracer: tr}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return e.Run()
+		return mustRun(t, e)
 	}
 	want := run(nil, 1)
 	cases := map[string]*trace.Tracer{
@@ -56,12 +57,12 @@ func TestTelemetryDoesNotPerturbSearch(t *testing.T) {
 func TestCollectorSeesRun(t *testing.T) {
 	s, eval := quadSpace()
 	col := telemetry.NewCollector(nil)
-	e, err := New(s, metrics.MinimizeMetric("cost"), eval,
+	e, err := NewContext(s, metrics.MinimizeMetric("cost"), dataset.AdaptContext(eval),
 		Config{Seed: 7, Generations: 10, Tracer: stream(col)}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := e.Run()
+	res := mustRun(t, e)
 
 	snap := col.Registry().Snapshot()
 	if got := snap.Counters[telemetry.MetricGenerations]; got != 11 {
@@ -102,11 +103,11 @@ func TestCollectorSeesRun(t *testing.T) {
 // are population * generations, and hits + distinct = total.
 func TestResultCacheStats(t *testing.T) {
 	s, eval := quadSpace()
-	e, err := New(s, metrics.MinimizeMetric("cost"), eval, Config{Seed: 3, Generations: 20}, nil)
+	e, err := NewContext(s, metrics.MinimizeMetric("cost"), dataset.AdaptContext(eval), Config{Seed: 3, Generations: 20}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := e.Run()
+	res := mustRun(t, e)
 	st := res.Cache
 	wantTotal := 21 * e.Config().PopulationSize
 	if st.Total != wantTotal {
@@ -135,12 +136,12 @@ func BenchmarkRunTelemetryNop(b *testing.B) {
 	s, eval := quadSpace()
 	tr := stream(trace.NopSink{})
 	for i := 0; i < b.N; i++ {
-		e, err := New(s, metrics.MinimizeMetric("cost"), eval,
+		e, err := NewContext(s, metrics.MinimizeMetric("cost"), dataset.AdaptContext(eval),
 			Config{Seed: int64(i), Tracer: tr}, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
-		e.Run()
+		mustRun(b, e)
 	}
 }
 
@@ -164,11 +165,11 @@ func TestNopTelemetryAddsNoAllocs(t *testing.T) {
 			least := math.Inf(1)
 			for k := 0; k < 5; k++ {
 				least = min(least, testing.AllocsPerRun(10, func() {
-					e, err := New(s, obj, eval, Config{Seed: 11, Generations: 15, Parallelism: par, Tracer: tr}, nil)
+					e, err := NewContext(s, obj, dataset.AdaptContext(eval), Config{Seed: 11, Generations: 15, Parallelism: par, Tracer: tr}, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
-					e.Run()
+					mustRun(t, e)
 				}))
 			}
 			return least
@@ -196,12 +197,12 @@ func TestOneStreamSinksAgree(t *testing.T) {
 	durs := trace.NewDurations()
 	var buf bytes.Buffer
 	j := telemetry.NewJournal(&buf)
-	e, err := New(s, metrics.MinimizeMetric("cost"), eval,
+	e, err := NewContext(s, metrics.MinimizeMetric("cost"), dataset.AdaptContext(eval),
 		Config{Seed: 5, Generations: 12, Tracer: stream(col, j, durs)}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := e.Run()
+	res := mustRun(t, e)
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,12 @@
 package hintcal
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
 
+	"nautilus/internal/dataset"
 	"nautilus/internal/ga"
 	"nautilus/internal/metrics"
 	"nautilus/internal/param"
@@ -83,9 +85,16 @@ func TestEstimatedHintsAccelerateSearch(t *testing.T) {
 	var baseTot, guidedTot int
 	for seed := int64(0); seed < 10; seed++ {
 		cfg := ga.Config{Seed: seed, Generations: 30}
-		be, _ := ga.New(s, obj, eval, cfg, nil)
-		ge, _ := ga.New(s, obj, eval, cfg, g)
-		b, n := be.Run(), ge.Run()
+		be, _ := ga.NewContext(s, obj, dataset.AdaptContext(eval), cfg, nil)
+		ge, _ := ga.NewContext(s, obj, dataset.AdaptContext(eval), cfg, g)
+		b, err := be.RunContext(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := ge.RunContext(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
 		// Target: within 10 of optimum 5.
 		if e := b.EvalsToReach(obj, 15); e >= 0 {
 			baseTot += e

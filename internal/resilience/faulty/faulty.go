@@ -123,12 +123,8 @@ type Injector struct {
 	injected [5]atomic.Int64 // per-Class injection counts (Clean = passthroughs)
 }
 
-// New wraps a plain evaluator; see NewContext.
-func New(space *param.Space, inner dataset.Evaluator, cfg Config) (*Injector, error) {
-	return NewContext(space, dataset.AdaptContext(inner), cfg)
-}
-
-// NewContext builds an injector around a context-aware evaluator.
+// NewContext builds an injector around a context-aware evaluator (a plain
+// one goes through dataset.AdaptContext).
 func NewContext(space *param.Space, inner dataset.ContextEvaluator, cfg Config) (*Injector, error) {
 	if space == nil || inner == nil {
 		return nil, fmt.Errorf("faulty: space and inner evaluator are required")

@@ -27,18 +27,19 @@ func testSpace(t *testing.T) *param.Space {
 	return space
 }
 
-func cleanEval(pt param.Point) (metrics.Metrics, error) {
+// cleanEval is the fault-free evaluator the injector wraps.
+var cleanEval = dataset.AdaptContext(func(pt param.Point) (metrics.Metrics, error) {
 	return metrics.Metrics{"score": float64(pt[0]*pt[1] + pt[0])}, nil
-}
+})
 
 func TestClassifyDeterministicAndOrderFree(t *testing.T) {
 	space := testSpace(t)
 	cfg := Config{TransientRate: 0.2, PermanentRate: 0.1, HangRate: 0.05, NaNRate: 0.05, Seed: 9}
-	a, err := New(space, cleanEval, cfg)
+	a, err := NewContext(space, cleanEval, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _ := New(space, cleanEval, cfg)
+	b, _ := NewContext(space, cleanEval, cfg)
 
 	counts := map[Class]int{}
 	total := 0
@@ -68,7 +69,7 @@ func TestClassifyDeterministicAndOrderFree(t *testing.T) {
 
 	// A different seed reshuffles assignments.
 	cfg.Seed = 10
-	c, _ := New(space, cleanEval, cfg)
+	c, _ := NewContext(space, cleanEval, cfg)
 	same := 0
 	for x := 0; x < 16; x++ {
 		for y := 0; y < 16; y++ {
@@ -104,7 +105,7 @@ func TestConfigValidate(t *testing.T) {
 
 func TestTransientFaultsFirstNAttempts(t *testing.T) {
 	space := testSpace(t)
-	in, err := New(space, cleanEval, Config{TransientRate: 1, TransientFailures: 2, Seed: 1})
+	in, err := NewContext(space, cleanEval, Config{TransientRate: 1, TransientFailures: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +119,7 @@ func TestTransientFaultsFirstNAttempts(t *testing.T) {
 	if err != nil {
 		t.Fatalf("attempt 3: %v, want success", err)
 	}
-	want, _ := cleanEval(pt)
+	want, _ := cleanEval(context.Background(), pt)
 	if m["score"] != want["score"] {
 		t.Errorf("score = %v, want %v", m["score"], want["score"])
 	}
@@ -131,12 +132,12 @@ func TestPermanentAndNaNModes(t *testing.T) {
 	space := testSpace(t)
 	pt := param.Point{2, 3}
 
-	perm, _ := New(space, cleanEval, Config{PermanentRate: 1})
+	perm, _ := NewContext(space, cleanEval, Config{PermanentRate: 1})
 	if _, err := perm.Evaluate(context.Background(), pt); err == nil || dataset.IsTransient(err) {
 		t.Errorf("permanent mode: got %v, want hard error", err)
 	}
 
-	nan, _ := New(space, cleanEval, Config{NaNRate: 1})
+	nan, _ := NewContext(space, cleanEval, Config{NaNRate: 1})
 	m, err := nan.Evaluate(context.Background(), pt)
 	if err != nil {
 		t.Fatal(err)
@@ -148,7 +149,7 @@ func TestPermanentAndNaNModes(t *testing.T) {
 
 func TestHangRespectsContext(t *testing.T) {
 	space := testSpace(t)
-	in, _ := New(space, cleanEval, Config{HangRate: 1})
+	in, _ := NewContext(space, cleanEval, Config{HangRate: 1})
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
 	start := time.Now()
@@ -166,7 +167,7 @@ func TestHangRespectsContext(t *testing.T) {
 // retries, and ends up quarantined.
 func TestHangThenQuarantine(t *testing.T) {
 	space := testSpace(t)
-	in, _ := New(space, cleanEval, Config{HangRate: 1})
+	in, _ := NewContext(space, cleanEval, Config{HangRate: 1})
 	sup, err := resilience.NewSupervisor(space, in.Evaluate, resilience.Policy{
 		Timeout:     2 * time.Millisecond,
 		MaxAttempts: 2,
@@ -200,13 +201,16 @@ func TestTransientFaultsDoNotPerturbSearch(t *testing.T) {
 	obj := metrics.MaximizeMetric("score")
 	cfg := ga.Config{PopulationSize: 8, Generations: 15, Seed: 77, Parallelism: 4}
 
-	clean, err := ga.New(space, obj, cleanEval, cfg, nil)
+	clean, err := ga.NewContext(space, obj, cleanEval, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := clean.Run()
+	want, err := clean.RunContext(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	in, err := New(space, cleanEval, Config{TransientRate: 0.25, TransientFailures: 2, Seed: 3})
+	in, err := NewContext(space, cleanEval, Config{TransientRate: 0.25, TransientFailures: 2, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +221,7 @@ func TestTransientFaultsDoNotPerturbSearch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	faulted, err := ga.NewContext(space, obj, sup.Evaluator(), cfg, nil)
+	faulted, err := ga.NewContext(space, obj, sup.Evaluate, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

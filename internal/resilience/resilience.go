@@ -173,9 +173,13 @@ type Supervisor struct {
 	breakerOpen    *telemetry.Gauge
 }
 
-// NewSupervisor builds a supervisor over a context-aware evaluator. reg
-// receives the supervisor's counters (retries, timeouts, breaker state); a
-// nil reg records into a private registry.
+// NewSupervisor builds a supervisor over a context-aware evaluator (a
+// plain one goes through dataset.AdaptContext; deadlines then only bound
+// the attempt budget, they cannot interrupt a stuck call). reg receives
+// the supervisor's counters (retries, timeouts, breaker state); a nil reg
+// records into a private registry. Its Evaluate method is the supervised
+// evaluator, ready for dataset.NewCacheContext or core.SearchRequest's
+// EvaluateCtx.
 func NewSupervisor(space *param.Space, eval dataset.ContextEvaluator, policy Policy, reg *telemetry.Registry) (*Supervisor, error) {
 	if space == nil || eval == nil {
 		return nil, errors.New("resilience: nil space or evaluator")
@@ -202,21 +206,6 @@ func NewSupervisor(space *param.Space, eval dataset.ContextEvaluator, policy Pol
 		quarantineHits: reg.Counter(MetricQuarantineHits),
 		breakerOpen:    reg.Gauge("resilience.breaker_open"),
 	}, nil
-}
-
-// Supervise wraps a plain (context-blind) evaluator; deadlines then only
-// bound the attempt budget, they cannot interrupt a stuck call.
-func Supervise(space *param.Space, eval dataset.Evaluator, policy Policy, reg *telemetry.Registry) (*Supervisor, error) {
-	if eval == nil {
-		return nil, errors.New("resilience: nil space or evaluator")
-	}
-	return NewSupervisor(space, dataset.AdaptContext(eval), policy, reg)
-}
-
-// Evaluator returns the supervised evaluation function, ready for
-// dataset.NewCacheContext or ga.NewContext.
-func (s *Supervisor) Evaluator() dataset.ContextEvaluator {
-	return s.Evaluate
 }
 
 // PlainEvaluator adapts the supervisor for context-blind callers (e.g.

@@ -302,7 +302,7 @@ func ckptEngine(t *testing.T, space *param.Space, cfg ga.Config) *ga.Engine {
 		}
 		return metrics.Metrics{"score": float64(a*b + a)}, nil
 	}
-	engine, err := ga.New(space, metrics.MaximizeMetric("score"), eval, cfg, nil)
+	engine, err := ga.NewContext(space, metrics.MaximizeMetric("score"), dataset.AdaptContext(eval), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,10 +376,10 @@ func TestLoadValidation(t *testing.T) {
 // process-equivalent, and finish to the byte-identical ga.Result.
 func TestFileResumeByteIdentical(t *testing.T) {
 	space := supSpace(t)
-	want := func() ga.Result {
-		engine := ckptEngine(t, space, ckptCfg(11))
-		return engine.Run()
-	}()
+	want, err := ckptEngine(t, space, ckptCfg(11)).RunContext(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	path := filepath.Join(t.TempDir(), "ck.json")
 	ctx, cancel := context.WithCancel(context.Background())

@@ -38,19 +38,12 @@ func (c AnnealConfig) withDefaults() AnnealConfig {
 	return c
 }
 
-// Anneal runs simulated annealing over the space: a single-point walk that
-// accepts worsening moves with probability exp(-delta/T) under a cooling
-// schedule.
-func Anneal(space *param.Space, obj metrics.Objective, eval dataset.Evaluator, cfg AnnealConfig) (ga.Result, error) {
-	return AnnealCtx(context.Background(), space, obj, dataset.AdaptContext(eval), cfg)
-}
-
-// AnnealCtx is Anneal for a context-aware evaluator, the form the portfolio
-// racer drives: the run context reaches every evaluation (so layered
+// AnnealCtx runs simulated annealing over the space: a single-point walk
+// that accepts worsening moves with probability exp(-delta/T) under a
+// cooling schedule. The run context reaches every evaluation (so layered
 // shared caches and supervised evaluators can honor deadlines), and
 // cancellation stops the walk at the next step with Interrupted set on the
-// partial result. The RNG draw sequence is identical to Anneal's, so both
-// entry points produce byte-identical results for the same inputs.
+// partial result. A plain evaluator goes through dataset.AdaptContext.
 func AnnealCtx(ctx context.Context, space *param.Space, obj metrics.Objective, eval dataset.ContextEvaluator, cfg AnnealConfig) (ga.Result, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Budget < 2 {

@@ -34,7 +34,7 @@ func TestAnnealDeterministicOverSharedHashedCache(t *testing.T) {
 	space, eval, obj := annealSpace()
 	cfg := AnnealConfig{Budget: 120, Seed: 9}
 
-	solo, err := Anneal(space, obj, eval, cfg)
+	solo, err := annealPlain(space, obj, eval, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,18 +1,27 @@
 package search
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
 
+	"nautilus/internal/dataset"
+	"nautilus/internal/ga"
 	"nautilus/internal/metrics"
 	"nautilus/internal/param"
 )
 
+// annealPlain runs AnnealCtx over a plain evaluator under a background
+// context.
+func annealPlain(space *param.Space, obj metrics.Objective, eval dataset.Evaluator, cfg AnnealConfig) (ga.Result, error) {
+	return AnnealCtx(context.Background(), space, obj, dataset.AdaptContext(eval), cfg)
+}
+
 func TestAnnealFindsGoodSolutions(t *testing.T) {
 	s, eval := costSpace()
 	obj := metrics.MinimizeMetric("cost")
-	res, err := Anneal(s, obj, eval, AnnealConfig{Budget: 250, Seed: 3})
+	res, err := annealPlain(s, obj, eval, AnnealConfig{Budget: 250, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +57,7 @@ func TestAnnealEscapesLocalOptimum(t *testing.T) {
 	obj := metrics.MinimizeMetric("cost")
 	found := 0
 	for seed := int64(0); seed < 10; seed++ {
-		res, err := Anneal(s, obj, eval, AnnealConfig{Budget: 20, Seed: seed, Restarts: 2})
+		res, err := annealPlain(s, obj, eval, AnnealConfig{Budget: 20, Seed: seed, Restarts: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,11 +73,11 @@ func TestAnnealEscapesLocalOptimum(t *testing.T) {
 func TestAnnealDeterministic(t *testing.T) {
 	s, eval := costSpace()
 	obj := metrics.MinimizeMetric("cost")
-	a, err := Anneal(s, obj, eval, AnnealConfig{Budget: 100, Seed: 9})
+	a, err := annealPlain(s, obj, eval, AnnealConfig{Budget: 100, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _ := Anneal(s, obj, eval, AnnealConfig{Budget: 100, Seed: 9})
+	b, _ := annealPlain(s, obj, eval, AnnealConfig{Budget: 100, Seed: 9})
 	if a.BestValue != b.BestValue || a.DistinctEvals != b.DistinctEvals {
 		t.Error("annealing not deterministic per seed")
 	}
@@ -82,7 +91,7 @@ func TestAnnealSurvivesInfeasible(t *testing.T) {
 		}
 		return eval(pt)
 	}
-	res, err := Anneal(s, metrics.MinimizeMetric("cost"), spiky, AnnealConfig{Budget: 200, Seed: 4})
+	res, err := annealPlain(s, metrics.MinimizeMetric("cost"), spiky, AnnealConfig{Budget: 200, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +102,7 @@ func TestAnnealSurvivesInfeasible(t *testing.T) {
 
 func TestAnnealRejectsBadBudget(t *testing.T) {
 	s, eval := costSpace()
-	if _, err := Anneal(s, metrics.MinimizeMetric("cost"), eval, AnnealConfig{Budget: 1}); err == nil {
+	if _, err := annealPlain(s, metrics.MinimizeMetric("cost"), eval, AnnealConfig{Budget: 1}); err == nil {
 		t.Error("budget 1 accepted")
 	}
 }
@@ -101,7 +110,7 @@ func TestAnnealRejectsBadBudget(t *testing.T) {
 func TestAnnealTrajectoryMonotone(t *testing.T) {
 	s, eval := costSpace()
 	obj := metrics.MinimizeMetric("cost")
-	res, err := Anneal(s, obj, eval, AnnealConfig{Budget: 300, Seed: 5})
+	res, err := annealPlain(s, obj, eval, AnnealConfig{Budget: 300, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -171,6 +171,7 @@ func (s *Server) runClusterIsland(ctx context.Context, spec cluster.IslandSpec) 
 		Generations:    js.Generations,
 		Seed:           spec.Seed,
 		Parallelism:    js.Parallelism,
+		Migration:      spec.Exchange(s.clusterNode()),
 	}
 	res, err := core.Search(ctx, core.SearchRequest{
 		Space:       entry.Space,
@@ -179,7 +180,7 @@ func (s *Server) runClusterIsland(ctx context.Context, spec cluster.IslandSpec) 
 		Objectives:  objs,
 		EvaluateCtx: eval,
 		Config:      cfg,
-	}, core.WithGuidance(guid), core.WithMigration(spec.Exchange(s.clusterNode())))
+	}, core.WithGuidance(guid))
 	if err != nil {
 		return cluster.IslandResult{}, err
 	}

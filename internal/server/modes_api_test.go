@@ -2,8 +2,10 @@ package server
 
 import (
 	"context"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -193,6 +195,50 @@ func TestPortfolioSessionAPI(t *testing.T) {
 		if !strings.Contains(string(metricsBody), fam) {
 			t.Errorf("family %s missing from /metrics after a portfolio session", fam)
 		}
+	}
+}
+
+// TestPortfolioMatchesSolo checks that a served portfolio race reports
+// what the same race run alone reports: every strategy layers on the
+// race's shared dedup tier, so the merged accounting covers all three
+// strategies, not only the annealer.
+func TestPortfolioMatchesSolo(t *testing.T) {
+	for _, par := range []int{1, 2} {
+		t.Run(fmt.Sprintf("par=%d", par), func(t *testing.T) {
+			spec := JobSpec{
+				IP:          "fft",
+				Query:       "min-luts",
+				Mode:        core.ModePortfolio,
+				Guidance:    catalog.GuidanceStrong,
+				Generations: 20,
+				Population:  10,
+				Seed:        3,
+				Parallelism: par,
+			}
+			want, _ := soloRun(t, spec)
+			s := newTestServer(t, Options{})
+			defer s.Drain(context.Background())
+			st, err := s.Submit(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if final := waitDone(t, s, st.ID); final.State != StateDone {
+				t.Fatalf("portfolio job ended %s: %s", final.State, final.Error)
+			}
+			got, err := s.Result(st.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.DistinctEvals != want.DistinctEvals || got.TotalQueries != want.Cache.Total ||
+				got.CacheHits != want.Cache.Hits || got.BestValue != want.BestValue {
+				t.Errorf("served distinct/queries/hits/best %d/%d/%d/%v, solo %d/%d/%d/%v",
+					got.DistinctEvals, got.TotalQueries, got.CacheHits, got.BestValue,
+					want.DistinctEvals, want.Cache.Total, want.Cache.Hits, want.BestValue)
+			}
+			if !reflect.DeepEqual(got.Portfolio, want.Portfolio) {
+				t.Errorf("served outcomes %+v, solo %+v", got.Portfolio, want.Portfolio)
+			}
+		})
 	}
 }
 

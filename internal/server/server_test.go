@@ -36,6 +36,7 @@ func soloRun(t *testing.T, spec JobSpec) (ga.Result, string) {
 	}
 	res, err := core.Search(context.Background(), core.SearchRequest{
 		Space:     entry.Space,
+		Mode:      spec.Mode,
 		Objective: entry.Objective,
 		Evaluate:  entry.Eval,
 		Config: ga.Config{
