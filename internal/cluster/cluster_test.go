@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
+	"reflect"
 	"sync/atomic"
 	"testing"
 
@@ -97,13 +99,22 @@ func newTestCluster(t *testing.T, net faultnet.Network, ids []string, tune func(
 			if err := json.Unmarshal(spec.Payload, &p); err != nil {
 				return IslandResult{}, err
 			}
+			// Like a server's islands, each generation's misses reach the
+			// shared cache - and its peer-owned ones the ring - as one batch.
 			eval := func(ectx context.Context, pt param.Point) (metrics.Metrics, error) {
 				return tn.cache.EvaluateCtx(ectx, pt)
+			}
+			batch := func(ectx context.Context, pts []param.Point) ([]metrics.Metrics, []error) {
+				ms := make([]metrics.Metrics, len(pts))
+				errs := make([]error, len(pts))
+				_ = tn.cache.EvaluateBatchCtx(ectx, nil, pts, ms, errs, 1)
+				return ms, errs
 			}
 			cfg := ga.Config{
 				Seed:           spec.Seed,
 				Generations:    p.Generations,
 				PopulationSize: p.Population,
+				BatchBackend:   batch,
 				Migration:      spec.Exchange(tn.node),
 			}
 			eng, err := ga.NewContext(space, metrics.MinimizeMetric("cost"), eval, cfg, nil)
@@ -266,28 +277,43 @@ func TestIslandSeedDistinct(t *testing.T) {
 	}
 }
 
-// TestRPCCodecRoundTrip pins the binary eval codec.
+// TestRPCCodecRoundTrip pins the binary eval codec: a batch request and
+// its per-point reply survive a round trip, and truncated input is
+// refused.
 func TestRPCCodecRoundTrip(t *testing.T) {
-	pt := param.Point{3, 12, 7, 9}
-	ip, hash, got, err := decodeEvalRequest(encodeEvalRequest("soc/noc", 0xdeadbeefcafe, pt))
+	req := evalBatch{
+		ip:     "soc/noc",
+		hashes: []uint64{0xdeadbeefcafe, 7},
+		pts:    []param.Point{{3, 12, 7, 9}, {0, -1, math.MaxInt32, 5}},
+	}
+	got, err := decodeEvalBatch(req.encode())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ip != "soc/noc" || hash != 0xdeadbeefcafe || !got.Equal(pt) {
-		t.Fatalf("round trip: ip=%q hash=%x pt=%v", ip, hash, got)
+	if !reflect.DeepEqual(got, req) {
+		t.Fatalf("request round trip: %+v, want %+v", got, req)
 	}
-	m := metrics.Metrics{"cost": 1.5, "fmax_mhz": 250, "luts": 1200}
-	back, err := decodeMetrics(encodeMetrics(m))
+	items := []evalItem{
+		{status: statusOK, m: metrics.Metrics{"cost": 1.5, "fmax_mhz": 250, "luts": 1200}},
+		{status: statusErr, err: "infeasible"},
+		{status: statusMiss},
+		{status: statusOK, m: metrics.Metrics{}},
+	}
+	reply := encodeEvalReply(items)
+	back, err := decodeEvalReply(reply)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(back) != len(m) || back["cost"] != 1.5 || back["fmax_mhz"] != 250 {
-		t.Fatalf("metrics round trip: %v", back)
+	if !reflect.DeepEqual(back, items) {
+		t.Fatalf("reply round trip: %+v, want %+v", back, items)
 	}
-	if _, err := decodeMetrics([]byte{0x00}); err == nil {
+	if _, _, err := decodeMetrics([]byte{0x00}); err == nil {
 		t.Error("truncated metrics accepted")
 	}
-	if _, _, _, err := decodeEvalRequest([]byte{0x00, 0x02, 'h'}); err == nil {
+	if _, err := decodeEvalBatch([]byte{0x00, 0x02, 'h'}); err == nil {
 		t.Error("truncated request accepted")
+	}
+	if _, err := decodeEvalReply(reply[:len(reply)-1]); err == nil {
+		t.Error("truncated reply accepted")
 	}
 }

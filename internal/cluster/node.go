@@ -21,14 +21,16 @@ import (
 // nautilus_cluster_*). They are registered only when a node is given a
 // Registry, so a solo server's metric families are unchanged.
 const (
-	// MetricFallbacks counts remote cache lookups that degraded to local
-	// evaluation (peer unreachable, partitioned, or declining) - the
-	// partition-degradation signal the faultnet tests pin.
+	// MetricFallbacks counts design points whose remote cache lookup
+	// degraded to local evaluation (peer unreachable, partitioned, or
+	// declining) - the partition-degradation signal the faultnet tests
+	// pin. A failed opEval frame counts each of its points once.
 	MetricFallbacks = "cluster.fallbacks"
 	// MetricRemoteHits counts design points resolved by a peer instead of
 	// a local evaluation - cluster-wide cache dedup at work.
 	MetricRemoteHits = "cluster.remote_hits"
-	// MetricServed counts opEval requests this node answered for peers.
+	// MetricServed counts design points this node looked up for peers'
+	// opEval frames.
 	MetricServed = "cluster.served"
 	// MetricMigrantsSent / MetricMigrantsRecv count island-model migrants
 	// shipped and adopted.
@@ -291,48 +293,63 @@ func (n *Node) serveConn(c net.Conn) {
 // otherwise bounce the lookup onward.
 type noForwardKey struct{}
 
-// handleEval answers a peer's cache lookup: resolve the shared cache for
-// the IP, verify the genome, and evaluate through the cache (hitting its
-// memo or paying the local evaluator - this node owns the hash, so the
-// cost lands here by design). Transient failures and unknown IPs decline
-// with statusMiss so the asker falls back to local evaluation instead of
-// memoizing a transport artifact.
+// handleEval answers a peer's batch of cache lookups: resolve the shared
+// cache for the IP, verify each genome against the space and its hash, and
+// look the verified points up in one batch (hitting the cache's memo or
+// paying the local evaluator - this node owns the hashes, so the cost
+// lands here by design). Points that fail verification, transient
+// failures and unknown IPs are declined with statusMiss so the asker
+// falls back to local evaluation instead of memoizing a transport
+// artifact.
 func (n *Node) handleEval(payload []byte) (byte, []byte) {
-	ip, hash, pt, err := decodeEvalRequest(payload)
+	req, err := decodeEvalBatch(payload)
 	if err != nil {
 		return statusErr, []byte(err.Error())
 	}
 	if n.opts.Caches == nil {
 		return statusMiss, nil
 	}
-	cache, space, ok := n.opts.Caches(ip)
-	if !ok || space.Len() != len(pt) {
+	cache, space, ok := n.opts.Caches(req.ip)
+	if !ok {
 		return statusMiss, nil
 	}
-	for i, v := range pt {
-		if v < 0 || v >= space.Param(i).Card() {
-			return statusMiss, nil
+	// Only verified points reach the cache: they move to the front of the
+	// request, and valid maps each back to its reply item.
+	items := make([]evalItem, len(req.pts))
+	var valid []int
+	for k, pt := range req.pts {
+		items[k].status = statusMiss
+		if validPoint(space, req.hashes[k], pt) {
+			req.hashes[len(valid)], req.pts[len(valid)] = req.hashes[k], pt
+			valid = append(valid, k)
 		}
 	}
-	if space.Hash64(pt) != hash {
-		return statusMiss, nil
-	}
-	inc(n.served)
+	add(n.served, int64(len(valid)))
+	ms := make([]metrics.Metrics, len(valid))
+	errs := make([]error, len(valid))
 	ctx := context.WithValue(n.baseCtx, noForwardKey{}, true)
-	m, err := cache.EvaluateHashedCtx(ctx, hash, pt)
-	switch {
-	case err == nil:
-		return statusOK, encodeMetrics(m)
-	case dataset.IsTransient(err):
-		return statusMiss, nil
-	default:
-		return statusErr, []byte(err.Error())
+	_ = cache.EvaluateBatchCtx(ctx, req.hashes[:len(valid)], req.pts[:len(valid)], ms, errs, len(valid))
+	for j, k := range valid {
+		switch {
+		case errs[j] == nil:
+			items[k] = evalItem{status: statusOK, m: ms[j]}
+		case !dataset.IsTransient(errs[j]):
+			items[k] = evalItem{status: statusErr, err: errs[j].Error()}
+		}
 	}
+	return statusOK, encodeEvalReply(items)
+}
+
+// validPoint reports whether pt is a genome of space - one in-range value
+// per parameter - whose genome hash is hash. Only such points may reach a
+// cache lookup.
+func validPoint(space *param.Space, hash uint64, pt param.Point) bool {
+	return space.Validate(pt) == nil && space.Hash64(pt) == hash
 }
 
 // RemoteFor returns the dataset.Remote tier that routes ip's cache misses
-// to their ring owners. Attach it with cache.SetRemote; on any failure it
-// declines (ok=false) and the cache evaluates locally.
+// to their ring owners. Attach it with cache.SetRemote; a point it cannot
+// get answered is evaluated by the cache locally.
 func (n *Node) RemoteFor(ip string) dataset.Remote {
 	return remoteTier{n: n, ip: ip}
 }
@@ -342,42 +359,66 @@ type remoteTier struct {
 	ip string
 }
 
-// Lookup implements dataset.Remote over the ring: not-owned hashes go to
-// their owner with one bounded RPC; everything that cannot be answered
-// definitively degrades to ok=false (local evaluation), counted in
-// cluster.fallbacks.
-func (t remoteTier) Lookup(ctx context.Context, hash uint64, pt param.Point) (metrics.Metrics, error, bool) {
-	n := t.n
+// Forwards implements dataset.Remote: a hash is forwarded when another
+// node owns it on the ring, except under an RPC-served lookup, which this
+// node always answers itself.
+func (t remoteTier) Forwards(ctx context.Context, hash uint64) bool {
 	if ctx.Value(noForwardKey{}) != nil {
-		return nil, nil, false
+		return false
 	}
-	owner := n.ring.Owner(hash)
-	if owner == "" || owner == n.opts.ID {
-		return nil, nil, false
+	owner := t.n.ring.Owner(hash)
+	return owner != "" && owner != t.n.opts.ID
+}
+
+// LookupBatch implements dataset.Remote: the forwarded points go to their
+// owners in one opEval frame per owning peer, the frames in flight
+// concurrently. A point the owner answers definitively counts in
+// cluster.remote_hits; one it declines, or whose frame fails, is left to
+// local evaluation and counts once in cluster.fallbacks.
+func (t remoteTier) LookupBatch(ctx context.Context, hashes []uint64, pts []param.Point, ms []metrics.Metrics, errs []error, ok []bool) {
+	byPeer := make(map[string][]int)
+	for k, h := range hashes {
+		owner := t.n.ring.Owner(h)
+		byPeer[owner] = append(byPeer[owner], k)
 	}
-	status, body, err := n.call(ctx, owner, opEval, encodeEvalRequest(t.ip, hash, pt))
-	if err != nil {
-		inc(n.fallbacks)
-		return nil, nil, false
+	var wg sync.WaitGroup
+	for peer, idx := range byPeer {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			req := evalBatch{ip: t.ip, hashes: make([]uint64, len(idx)), pts: make([]param.Point, len(idx))}
+			for j, k := range idx {
+				req.hashes[j], req.pts[j] = hashes[k], pts[k]
+			}
+			status, body, err := t.n.call(ctx, peer, opEval, req.encode())
+			var items []evalItem
+			if err == nil && status == statusOK {
+				items, err = decodeEvalReply(body)
+			}
+			if err != nil || status != statusOK || len(items) != len(idx) {
+				add(t.n.fallbacks, int64(len(idx)))
+				return
+			}
+			var hits int64
+			for j, k := range idx {
+				switch items[j].status {
+				case statusOK:
+					ms[k], ok[k] = items[j].m, true
+				case statusErr:
+					// A permanent evaluation error is a definitive answer: the
+					// point is infeasible cluster-wide and memoizing it here is
+					// correct.
+					errs[k], ok[k] = errors.New(items[j].err), true
+				default:
+					continue
+				}
+				hits++
+			}
+			add(t.n.remoteHits, hits)
+			add(t.n.fallbacks, int64(len(idx))-hits)
+		}()
 	}
-	switch status {
-	case statusOK:
-		m, derr := decodeMetrics(body)
-		if derr != nil {
-			inc(n.fallbacks)
-			return nil, nil, false
-		}
-		inc(n.remoteHits)
-		return m, nil, true
-	case statusErr:
-		// A permanent evaluation error is a definitive answer: the point
-		// is infeasible cluster-wide and memoizing it here is correct.
-		inc(n.remoteHits)
-		return nil, errors.New(string(body)), true
-	default: // statusMiss
-		inc(n.fallbacks)
-		return nil, nil, false
-	}
+	wg.Wait()
 }
 
 // call performs one bounded RPC round trip on the peer's persistent

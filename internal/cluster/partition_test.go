@@ -3,11 +3,16 @@ package cluster
 import (
 	"context"
 	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"nautilus/internal/dataset"
 	"nautilus/internal/faultnet"
+	"nautilus/internal/metrics"
 	"nautilus/internal/param"
+	"nautilus/internal/telemetry"
 )
 
 // TestPartitionDegradesToLocal is the faultnet satellite: a two-way
@@ -136,5 +141,96 @@ func TestPartitionDegradesToLocal(t *testing.T) {
 		if m["cost"] != want["cost"] {
 			t.Fatalf("memoized value for %v drifted: %v != %v", pt, m, want)
 		}
+	}
+}
+
+// TestCrossingBatchesComplete: two nodes each resolve, at the same
+// moment, one batch holding a point each node owns. A batch completes the
+// points its own node owns before asking the peer for the rest, so a
+// served lookup only ever waits on an evaluation already under way - never
+// on a batch that is itself waiting on an RPC to the asker. Both batches
+// finish with no fallback and one evaluation per point, long before the
+// RPC timeout a crossed wait would run into.
+func TestCrossingBatchesComplete(t *testing.T) {
+	space, rawEval := testSpace()
+	network := faultnet.NewMemory()
+	addrs := map[string]string{"alpha": "alpha:9100", "beta": "beta:9101"}
+	var evals atomic.Int64
+	caches := make(map[string]*dataset.Cache)
+	regs := make(map[string]*telemetry.Registry)
+	var ring *Ring
+	for id := range addrs {
+		cache := dataset.NewCache(space, func(pt param.Point) (metrics.Metrics, error) {
+			evals.Add(1)
+			time.Sleep(50 * time.Millisecond)
+			return rawEval(pt)
+		})
+		peers := make(map[string]string)
+		for pid, addr := range addrs {
+			if pid != id {
+				peers[pid] = addr
+			}
+		}
+		reg := telemetry.NewRegistry()
+		node, err := NewNode(Options{
+			ID: id, Addr: addrs[id], Peers: peers, Network: network, Registry: reg,
+			RPCTimeout: 2 * time.Second,
+			Caches: func(ip string) (*dataset.Cache, *param.Space, bool) {
+				return cache, space, ip == testIP
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { node.Close() })
+		cache.SetRemote(node.RemoteFor(testIP))
+		caches[id], regs[id], ring = cache, reg, node.Ring()
+	}
+
+	// One point owned by each node.
+	var batch []param.Point
+	for _, owner := range []string{"alpha", "beta"} {
+		for x := 0; ; x++ {
+			pt := param.Point{x % 16, x / 16, 5, 5}
+			if ring.Owner(space.Hash64(pt)) == owner {
+				batch = append(batch, pt)
+				break
+			}
+		}
+	}
+
+	start := make(chan struct{})
+	began := time.Now()
+	var wg sync.WaitGroup
+	for id, cache := range caches {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			ms := make([]metrics.Metrics, len(batch))
+			errs := make([]error, len(batch))
+			if err := cache.EvaluateBatchCtx(context.Background(), nil, batch, ms, errs, 1); err != nil {
+				t.Errorf("%s: batch failed: %v", id, err)
+			}
+			for k, pt := range batch {
+				want, _ := rawEval(pt)
+				if errs[k] != nil || ms[k]["cost"] != want["cost"] {
+					t.Errorf("%s: point %v answered (%v, %v), want %v", id, pt, ms[k], errs[k], want)
+				}
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if took := time.Since(began); took > time.Second {
+		t.Errorf("crossing batches took %v; a served lookup waited on its asker", took)
+	}
+	for id, reg := range regs {
+		if fb := reg.Counter(MetricFallbacks).Value(); fb != 0 {
+			t.Errorf("%s fell back to local evaluation %d times", id, fb)
+		}
+	}
+	if got := evals.Load(); got != int64(len(batch)) {
+		t.Errorf("cluster evaluated %d times for %d distinct points", got, len(batch))
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"nautilus/internal/metrics"
 	"nautilus/internal/param"
@@ -16,17 +17,19 @@ import (
 //
 // where length covers opcode+payload. Requests carry op* opcodes,
 // responses carry status* opcodes. Cache lookups (the hot path) use a
-// fixed binary payload keyed on the packed-genome uint64 hash the shard
-// tables already dispatch on; migrant and island traffic - control
-// plane, a few frames per generation at most - rides JSON payloads.
+// binary payload: one frame carries a whole batch of design points, each
+// keyed on the packed-genome uint64 hash the shard tables already
+// dispatch on, and the reply carries one status per point. Migrant and
+// island traffic - control plane, a few frames per generation at most -
+// rides JSON payloads.
 const (
-	opEval    byte = 0x01 // evaluate-or-lookup one design point
+	opEval    byte = 0x01 // evaluate-or-lookup a batch of design points
 	opMigrate byte = 0x02 // deposit migrants for an island's mailbox
 	opIsland  byte = 0x03 // run one island of a cluster session
 
 	statusOK   byte = 0x80 // payload: op-specific success body
-	statusErr  byte = 0x81 // payload: error string (permanent, memoizable for opEval)
-	statusMiss byte = 0x82 // opEval only: owner cannot answer; caller resolves locally
+	statusErr  byte = 0x81 // payload: error string (permanent, memoizable for an opEval item)
+	statusMiss byte = 0x82 // opEval: owner cannot answer; caller resolves locally
 )
 
 // maxFrame bounds a frame's length word. Island results carry whole
@@ -63,58 +66,150 @@ func readFrame(r io.Reader) (byte, []byte, error) {
 	return hdr[4], payload, nil
 }
 
-// appendString appends a u16-length-prefixed string.
+// appendString appends a u16-length-prefixed string, cut to the longest
+// prefix the length word can carry.
 func appendString(b []byte, s string) []byte {
+	if len(s) > math.MaxUint16 {
+		s = s[:math.MaxUint16]
+	}
 	b = binary.BigEndian.AppendUint16(b, uint16(len(s)))
 	return append(b, s...)
 }
 
-// encodeEvalRequest builds an opEval payload: which shared space the
-// point lives in (the catalog IP), its 64-bit genome hash, and the
-// genome itself so the owner can verify and, on a miss, evaluate.
-func encodeEvalRequest(ip string, hash uint64, pt param.Point) []byte {
-	b := make([]byte, 0, 2+len(ip)+8+2+4*len(pt))
-	b = appendString(b, ip)
-	b = binary.BigEndian.AppendUint64(b, hash)
-	b = binary.BigEndian.AppendUint16(b, uint16(len(pt)))
-	for _, v := range pt {
-		b = binary.BigEndian.AppendUint32(b, uint32(int32(v)))
+// evalBatch is an opEval request: a batch of design points in one shared
+// space (the catalog IP), each with its 64-bit genome hash so the owner
+// can verify it and, on a miss, evaluate it.
+type evalBatch struct {
+	ip     string
+	hashes []uint64
+	pts    []param.Point
+}
+
+// encode builds the opEval payload: the IP, a u32 point count and a u16
+// genome length, then per point its hash and its genes as 32-bit values.
+// The points of one batch come from one space, so they share the length.
+func (r evalBatch) encode() []byte {
+	l := 0
+	if len(r.pts) > 0 {
+		l = len(r.pts[0])
+	}
+	b := make([]byte, 0, 2+len(r.ip)+6+len(r.pts)*(8+4*l))
+	b = appendString(b, r.ip)
+	b = binary.BigEndian.AppendUint32(b, uint32(len(r.pts)))
+	b = binary.BigEndian.AppendUint16(b, uint16(l))
+	for k, pt := range r.pts {
+		b = binary.BigEndian.AppendUint64(b, r.hashes[k])
+		for _, v := range pt {
+			b = binary.BigEndian.AppendUint32(b, uint32(int32(v)))
+		}
 	}
 	return b
 }
 
-// decodeEvalRequest parses an opEval payload.
-func decodeEvalRequest(b []byte) (ip string, hash uint64, pt param.Point, err error) {
-	ip, b, err = takeString(b)
+// decodeEvalBatch parses an opEval payload. The point count and genome
+// length must account for every byte present before anything is
+// allocated for them, and an empty batch carries length 0, so every
+// accepted payload is the encoding of what it decodes to.
+func decodeEvalBatch(b []byte) (evalBatch, error) {
+	ip, b, err := takeString(b)
 	if err != nil {
-		return "", 0, nil, err
+		return evalBatch{}, err
 	}
-	if len(b) < 10 {
-		return "", 0, nil, fmt.Errorf("cluster: truncated eval request")
+	if len(b) < 6 {
+		return evalBatch{}, fmt.Errorf("cluster: truncated eval batch")
 	}
-	hash = binary.BigEndian.Uint64(b)
-	n := int(binary.BigEndian.Uint16(b[8:]))
-	b = b[10:]
-	if len(b) != 4*n {
-		return "", 0, nil, fmt.Errorf("cluster: eval request genome length mismatch")
+	n, l := int(binary.BigEndian.Uint32(b)), int(binary.BigEndian.Uint16(b[4:]))
+	b = b[6:]
+	if uint64(len(b)) != uint64(n)*uint64(8+4*l) || (n == 0 && l != 0) {
+		return evalBatch{}, fmt.Errorf("cluster: eval batch of %d %d-gene points in %d bytes", n, l, len(b))
 	}
-	pt = make(param.Point, n)
-	for i := range pt {
-		pt[i] = int(int32(binary.BigEndian.Uint32(b[4*i:])))
+	r := evalBatch{ip: ip, hashes: make([]uint64, n), pts: make([]param.Point, n)}
+	genes := make([]int, n*l)
+	for k := range r.pts {
+		r.hashes[k] = binary.BigEndian.Uint64(b)
+		pt := param.Point(genes[k*l : (k+1)*l : (k+1)*l])
+		for i := range pt {
+			pt[i] = int(int32(binary.BigEndian.Uint32(b[8+4*i:])))
+		}
+		r.pts[k] = pt
+		b = b[8+4*l:]
 	}
-	return ip, hash, pt, nil
+	return r, nil
 }
 
-// encodeMetrics builds a statusOK opEval body: u16 entry count, then
-// u16-prefixed name + float64 bits per entry, in sorted-name order so
-// the encoding is canonical.
-func encodeMetrics(m metrics.Metrics) []byte {
+// evalItem is one point's answer in an opEval reply: statusOK with its
+// metrics, statusErr with its permanent error, or statusMiss when the
+// owner declines and the asker resolves the point itself.
+type evalItem struct {
+	status byte
+	m      metrics.Metrics
+	err    string
+}
+
+// encodeEvalReply builds an opEval statusOK body: a u32 item count, then
+// per item its status byte followed by its metrics (statusOK), its error
+// string (statusErr) or nothing (statusMiss).
+func encodeEvalReply(items []evalItem) []byte {
+	b := binary.BigEndian.AppendUint32(nil, uint32(len(items)))
+	for _, it := range items {
+		b = append(b, it.status)
+		switch it.status {
+		case statusOK:
+			b = appendMetrics(b, it.m)
+		case statusErr:
+			b = appendString(b, it.err)
+		}
+	}
+	return b
+}
+
+// decodeEvalReply parses an opEval statusOK body.
+func decodeEvalReply(b []byte) ([]evalItem, error) {
+	if len(b) < 4 {
+		return nil, fmt.Errorf("cluster: truncated eval reply")
+	}
+	n := binary.BigEndian.Uint32(b)
+	b = b[4:]
+	if uint64(n) > uint64(len(b)) {
+		return nil, fmt.Errorf("cluster: eval reply of %d items past frame end", n)
+	}
+	items := make([]evalItem, n)
+	for k := range items {
+		if len(b) < 1 {
+			return nil, fmt.Errorf("cluster: truncated eval reply item %d", k)
+		}
+		it := &items[k]
+		it.status, b = b[0], b[1:]
+		var err error
+		switch it.status {
+		case statusOK:
+			it.m, b, err = decodeMetrics(b)
+		case statusErr:
+			it.err, b, err = takeString(b)
+		case statusMiss:
+		default:
+			err = fmt.Errorf("cluster: eval reply item %d has status 0x%02x", k, it.status)
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	if len(b) != 0 {
+		return nil, fmt.Errorf("cluster: %d trailing eval reply bytes", len(b))
+	}
+	return items, nil
+}
+
+// appendMetrics appends one metrics encoding: u16 entry count, then
+// u16-prefixed name + float64 bits per entry, in sorted-name order so the
+// encoding is canonical.
+func appendMetrics(b []byte, m metrics.Metrics) []byte {
 	names := make([]string, 0, len(m))
 	for k := range m {
 		names = append(names, k)
 	}
-	sortStrings(names)
-	b := binary.BigEndian.AppendUint16(nil, uint16(len(names)))
+	slices.Sort(names)
+	b = binary.BigEndian.AppendUint16(b, uint16(len(names)))
 	for _, k := range names {
 		b = appendString(b, k)
 		b = binary.BigEndian.AppendUint64(b, math.Float64bits(m[k]))
@@ -122,31 +217,31 @@ func encodeMetrics(m metrics.Metrics) []byte {
 	return b
 }
 
-// decodeMetrics parses a statusOK opEval body.
-func decodeMetrics(b []byte) (metrics.Metrics, error) {
+// decodeMetrics parses one metrics encoding from the front of b and
+// returns the rest. The map's size hint is capped by the entries the
+// bytes present can hold (each takes at least a 2-byte name length and an
+// 8-byte value), so a forged count costs nothing.
+func decodeMetrics(b []byte) (metrics.Metrics, []byte, error) {
 	if len(b) < 2 {
-		return nil, fmt.Errorf("cluster: truncated metrics")
+		return nil, nil, fmt.Errorf("cluster: truncated metrics")
 	}
 	n := int(binary.BigEndian.Uint16(b))
 	b = b[2:]
-	m := make(metrics.Metrics, n)
+	m := make(metrics.Metrics, min(n, len(b)/10))
 	for i := 0; i < n; i++ {
 		var k string
 		var err error
 		k, b, err = takeString(b)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if len(b) < 8 {
-			return nil, fmt.Errorf("cluster: truncated metric value")
+			return nil, nil, fmt.Errorf("cluster: truncated metric value")
 		}
 		m[k] = math.Float64frombits(binary.BigEndian.Uint64(b))
 		b = b[8:]
 	}
-	if len(b) != 0 {
-		return nil, fmt.Errorf("cluster: %d trailing metric bytes", len(b))
-	}
-	return m, nil
+	return m, b, nil
 }
 
 // takeString consumes a u16-length-prefixed string.
@@ -159,14 +254,4 @@ func takeString(b []byte) (string, []byte, error) {
 		return "", nil, fmt.Errorf("cluster: string length %d past frame end", n)
 	}
 	return string(b[2 : 2+n]), b[2+n:], nil
-}
-
-// sortStrings is a tiny insertion sort; metric maps hold a handful of
-// entries and this keeps the codec dependency-free.
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

@@ -226,9 +226,10 @@ func supervisedFaultyEval(t *testing.T, gc goldenCase, eval dataset.ContextEvalu
 	return sup.Evaluate
 }
 
-// dispatchVariant is one way of routing a run's evaluations to its cache:
-// the engine looks points up inline at parallelism 1 with no batch
-// backend, and submits whole generations as batches otherwise.
+// dispatchVariant is one way of running a search's evaluations: every
+// generation is one cache batch, whose misses are evaluated on the calling
+// goroutine at parallelism 1, on pool workers above it, or by a batch
+// backend.
 type dispatchVariant struct {
 	name    string
 	par     int
@@ -237,8 +238,7 @@ type dispatchVariant struct {
 }
 
 func dispatchVariants(eval dataset.ContextEvaluator) []dispatchVariant {
-	// backend answers each residual-miss batch point by point, which routes
-	// a parallelism-1 run through the batch path.
+	// backend answers each generation's misses point by point in one call.
 	backend := func(ctx context.Context, pts []param.Point) ([]metrics.Metrics, []error) {
 		ms, errs := make([]metrics.Metrics, len(pts)), make([]error, len(pts))
 		for i, pt := range pts {
@@ -247,8 +247,8 @@ func dispatchVariants(eval dataset.ContextEvaluator) []dispatchVariant {
 		return ms, errs
 	}
 	return []dispatchVariant{
-		{name: "inline/par=1", par: 1},
-		{name: "batch/par=4", par: 4},
+		{name: "par=1", par: 1},
+		{name: "par=4", par: 4},
 		{name: "batch-backend/par=1", par: 1, backend: backend},
 		{name: "every-sink/par=1", par: 1, opts: everySink()},
 		{name: "every-sink/par=4", par: 4, opts: everySink()},
@@ -265,12 +265,11 @@ func everySink() []core.SearchOption {
 }
 
 // TestSearchGolden pins the JSON Result of every golden case at seeds 1-3
-// and the generation-5 checkpoint of one run. Both sides of the engine's
-// dispatch choice (inline and batched, the latter also at parallelism 1
-// through a batch backend), runs feeding every trace sink at parallelism
-// 1 and 4, a run under 20% injected transient faults with supervision,
-// and a run resumed from its own generation-5 snapshot must all reproduce
-// the golden bytes.
+// and the generation-5 checkpoint of one run. Runs at parallelism 1 and
+// 4, through a batch backend, feeding every trace sink at parallelism 1
+// and 4, under 20% injected transient faults with supervision, and
+// resumed from their own generation-5 snapshot must all reproduce the
+// golden bytes.
 func TestSearchGolden(t *testing.T) {
 	for _, gc := range goldenCases(t) {
 		for seed := int64(1); seed <= 3; seed++ {

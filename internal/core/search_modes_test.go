@@ -141,8 +141,7 @@ func TestParetoNoCFrontExtremesMatchScalarOptima(t *testing.T) {
 }
 
 // TestParetoNoCByteIdentical pins the determinism contract on the NoC
-// acceptance scenario: deeply identical results at -par 1 (inline
-// lookups) and -par 8 (batched generations).
+// acceptance scenario: deeply identical results at -par 1 and -par 8.
 func TestParetoNoCByteIdentical(t *testing.T) {
 	luts, _, objs := nocBiObjective(t)
 	run := func(par int) ga.Result {

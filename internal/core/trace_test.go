@@ -82,16 +82,14 @@ func checkTracedRun(t *testing.T, par int) {
 
 	// The traced run must actually have produced spans, or the invariant
 	// test is vacuous: every phase of the span taxonomy shows up in the
-	// duration histograms. The inline (parallelism 1) path resolves each
-	// point on its own, without cache.batch phases.
+	// duration histograms, the cache's batch phases included at every
+	// parallelism.
 	snap := durs.Hists.Snapshot()
 	names := []string{
 		"ga.generation", "ga.dispatch",
 		"ga.selection", "ga.crossover", "ga.mutation",
+		"cache.batch", "cache.probe", "cache.fanout",
 		"resilience.evaluate", "resilience.attempt",
-	}
-	if par > 1 {
-		names = append(names, "cache.batch")
 	}
 	for _, name := range names {
 		h, ok := snap[name]

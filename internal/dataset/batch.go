@@ -1,22 +1,21 @@
-// Batched evaluation pipeline.
+// Lookup resolution.
 //
 // The Nautilus deployment model makes evaluation the cost that dwarfs every
 // other: one design point is a minutes-to-hours synthesis job, and a GA
-// generation asks for a whole population of them at once. Dispatching those
-// requests one point at a time - a lock acquisition, a singleflight slot,
-// and a goroutine handoff per point - is pure overhead the moment the
-// answers come from a warm cache. The batch path below keeps the cache's
-// accounting and singleflight semantics bit-for-bit, but amortizes the
-// bookkeeping from O(points) to O(batches): one counter update per batch,
-// one lock acquisition per touched shard, and one pool fan-out over only
-// the residual misses. A batch is resolved entirely on 64-bit genome
-// hashes - no string key is built anywhere on the path, and every hit is
-// verified against the stored packed genome.
+// generation asks for a whole population of them at once. A Cache answers
+// every lookup through one resolver - a point lookup is a batch of one -
+// that probes each request under its shard lock, hands the batch's misses
+// down to the next tier in one call each (the batch backend or a fan-out
+// over the evaluator, and the remote tier for points another node owns),
+// and waits on points other callers already have in flight. A batch is resolved entirely on 64-bit
+// genome hashes - no string key is built anywhere on the path, and every
+// hit is verified against the stored packed genome.
 package dataset
 
 import (
 	"context"
 	"fmt"
+	"sync"
 	"time"
 
 	"nautilus/internal/metrics"
@@ -35,432 +34,347 @@ import (
 // retry later, never memoize.
 type BatchEvaluator func(ctx context.Context, pts []param.Point) ([]metrics.Metrics, []error)
 
-// SetBatchBackend routes the batch path's residual cache misses through b in
-// one call instead of fanning them out over the cache's own single-point
-// evaluator. This is how caches stack: a session-private cache hands its
-// misses to the process-wide shared cache as a single batch, so concurrent
-// sessions searching the same space merge their in-flight generations
-// instead of colliding point by point. Call it before the cache is shared
-// across goroutines; a nil backend restores the single-point fan-out.
+// SetBatchBackend routes the cache's misses through b in one call per
+// batch instead of fanning them out over the cache's own evaluator. This
+// is how caches stack: a session-private cache hands its misses to the
+// process-wide shared cache as a single batch, so concurrent sessions
+// searching the same space merge their in-flight generations instead of
+// colliding point by point. Call it before the cache is shared across
+// goroutines; a nil backend restores the fan-out.
 func (c *Cache) SetBatchBackend(b BatchEvaluator) {
 	c.batch = b
 }
 
-// EvaluateBatchCtx is the batch analogue of EvaluateCtx: one call resolves
-// every point of the batch. See EvaluateBatchHashedCtx for the per-item
-// semantics.
-func (c *Cache) EvaluateBatchCtx(ctx context.Context, pts []param.Point, par int) ([]metrics.Metrics, []error, error) {
-	return c.EvaluateBatchHashedCtx(ctx, nil, pts, par)
-}
-
-// EvaluateBatchHashedCtx resolves a whole batch of lookups in one sharded
-// pass: hashes[i] must be pts[i]'s genome hash (param.Space.Hash64), and a
-// nil hashes slice asks the cache to compute them. Semantics per item are
-// exactly EvaluateHashedCtx's - the batch and single-point paths are
-// interchangeable and their deterministic accounting (Stats) is identical
-// for the same request stream - but the costs are amortized:
+// EvaluateBatchCtx resolves a batch of lookups in one pass, writing pts[i]'s
+// outcome to ms[i] and errs[i]. hashes[i] must be pts[i]'s genome hash
+// (param.Space.Hash64); a nil hashes slice asks the cache to compute them.
+// Every lookup is counted, and each request is one of:
 //
-//   - one Total update per batch instead of one per lookup;
-//   - duplicate points within the batch collapse to a single resolution
-//     before any lock is taken;
-//   - each cache shard is locked once for all its points, not once per
-//     point;
-//   - only the residual misses (not in the cache, not in flight anywhere)
-//     are evaluated, fanned out on up to par pool workers - or handed to
-//     the batch backend (SetBatchBackend) in a single call;
-//   - points another goroutine is already evaluating are merged: the
-//     batch waits on the in-flight result instead of re-dispatching.
+//   - a hit: the point is memoized, or an earlier request of this batch
+//     owns it;
+//   - a miss: the batch owns the point and resolves it - in one call to
+//     the batch backend (SetBatchBackend) or a fan-out over the evaluator
+//     on up to par pool workers, or, for a point the remote tier
+//     (SetRemote) forwards, in one call to that tier, evaluating locally
+//     whatever it cannot answer;
+//   - a singleflight-deduplicated wait: another caller is already
+//     resolving the point, and the batch waits for its outcome instead of
+//     evaluating it again.
 //
-// The returned slices are index-aligned with pts. The final error is nil
-// unless ctx was canceled, in which case the batch is incomplete and must
-// be discarded (per-item transient errors mark the affected items).
-func (c *Cache) EvaluateBatchHashedCtx(ctx context.Context, hashes []uint64, pts []param.Point, par int) ([]metrics.Metrics, []error, error) {
-	if hashes != nil && len(hashes) != len(pts) {
-		return nil, nil, fmt.Errorf("dataset: batch has %d hashes but %d points", len(hashes), len(pts))
-	}
-	sc := c.getScratch()
-	defer c.putScratch(sc)
-	if hashes == nil {
-		if cap(sc.hashes) < len(pts) {
-			sc.hashes = make([]uint64, len(pts))
-		}
-		hashes = sc.hashes[:len(pts)]
-		for i, pt := range pts {
-			hashes[i] = c.hashFn(pt)
-		}
-	}
-	return c.batchResolve(ctx, sc, hashes, pts, par)
-}
-
-// batchScratch is one batch resolution's reusable working state. It lives
-// in the cache's sync.Pool: after the first few generations every slice has
-// reached its steady-state capacity and a whole-batch resolution performs
-// no allocations beyond the two result slices it returns.
-type batchScratch struct {
-	uniq     []batchLookup
-	dup      []int
-	hashes   []uint64
-	uniqIdx  map[uint64]int
-	byShard  [cacheShards][]int
-	withdraw [cacheShards][]int
-	owned    []int
-	opts     []param.Point
-	oms      []metrics.Metrics
-	oerrs    []error
-	ran      []bool
-}
-
-// getScratch fetches (or lazily creates) a pooled batchScratch.
-func (c *Cache) getScratch() *batchScratch {
-	if sc, ok := c.scratch.Get().(*batchScratch); ok {
-		return sc
-	}
-	return &batchScratch{}
-}
-
-// putScratch drops every reference the scratch holds (points and cache
-// entries must not be retained by the pool) and returns it for reuse.
-func (c *Cache) putScratch(sc *batchScratch) {
-	clear(sc.uniq)
-	sc.uniq = sc.uniq[:0]
-	sc.hashes = sc.hashes[:0]
-	clear(sc.opts)
-	sc.opts = sc.opts[:0]
-	clear(sc.oms)
-	sc.oms = sc.oms[:0]
-	clear(sc.oerrs)
-	sc.oerrs = sc.oerrs[:0]
-	sc.dup = sc.dup[:0]
-	sc.owned = sc.owned[:0]
-	sc.ran = sc.ran[:0]
-	for i := range sc.byShard {
-		sc.byShard[i] = sc.byShard[i][:0]
-		sc.withdraw[i] = sc.withdraw[i][:0]
-	}
-	if sc.uniqIdx != nil {
-		clear(sc.uniqIdx)
-	}
-	c.scratch.Put(sc)
-}
-
-// linearBatchDedup is the batch size up to which duplicate collapsing uses
-// a linear scan over the unique identities (a hash compare guards the
-// genome compare) instead of a map. Generation-sized batches stay far
-// below it, and the scan beats the map's per-key hashing there.
-const linearBatchDedup = 64
-
-// batchLookup is the per-unique-point state of one batch resolution,
-// identified by its (hash, pt) pair.
-type batchLookup struct {
-	hash  uint64
-	pt    param.Point
-	shard int
-	entry *cacheEntry
-	// owned: this batch inserted the entry and must complete (or withdraw)
-	// it. wait: another goroutine's evaluation is in flight; the batch
-	// merges with it by waiting on entry.done. canceled: the wait was cut
-	// short by ctx, so the entry's fields must not be read.
-	owned    bool
-	wait     bool
-	canceled bool
-	// requests counts how many batch items resolve to this identity.
-	requests int
-}
-
-// batchResolve is the batch engine: it dedups, shards, and probes on the
-// (hash, point) identity. Per-item semantics match the single-point path;
-// see EvaluateBatchHashedCtx for the amortization contract.
-func (c *Cache) batchResolve(ctx context.Context, sc *batchScratch, hashes []uint64, pts []param.Point, par int) ([]metrics.Metrics, []error, error) {
+// A distinct point therefore costs one evaluation no matter how many
+// batches race for it. Transient outcomes (IsTransient) reach every
+// request that shares them but are never memoized. The returned error is
+// nil unless ctx was canceled, in which case the batch is incomplete and
+// must be discarded (per-item transient errors mark the affected items).
+func (c *Cache) EvaluateBatchCtx(ctx context.Context, hashes []uint64, pts []param.Point, ms []metrics.Metrics, errs []error, par int) error {
 	n := len(pts)
-	ms := make([]metrics.Metrics, n)
-	errs := make([]error, n)
+	if (hashes != nil && len(hashes) != n) || len(ms) != n || len(errs) != n {
+		return fmt.Errorf("dataset: batch of %d points has %d hashes and %d/%d result slots", n, len(hashes), len(ms), len(errs))
+	}
 	if n == 0 {
-		return ms, errs, ctx.Err()
+		return ctx.Err()
 	}
 	c.total.Add(int64(n))
 
-	// Span tracing: one cache.batch root per resolution, with dedup/probe/
-	// wait phases emitted as pre-measured children and the miss fan-out as
+	// Span tracing: one cache.batch root per batch, with the probe and wait
+	// phases emitted as pre-measured children and the miss resolution as
 	// a live child span. All timing is gated on tracing so the disabled
 	// path never reads the clock.
 	tracing := c.tracer.Enabled()
-	var batchSpan trace.Active
-	var phaseStart time.Time
+	var root trace.Active
+	var start time.Time
 	if tracing {
-		batchSpan = c.tracer.Start("cache.batch")
-		defer batchSpan.End()
-		phaseStart = time.Now()
+		root = c.tracer.Start("cache.batch")
+		start = time.Now()
 	}
-
-	// Collapse duplicates: one batchLookup per distinct point, in first-
-	// appearance order so the miss fan-out is deterministic. Generation-
-	// sized batches dedup by linear scan (a hash compare guards the genome
-	// compare); larger batches fall back to a pooled map. A map hit is
-	// still genome-verified, so an in-batch 64-bit collision splits into
-	// separate lookups instead of merging wrongly.
-	if cap(sc.dup) < n {
-		sc.dup = make([]int, n)
-	}
-	dup := sc.dup[:n] // request index -> uniq index
-	uniq := sc.uniq[:0]
-	appendUniq := func(i int) int {
-		uniq = append(uniq, batchLookup{pt: pts[i], hash: hashes[i], shard: shardForHash(hashes[i])})
-		return len(uniq) - 1
-	}
-	match := func(j, i int) bool {
-		return uniq[j].hash == hashes[i] && uniq[j].pt.Equal(pts[i])
-	}
-	if n <= linearBatchDedup {
-		for i := 0; i < n; i++ {
-			j := -1
-			for q := range uniq {
-				if match(q, i) {
-					j = q
-					break
-				}
-			}
-			if j < 0 {
-				j = appendUniq(i)
-			}
-			uniq[j].requests++
-			dup[i] = j
-		}
-	} else {
-		if sc.uniqIdx == nil {
-			sc.uniqIdx = make(map[uint64]int, n)
-		}
-		for i := 0; i < n; i++ {
-			j, ok := sc.uniqIdx[hashes[i]]
-			if ok && !match(j, i) {
-				// 64-bit collision inside one batch: scan for a true match
-				// beyond the map's first index (the map keeps the first).
-				j = -1
-				for q := range uniq {
-					if match(q, i) {
-						j = q
-						break
-					}
-				}
-				ok = j >= 0
-			}
-			if !ok {
-				j = appendUniq(i)
-				if _, exists := sc.uniqIdx[hashes[i]]; !exists {
-					sc.uniqIdx[hashes[i]] = j
-				}
-			}
-			uniq[j].requests++
-			dup[i] = j
-		}
-	}
-	sc.uniq = uniq // keep any growth for reuse
+	sc := c.probe(ctx, hashes, pts, ms, errs)
 	if tracing {
-		now := time.Now()
-		batchSpan.Emit("cache.dedup", phaseStart, now.Sub(phaseStart))
-		phaseStart = now
+		root.Emit("cache.probe", start, time.Since(start))
 	}
+	if sc != nil {
+		c.resolveMisses(ctx, sc, par, &root)
+		c.collect(ctx, sc, ms, errs, &root)
+		putScratch(sc)
+	}
+	if tracing {
+		root.End()
+	}
+	return ctx.Err()
+}
 
-	// Single sharded probe: group the unique points by shard and classify
-	// each under one lock acquisition per touched shard - hit (entry
-	// complete), merge (entry in flight elsewhere), or owned miss (entry
-	// inserted). Probes verify the stored packed genome before declaring a
-	// hit; collision probes are folded into the cache's accounting per
-	// shard, outside the lock.
-	byShard := &sc.byShard
-	for j := range uniq {
-		byShard[uniq[j].shard] = append(byShard[uniq[j].shard], j)
-	}
-	for shi, idxs := range byShard {
-		if len(idxs) == 0 {
-			continue
+// probe looks each request up under its shard lock: it is a hit, a wait
+// on another caller's in-flight entry, or an owned insert. Completed hits
+// are answered on the spot; the rest are left in the returned scratch,
+// which is nil when every request was a completed hit.
+func (c *Cache) probe(ctx context.Context, hashes []uint64, pts []param.Point, ms []metrics.Metrics, errs []error) *batchScratch {
+	var sc *batchScratch
+	for i, pt := range pts {
+		var h uint64
+		if hashes != nil {
+			h = hashes[i]
+		} else {
+			h = c.hashFn(pt)
 		}
+		// Whether the remote tier would forward a miss is decided before
+		// the shard lock is taken, so no tier code runs under it.
+		fwd := c.remote != nil && c.remote.Forwards(ctx, h)
+		shi := shardForHash(h)
 		sh := &c.shards[shi]
-		shardProbes := 0
+		event := trace.CacheHit
 		sh.mu.Lock()
-		for _, j := range idxs {
-			u := &uniq[j]
-			e, probes := sh.table.lookup(u.hash, u.pt)
-			shardProbes += probes
-			if e != nil {
-				u.entry = e
-				select {
-				case <-e.done:
-				default:
-					u.wait = true
-				}
-				continue
+		e, probes := sh.table.lookup(h, pt)
+		if e == nil {
+			if sc == nil {
+				sc = getScratch()
 			}
-			e = &cacheEntry{done: make(chan struct{}), hash: u.hash, genome: c.space.AppendPacked(nil, u.pt)}
+			g := &sc.local
+			if fwd {
+				g = &sc.fwd
+			}
+			e = g.add(h, pt, c.space.AppendPacked(nil, pt))
 			sh.table.insert(e)
-			u.entry = e
-			u.owned = true
+			event = trace.CacheMiss
 		}
 		sh.mu.Unlock()
-		c.noteCollisions(shardProbes, shi)
-	}
-	if tracing {
-		now := time.Now()
-		batchSpan.Emit("cache.probe", phaseStart, now.Sub(phaseStart))
-		phaseStart = now
-	}
-
-	// Cache records mirror the single-point path's per-lookup
-	// classification: the first request of an owned point is the miss,
-	// every further duplicate would have been answered from the cache (a
-	// hit); merged points are singleflight-deduplicated waits. The dedup
-	// counter is updated regardless of tracing, like the single path.
-	for j := range uniq {
-		u := &uniq[j]
-		if u.wait {
-			c.dedup.Add(int64(u.requests))
-		}
-		if !tracing {
-			continue
-		}
-		switch {
-		case u.owned:
-			c.tracer.RecordCache(trace.CacheRecord{Event: trace.CacheMiss, Shard: u.shard})
-			for k := 1; k < u.requests; k++ {
-				c.tracer.RecordCache(trace.CacheRecord{Event: trace.CacheHit, Shard: u.shard})
-			}
-		case u.wait:
-			for k := 0; k < u.requests; k++ {
-				c.tracer.RecordCache(trace.CacheRecord{Event: trace.CacheDedup, Shard: u.shard})
-			}
+		c.noteCollisions(probes, shi)
+		select {
+		case <-e.done:
+			ms[i], errs[i] = e.m, e.err
 		default:
-			for k := 0; k < u.requests; k++ {
-				c.tracer.RecordCache(trace.CacheRecord{Event: trace.CacheHit, Shard: u.shard})
+			if sc == nil {
+				sc = getScratch()
 			}
+			if event == trace.CacheHit && e.done != sc.local.done && e.done != sc.fwd.done {
+				event = trace.CacheDedup
+				c.dedup.Add(1)
+			}
+			sc.pending = append(sc.pending, pendingLookup{i: i, e: e})
 		}
+		c.tracer.RecordCache(trace.CacheRecord{Event: event, Shard: shi})
 	}
+	return sc
+}
 
-	// Evaluate the residual misses - the points this batch owns. The batch
-	// backend (when set) receives them in one call; otherwise they fan out
-	// over the cache's single-point evaluator on up to par workers.
-	owned := sc.owned[:0]
-	for j := range uniq {
-		if uniq[j].owned {
-			owned = append(owned, j)
-		}
+// resolveMisses resolves the batch's owned misses under a cache.fanout
+// span. The points this cache evaluates itself are completed first: a
+// peer's lookup served from this cache waits only on such points, so it
+// can never wait on this batch's own remote lookups (which may in turn be
+// waiting on that peer). Remote answers come next, and whatever the
+// remote tier could not answer is evaluated locally after all.
+func (c *Cache) resolveMisses(ctx context.Context, sc *batchScratch, par int, root *trace.Active) {
+	if len(sc.local.entries) == 0 && len(sc.fwd.entries) == 0 {
+		return
 	}
-	sc.owned = owned
-	if len(owned) > 0 {
-		fanout := trace.Active{}
-		if tracing {
-			fanout = batchSpan.Child("cache.fanout")
-		}
-		opts := sc.opts[:0]
-		for _, j := range owned {
-			opts = append(opts, uniq[j].pt)
-		}
-		sc.opts = opts
-		var oms []metrics.Metrics
-		var oerrs []error
-		if c.batch != nil {
-			oms, oerrs = c.batch(ctx, opts)
-			if len(oms) != len(owned) || len(oerrs) != len(owned) {
-				// A misbehaving backend must not leave owned entries open
-				// forever; treat the whole sub-batch as a transient failure.
-				err := MarkTransient(fmt.Errorf("dataset: batch backend returned %d/%d results for %d points",
-					len(oms), len(oerrs), len(owned)))
-				oms = make([]metrics.Metrics, len(owned))
-				oerrs = make([]error, len(owned))
-				for k := range oerrs {
-					oerrs[k] = err
-				}
-			}
-		} else {
-			if cap(sc.oms) < len(owned) {
-				sc.oms = make([]metrics.Metrics, len(owned))
-				sc.oerrs = make([]error, len(owned))
-				sc.ran = make([]bool, len(owned))
-			}
-			oms = sc.oms[:len(owned)]
-			oerrs = sc.oerrs[:len(owned)]
-			ran := sc.ran[:len(owned)]
-			clear(ran)
-			_ = pool.EachCtx(ctx, par, len(owned), func(k int) {
-				oms[k], oerrs[k] = c.resolve(ctx, opts[k])
-				ran[k] = true
-			}, c.tracer)
-			for k := range ran {
-				if !ran[k] {
-					// Never started: the run was canceled before this point's
-					// turn. Withdraw it transiently, like a canceled attempt.
-					oms[k], oerrs[k] = nil, MarkTransient(ctx.Err())
-				}
-			}
-		}
+	fanout := root.Child("cache.fanout")
+	c.evalLocal(ctx, sc, &sc.local, par)
+	c.publish(&sc.local)
+	if g := &sc.fwd; len(g.entries) > 0 {
+		c.remote.LookupBatch(ctx, g.hashes, g.pts, g.ms, g.errs, g.resolved)
+		c.evalLocal(ctx, sc, g, par)
+		c.publish(g)
+	}
+	fanout.End()
+}
 
-		// Publish: transient outcomes are withdrawn (grouped per shard, one
-		// lock each) before their done channels close, so no later lookup
-		// inherits a poisoned entry; everything else is memoized. Counters
-		// update once for the whole batch.
-		var distinct, transient int64
-		withdraw := &sc.withdraw
-		for k, j := range owned {
-			u := &uniq[j]
-			u.entry.m, u.entry.err = oms[k], oerrs[k]
-			if oerrs[k] != nil && IsTransient(oerrs[k]) {
-				transient++
-				withdraw[u.shard] = append(withdraw[u.shard], j)
-				c.tracer.RecordCache(trace.CacheRecord{Event: trace.CacheTransient, Shard: u.shard})
-			} else {
-				distinct++
+// collect answers the requests the probe left pending: owned points are
+// complete by now, and points in flight elsewhere (another batch, another
+// session on a shared cache) are waited on under a cache.wait span. A
+// canceled wait abandons the in-flight evaluation; its owner still
+// completes the entry.
+func (c *Cache) collect(ctx context.Context, sc *batchScratch, ms []metrics.Metrics, errs []error, root *trace.Active) {
+	var start time.Time
+	waited := false
+	for _, p := range sc.pending {
+		e := p.e
+		select {
+		case <-e.done:
+		default:
+			if !waited && c.tracer.Enabled() {
+				start = time.Now()
 			}
-		}
-		for shi, idxs := range withdraw {
-			if len(idxs) == 0 {
+			waited = true
+			select {
+			case <-e.done:
+			case <-ctx.Done():
+				ms[p.i], errs[p.i] = nil, MarkTransient(ctx.Err())
 				continue
 			}
-			sh := &c.shards[shi]
-			sh.mu.Lock()
-			for _, j := range idxs {
-				sh.table.remove(uniq[j].entry)
+		}
+		ms[p.i], errs[p.i] = e.m, e.err
+	}
+	if waited && c.tracer.Enabled() {
+		root.Emit("cache.wait", start, time.Since(start))
+	}
+}
+
+// missGroup is a set of points one batch owns and completes together. Its
+// done channel is shared by the group's entries and doubles as the
+// batch's owner token: it is set on each entry at insert and never
+// written again, so a later duplicate of an owned point in the same batch
+// recognizes the entry as its own - a hit - instead of waiting on itself.
+type missGroup struct {
+	done    chan struct{}
+	entries []*cacheEntry
+	hashes  []uint64
+	pts     []param.Point
+	ms      []metrics.Metrics
+	errs    []error
+	// resolved marks the outcomes already in ms/errs: answered by the
+	// remote tier, or evaluated by the fan-out. todo indexes the rest
+	// while they are evaluated.
+	resolved []bool
+	todo     []int
+}
+
+// add inserts one owned miss and returns its fresh entry.
+func (g *missGroup) add(h uint64, pt param.Point, genome []int32) *cacheEntry {
+	if g.done == nil {
+		g.done = make(chan struct{})
+	}
+	e := &cacheEntry{done: g.done, hash: h, genome: genome}
+	g.entries = append(g.entries, e)
+	g.hashes = append(g.hashes, h)
+	g.pts = append(g.pts, pt)
+	g.ms = append(g.ms, nil)
+	g.errs = append(g.errs, nil)
+	g.resolved = append(g.resolved, false)
+	return e
+}
+
+// reset drops every reference the group holds (points, entries and
+// outcomes must not be retained by the scratch pool) and keeps the
+// capacity. The closed done channel belongs to the entries now.
+func (g *missGroup) reset() {
+	g.done = nil
+	clear(g.entries)
+	clear(g.pts)
+	clear(g.ms)
+	clear(g.errs)
+	g.entries, g.hashes, g.pts = g.entries[:0], g.hashes[:0], g.pts[:0]
+	g.ms, g.errs, g.resolved, g.todo = g.ms[:0], g.errs[:0], g.resolved[:0], g.todo[:0]
+}
+
+// pendingLookup is a request the probe could not answer on the spot.
+type pendingLookup struct {
+	i int
+	e *cacheEntry
+}
+
+// batchScratch is one batch's reusable working state. Scratch comes from
+// a package-level pool, so even a fresh cache's first batch reuses warm
+// slices, and its fan-out closure is built once per scratch rather than
+// once per batch.
+type batchScratch struct {
+	// local holds the misses this cache evaluates itself, fwd those its
+	// remote tier forwards to a peer.
+	local, fwd missGroup
+	pending    []pendingLookup
+	// sub is the sub-batch handed to the batch backend.
+	sub []param.Point
+
+	// fan evaluates group g's j-th todo point under ctx through c's
+	// evaluator; the three fields are set around each pool run.
+	fan func(j int)
+	c   *Cache
+	ctx context.Context
+	g   *missGroup
+}
+
+var scratchPool = sync.Pool{New: func() any {
+	sc := &batchScratch{}
+	sc.fan = func(j int) {
+		g := sc.g
+		k := g.todo[j]
+		g.ms[k], g.errs[k] = sc.c.eval(sc.ctx, g.pts[k])
+		g.resolved[k] = true
+	}
+	return sc
+}}
+
+func getScratch() *batchScratch { return scratchPool.Get().(*batchScratch) }
+
+func putScratch(sc *batchScratch) {
+	sc.local.reset()
+	sc.fwd.reset()
+	clear(sc.pending)
+	clear(sc.sub)
+	sc.pending, sc.sub = sc.pending[:0], sc.sub[:0]
+	sc.c, sc.ctx, sc.g = nil, nil, nil
+	scratchPool.Put(sc)
+}
+
+// evalLocal evaluates g's unresolved points: in one call to the batch
+// backend when one is set, otherwise fanned out over the evaluator on up
+// to par pool workers. A point the pool never started (ctx was canceled
+// first) gets a transient error, like a canceled attempt.
+func (c *Cache) evalLocal(ctx context.Context, sc *batchScratch, g *missGroup, par int) {
+	todo := g.todo[:0]
+	for k, done := range g.resolved {
+		if !done {
+			todo = append(todo, k)
+		}
+	}
+	g.todo = todo
+	if len(todo) == 0 {
+		return
+	}
+	if c.batch != nil {
+		sub := sc.sub[:0]
+		for _, k := range todo {
+			sub = append(sub, g.pts[k])
+		}
+		sc.sub = sub
+		oms, oerrs := c.batch(ctx, sub)
+		if len(oms) != len(sub) || len(oerrs) != len(sub) {
+			// A misbehaving backend must not leave owned entries open
+			// forever; treat the whole sub-batch as a transient failure.
+			err := MarkTransient(fmt.Errorf("dataset: batch backend returned %d/%d results for %d points",
+				len(oms), len(oerrs), len(sub)))
+			for _, k := range todo {
+				g.ms[k], g.errs[k] = nil, err
 			}
-			sh.mu.Unlock()
+			return
 		}
-		for _, j := range owned {
-			close(uniq[j].entry.done)
+		for j, k := range todo {
+			g.ms[k], g.errs[k] = oms[j], oerrs[j]
 		}
-		c.distinct.Add(distinct)
-		if transient > 0 {
-			c.transient.Add(transient)
-		}
-		fanout.End()
+		return
 	}
+	sc.c, sc.ctx, sc.g = c, ctx, g
+	_ = pool.EachCtx(ctx, par, len(todo), sc.fan, c.tracer)
+	for _, k := range todo {
+		if !g.resolved[k] {
+			g.ms[k], g.errs[k] = nil, MarkTransient(ctx.Err())
+		}
+	}
+}
 
-	// Merge with evaluations in flight elsewhere (another batch, another
-	// session on a shared cache, or a single-point lookup): wait for their
-	// results instead of re-dispatching. A canceled wait abandons the
-	// in-flight evaluation; its owner still completes the entry.
-	waited := false
-	if tracing {
-		phaseStart = time.Now()
+// publish completes a group. Transient outcomes are withdrawn from their
+// shard tables before done closes, so no later lookup inherits a poisoned
+// entry; every other outcome is memoized and counts as a distinct
+// evaluation.
+func (c *Cache) publish(g *missGroup) {
+	if len(g.entries) == 0 {
+		return
 	}
-	for j := range uniq {
-		u := &uniq[j]
-		if !u.wait {
+	var distinct, transient int64
+	for k, e := range g.entries {
+		e.m, e.err = g.ms[k], g.errs[k]
+		if e.err == nil || !IsTransient(e.err) {
+			distinct++
 			continue
 		}
-		waited = true
-		select {
-		case <-u.entry.done:
-		case <-ctx.Done():
-			u.canceled = true
-		}
+		transient++
+		shi := shardForHash(e.hash)
+		sh := &c.shards[shi]
+		sh.mu.Lock()
+		sh.table.remove(e)
+		sh.mu.Unlock()
+		c.tracer.RecordCache(trace.CacheRecord{Event: trace.CacheTransient, Shard: shi})
 	}
-	if tracing && waited {
-		batchSpan.Emit("cache.wait", phaseStart, time.Since(phaseStart))
+	c.distinct.Add(distinct)
+	if transient > 0 {
+		c.transient.Add(transient)
 	}
-
-	for i := range pts {
-		u := &uniq[dup[i]]
-		if u.canceled {
-			errs[i] = MarkTransient(ctx.Err())
-			continue
-		}
-		ms[i], errs[i] = u.entry.m, u.entry.err
-	}
-	return ms, errs, ctx.Err()
+	close(g.done)
 }

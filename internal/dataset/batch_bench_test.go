@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"nautilus/internal/metrics"
 	"nautilus/internal/param"
 )
 
@@ -19,7 +20,7 @@ func benchmarkCache(b *testing.B, n int) (*Cache, []param.Point) {
 		// Stride modulo cardinality-1 keeps clear of the infeasible corner.
 		pts[i] = space.PointAt(uint64(i*37) % (space.Cardinality() - 1))
 	}
-	if _, _, err := c.EvaluateBatchCtx(context.Background(), pts, 1); err != nil {
+	if _, _, err := evalBatch(c, context.Background(), nil, pts, 1); err != nil {
 		b.Fatal(err)
 	}
 	return c, pts
@@ -42,10 +43,12 @@ func BenchmarkPointLookupWarm(b *testing.B) {
 func BenchmarkBatchLookupWarm(b *testing.B) {
 	c, pts := benchmarkCache(b, 32)
 	ctx := context.Background()
+	ms := make([]metrics.Metrics, len(pts))
+	errs := make([]error, len(pts))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := c.EvaluateBatchCtx(ctx, pts, 1); err != nil {
+		if err := c.EvaluateBatchCtx(ctx, nil, pts, ms, errs, 1); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -12,6 +12,15 @@ import (
 	"nautilus/internal/param"
 )
 
+// evalBatch runs one EvaluateBatchCtx call and returns its outcomes in
+// fresh slices.
+func evalBatch(c *Cache, ctx context.Context, hashes []uint64, pts []param.Point, par int) ([]metrics.Metrics, []error, error) {
+	ms := make([]metrics.Metrics, len(pts))
+	errs := make([]error, len(pts))
+	err := c.EvaluateBatchCtx(ctx, hashes, pts, ms, errs, par)
+	return ms, errs, err
+}
+
 // TestBatchEvaluateValues checks a batch with duplicates and an infeasible
 // point returns exactly what point-at-a-time evaluation returns, with
 // batch-amortized accounting that still matches the single path's.
@@ -21,7 +30,7 @@ func TestBatchEvaluateValues(t *testing.T) {
 	pts := []param.Point{
 		{1, 2}, {3, 4}, {1, 2}, {9, 9}, {3, 4}, {1, 2},
 	}
-	ms, errs, err := c.EvaluateBatchCtx(context.Background(), pts, 2)
+	ms, errs, err := evalBatch(c, context.Background(), nil, pts, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +72,7 @@ func TestBatchMatchesSingleStats(t *testing.T) {
 	var batchMs []metrics.Metrics
 	var batchErrs []error
 	for lo := 0; lo < len(stream); lo += 8 {
-		ms, errs, err := batch.EvaluateBatchCtx(context.Background(), stream[lo:lo+8], 2)
+		ms, errs, err := evalBatch(batch, context.Background(), nil, stream[lo:lo+8], 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,7 +112,7 @@ func TestBatchTransientWithdrawal(t *testing.T) {
 	c := NewCacheContext(s, eval)
 
 	pts := []param.Point{{1, 1}, {2, 2}, {1, 1}}
-	_, errs, err := c.EvaluateBatchCtx(context.Background(), pts, 1)
+	_, errs, err := evalBatch(c, context.Background(), nil, pts, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +132,7 @@ func TestBatchTransientWithdrawal(t *testing.T) {
 
 	// The withdrawn entry must not be poisoned: a later batch re-runs the
 	// evaluator and memoizes the success.
-	_, errs, err = c.EvaluateBatchCtx(context.Background(), pts[:1], 1)
+	_, errs, err = evalBatch(c, context.Background(), nil, pts[:1], 1)
 	if err != nil || errs[0] != nil {
 		t.Fatalf("retry batch: %v / %v", err, errs[0])
 	}
@@ -155,7 +164,7 @@ func TestBatchBackendForwarding(t *testing.T) {
 	})
 
 	pts := []param.Point{{5, 1}, {6, 2}, {5, 1}, {7, 3}}
-	if _, _, err := c.EvaluateBatchCtx(context.Background(), pts, 4); err != nil {
+	if _, _, err := evalBatch(c, context.Background(), nil, pts, 4); err != nil {
 		t.Fatal(err)
 	}
 	want := [][]string{{"5,1", "6,2", "7,3"}}
@@ -165,7 +174,7 @@ func TestBatchBackendForwarding(t *testing.T) {
 
 	// Second batch: only the genuinely new key reaches the backend.
 	pts = []param.Point{{5, 1}, {8, 4}}
-	if _, _, err := c.EvaluateBatchCtx(context.Background(), pts, 4); err != nil {
+	if _, _, err := evalBatch(c, context.Background(), nil, pts, 4); err != nil {
 		t.Fatal(err)
 	}
 	want = append(want, []string{"8,4"})
@@ -193,7 +202,7 @@ func TestBatchBackendMisbehaving(t *testing.T) {
 	})
 
 	pt := []param.Point{{2, 3}}
-	_, errs, err := c.EvaluateBatchCtx(context.Background(), pt, 1)
+	_, errs, err := evalBatch(c, context.Background(), nil, pt, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +211,7 @@ func TestBatchBackendMisbehaving(t *testing.T) {
 	}
 
 	broken = false
-	_, errs, err = c.EvaluateBatchCtx(context.Background(), pt, 1)
+	_, errs, err = evalBatch(c, context.Background(), nil, pt, 1)
 	if err != nil || errs[0] != nil {
 		t.Fatalf("after repair: %v / %v (entry poisoned?)", err, errs[0])
 	}
@@ -216,7 +225,7 @@ func TestBatchCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	pts := []param.Point{{1, 1}, {2, 2}}
-	_, errs, err := c.EvaluateBatchCtx(ctx, pts, 2)
+	_, errs, err := evalBatch(c, ctx, nil, pts, 2)
 	if err == nil {
 		t.Fatal("batch error nil under canceled context")
 	}
@@ -263,7 +272,7 @@ func TestBatchMergesInFlight(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		_, errs, err := c.EvaluateBatchCtx(ctx, []param.Point{{4, 4}}, 1)
+		_, errs, err := evalBatch(c, ctx, nil, []param.Point{{4, 4}}, 1)
 		if err == nil || !IsTransient(errs[0]) {
 			t.Errorf("canceled merge: err %v / %v, want transient", err, errs[0])
 		}
@@ -274,7 +283,7 @@ func TestBatchMergesInFlight(t *testing.T) {
 
 	close(release)
 	wg.Wait()
-	ms, errs, err := c.EvaluateBatchCtx(context.Background(), []param.Point{{4, 4}}, 1)
+	ms, errs, err := evalBatch(c, context.Background(), nil, []param.Point{{4, 4}}, 1)
 	if err != nil || errs[0] != nil {
 		t.Fatalf("merged result: %v / %v", err, errs[0])
 	}
@@ -313,7 +322,7 @@ func TestBatchConcurrentBatches(t *testing.T) {
 		wg.Add(1)
 		go func(off int) {
 			defer wg.Done()
-			ms, errs, err := c.EvaluateBatchCtx(context.Background(), mk(off), 2)
+			ms, errs, err := evalBatch(c, context.Background(), nil, mk(off), 2)
 			if err != nil {
 				t.Errorf("batch %d: %v", off, err)
 				return
@@ -338,7 +347,7 @@ func TestBatchConcurrentBatches(t *testing.T) {
 func TestBatchShapeErrors(t *testing.T) {
 	s, eval := toySpace()
 	c := NewCache(s, eval)
-	ms, errs, err := c.EvaluateBatchCtx(context.Background(), nil, 1)
+	ms, errs, err := evalBatch(c, context.Background(), nil, nil, 1)
 	if err != nil || len(ms) != 0 || len(errs) != 0 {
 		t.Errorf("empty batch: %v %v %v", ms, errs, err)
 	}
@@ -347,17 +356,19 @@ func TestBatchShapeErrors(t *testing.T) {
 	}
 }
 
-// TestBatchLargeUsesMapDedup pushes a batch past the linear-dedup
-// threshold so the map fallback path is exercised too.
-func TestBatchLargeUsesMapDedup(t *testing.T) {
+// TestBatchLargeDuplicateHeavy resolves one batch far larger than a
+// generation, where most requests repeat a point an earlier request of the
+// same batch owns: every duplicate is a hit on the owner's entry, and each
+// distinct point costs one evaluation.
+func TestBatchLargeDuplicateHeavy(t *testing.T) {
 	s, eval := toySpace()
 	c := NewCache(s, eval)
-	n := linearBatchDedup*2 + 5
+	n := 133
 	pts := make([]param.Point, n)
 	for i := range pts {
 		pts[i] = param.Point{i % 8, (i / 8) % 5}
 	}
-	ms, errs, err := c.EvaluateBatchCtx(context.Background(), pts, 4)
+	ms, errs, err := evalBatch(c, context.Background(), nil, pts, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,5 +380,8 @@ func TestBatchLargeUsesMapDedup(t *testing.T) {
 	}
 	if st := c.Stats(); st.Total != n || st.Distinct != 40 || st.Hits != n-40 {
 		t.Errorf("stats = %+v, want total %d, distinct 40", st, n)
+	}
+	if got := c.DedupedWaits(); got != 0 {
+		t.Errorf("deduped waits = %d, want 0 (a batch never waits on its own entries)", got)
 	}
 }

@@ -79,51 +79,46 @@ func IsTransient(err error) bool {
 	return errors.As(err, &t) && t.Transient()
 }
 
-// Remote is a cluster-level cache tier a Cache consults on a local miss,
-// after the shard tables and singleflight slots have ruled out a local
-// answer but before the local evaluator pays for the point. The hash is
-// the point's 64-bit genome identity (param.Space.Hash64) - the same
-// identity the shard tables key on, and the one a cluster's consistent-
-// hash ring routes by.
+// Remote is a cluster-level cache tier a Cache hands its misses to, after
+// the shard tables and singleflight slots have ruled out a local answer
+// but before the local evaluator pays for the points. A hash is the
+// point's 64-bit genome identity (param.Space.Hash64) - the same identity
+// the shard tables key on, and the one a cluster's consistent-hash ring
+// routes by.
 //
-// Lookup returns ok=false when it cannot resolve the point - the ring
-// owner is this process, the owning peer is unreachable, the remote tier
-// is degraded - and the cache falls through to its local evaluator, so a
-// remote tier can only ever add a resolution source, never remove one.
-// ok=true outcomes are definitive (a characterization or a permanent
-// infeasibility error) and are memoized exactly like local ones; a remote
-// tier must never return transient transport failures as ok=true.
+// Forwards decides, for each lookup a batch probes, whether the tier
+// would resolve a miss on it elsewhere: it must be cheap and must not
+// block. A batch
+// first evaluates and completes the misses the tier keeps, then calls
+// LookupBatch once with all the forwarded ones. That order matters in a
+// cluster: a peer's lookup served from this cache waits only on points
+// this cache keeps, so it never waits on this cache's own remote lookups.
+//
+// LookupBatch answers what it can: for each k it either sets ok[k] and
+// writes a definitive ms[k]/errs[k] (a characterization or a permanent
+// infeasibility error, memoized exactly like a local outcome), or leaves
+// ok[k] false - the owner is unreachable, declines, or the tier is
+// degraded - and the cache evaluates pts[k] locally. A remote tier can
+// therefore only ever add a resolution source, never remove one, and it
+// must never report a transient transport failure as ok.
 //
 // Because the tier sits under the singleflight slot, a distinct design
 // point costs at most one remote lookup no matter how many goroutines
 // race for it - the cluster analogue of the paper's one-synthesis-job-per-
 // point accounting.
 type Remote interface {
-	Lookup(ctx context.Context, hash uint64, pt param.Point) (m metrics.Metrics, err error, ok bool)
+	Forwards(ctx context.Context, hash uint64) bool
+	LookupBatch(ctx context.Context, hashes []uint64, pts []param.Point, ms []metrics.Metrics, errs []error, ok []bool)
 }
 
 // SetRemote attaches (or, with nil, detaches) a remote cache tier
-// consulted on every local miss before the local evaluator runs. Call it
+// consulted on local misses before the local evaluator runs. Call it
 // before the cache is shared across goroutines. Determinism note: for the
 // deterministic evaluators the search stack uses, a remote answer is
 // byte-identical to the local evaluation it replaces, so results are
 // unchanged by where a point was resolved - only the cluster-level
 // counters (maintained by the Remote implementation) differ.
 func (c *Cache) SetRemote(r Remote) { c.remote = r }
-
-// resolve answers one owned miss: the remote tier first (when attached
-// and willing), the local evaluator otherwise. Every residual-miss path -
-// single-point singleflight and batch fan-out alike - funnels through
-// here, so the remote tier sees exactly the lookups that would otherwise
-// spend a local evaluation.
-func (c *Cache) resolve(ctx context.Context, pt param.Point) (metrics.Metrics, error) {
-	if c.remote != nil {
-		if m, err, ok := c.remote.Lookup(ctx, c.hashFn(pt), pt); ok {
-			return m, err
-		}
-	}
-	return c.eval(ctx, pt)
-}
 
 // cacheShards is the number of lock stripes in a Cache. A modest power of
 // two keeps the footprint small while making shard collisions rare at the
@@ -137,10 +132,12 @@ const cacheShardBits = 5
 // Cache memoizes an Evaluator and counts distinct evaluations. It is safe
 // for concurrent use: lookups stripe across cacheShards independently
 // locked shards, and concurrent requests for the same not-yet-characterized
-// point are deduplicated singleflight-style - exactly one goroutine runs
-// the evaluator while the rest block on its result. A distinct design point
+// point are deduplicated singleflight-style - exactly one caller evaluates
+// the point while the rest wait on its result. A distinct design point
 // therefore costs exactly one evaluator call no matter how many goroutines
 // race for it, which is what the paper's synthesis-job accounting demands.
+// Every lookup goes through one resolver, EvaluateBatchCtx; Evaluate and
+// EvaluateCtx are batches of one.
 //
 // A design point's identity is its 64-bit genome hash (param.Space.Hash64):
 // each shard is an open-addressed table keyed on the hash that stores the
@@ -151,7 +148,7 @@ const cacheShardBits = 5
 // Error memoization is deliberate: a permanent error marks the point
 // infeasible and is cached like a result (a failed synthesis job spent its
 // budget and will fail again), but a transient error (IsTransient) is never
-// memoized - the owning lookup's entry is withdrawn so later lookups retry
+// memoized - the owning batch withdraws the entry so later lookups retry
 // the evaluation, and concurrent waiters receive the error without the
 // shard being poisoned for the rest of the run.
 type Cache struct {
@@ -170,10 +167,6 @@ type Cache struct {
 	transient  atomic.Int64
 	collisions atomic.Int64
 	shards     [cacheShards]cacheShard
-
-	// scratch pools batch-resolution working state (see batchScratch), so
-	// steady-state batches allocate nothing beyond their result slices.
-	scratch sync.Pool
 }
 
 type cacheShard struct {
@@ -182,9 +175,11 @@ type cacheShard struct {
 }
 
 // cacheEntry is the singleflight slot for one design point. done is closed
-// by the owning goroutine once m/err are valid; everyone else waits on it.
-// The entry carries its genome hash and the packed genome, the identity
-// pair the open-addressed table verifies on every hit.
+// by the owning batch once m/err are valid; everyone else waits on it. The
+// owner shares one done channel across the entries it completes together,
+// and that channel identifies the owner (see missGroup). The entry carries
+// its genome hash and the packed genome, the identity pair the
+// open-addressed table verifies on every hit.
 type cacheEntry struct {
 	done   chan struct{}
 	m      metrics.Metrics
@@ -208,9 +203,9 @@ func NewCacheContext(space *param.Space, eval ContextEvaluator) *Cache {
 
 // SetTracer attaches the trace stream: one cache record (hit, miss, or
 // singleflight-dedup wait, with the shard index) per lookup plus
-// transient withdrawals and collision probes, and spans covering batch
-// resolution phases (dedup, probe, fan-out, merge waits) and singleflight
-// wait time. Call it before the cache is shared across goroutines; nil
+// transient withdrawals and collision probes, and spans covering each
+// batch's resolution phases (probe, miss fan-out, waits on points in
+// flight elsewhere). Call it before the cache is shared across goroutines; nil
 // (the default) disables the stream at the cost of one nil check per
 // event. The stream observes lookups only - results and counters are
 // identical with it on or off.
@@ -242,77 +237,13 @@ func (c *Cache) Evaluate(pt param.Point) (metrics.Metrics, error) {
 
 // EvaluateCtx is Evaluate under a context: cancellation interrupts both a
 // singleflight wait and (through a context-aware evaluator) the evaluation
-// itself.
+// itself. It is a batch of one through EvaluateBatchCtx.
 func (c *Cache) EvaluateCtx(ctx context.Context, pt param.Point) (metrics.Metrics, error) {
-	return c.EvaluateHashedCtx(ctx, c.hashFn(pt), pt)
-}
-
-// waitShared resolves a lookup that found an existing entry: a completed
-// entry is a plain hit, an in-flight one a singleflight-deduplicated wait.
-func (c *Cache) waitShared(ctx context.Context, e *cacheEntry, shi int) (metrics.Metrics, error) {
-	select {
-	case <-e.done:
-		c.tracer.RecordCache(trace.CacheRecord{Event: trace.CacheHit, Shard: shi})
-	default:
-		c.dedup.Add(1)
-		c.tracer.RecordCache(trace.CacheRecord{Event: trace.CacheDedup, Shard: shi})
-		sp := c.tracer.Start("cache.wait")
-		select {
-		case <-e.done:
-			sp.End()
-		case <-ctx.Done():
-			sp.End()
-			// A canceled waiter abandons the in-flight evaluation; the
-			// owner still completes (or withdraws) the entry.
-			return nil, MarkTransient(ctx.Err())
-		}
-	}
-	return e.m, e.err
-}
-
-// EvaluateHashedCtx is the single-point lookup for callers that already
-// hold pt's genome hash (param.Space.Hash64): the shard table probes by
-// uint64 compare, and a hit is confirmed against the stored packed genome
-// before it is returned - a 64-bit collision (impossible on packable
-// spaces) therefore degrades to an extra probe and a Stats().Collisions
-// increment, never a wrong answer. Transient evaluator errors
-// (IsTransient) are delivered to the callers that observed them but never
-// memoized; permanent errors and results are cached and counted as
-// distinct evaluations.
-func (c *Cache) EvaluateHashedCtx(ctx context.Context, h uint64, pt param.Point) (metrics.Metrics, error) {
-	c.total.Add(1)
-	shi := shardForHash(h)
-	sh := &c.shards[shi]
-	sh.mu.Lock()
-	found, probes := sh.table.lookup(h, pt)
-	if found != nil {
-		sh.mu.Unlock()
-		c.noteCollisions(probes, shi)
-		return c.waitShared(ctx, found, shi)
-	}
-	e := &cacheEntry{done: make(chan struct{}), hash: h, genome: c.space.AppendPacked(nil, pt)}
-	sh.table.insert(e)
-	sh.mu.Unlock()
-	c.noteCollisions(probes, shi)
-	c.tracer.RecordCache(trace.CacheRecord{Event: trace.CacheMiss, Shard: shi})
-
-	// This goroutine owns the evaluation; concurrent requesters for the
-	// same point block on e.done instead of re-running the evaluator. A
-	// transient outcome is withdrawn before done closes, so no later lookup
-	// inherits a poisoned entry.
-	e.m, e.err = c.resolve(ctx, pt)
-	if e.err != nil && IsTransient(e.err) {
-		sh.mu.Lock()
-		sh.table.remove(e)
-		sh.mu.Unlock()
-		c.transient.Add(1)
-		c.tracer.RecordCache(trace.CacheRecord{Event: trace.CacheTransient, Shard: shi})
-		close(e.done)
-		return e.m, e.err
-	}
-	c.distinct.Add(1)
-	close(e.done)
-	return e.m, e.err
+	pts := [1]param.Point{pt}
+	var ms [1]metrics.Metrics
+	var errs [1]error
+	_ = c.EvaluateBatchCtx(ctx, nil, pts[:], ms[:], errs[:], 1)
+	return ms[0], errs[0]
 }
 
 // DistinctEvaluations returns how many distinct design points have been
@@ -479,9 +410,12 @@ func (c *Cache) Export() CacheSnapshot {
 // Restore replaces the cache's contents and counters with a snapshot
 // previously produced by Export - the resume half of checkpointing. Keys
 // are validated against the cache's space and rebuilt into genome hashes
-// and packed genomes. It must not race with in-flight
-// Evaluate calls. The collision counter restarts at zero: collisions are a
-// process-local probe statistic, not persisted state.
+// and packed genomes; a key that names the same point twice fails the
+// restore, since Export never writes one and a tampered snapshot would
+// otherwise resume on whichever entry the table happens to probe first.
+// It must not race with in-flight Evaluate calls. The collision counter
+// restarts at zero: collisions are a process-local probe statistic, not
+// persisted state.
 func (c *Cache) Restore(snap CacheSnapshot) error {
 	for i := range c.shards {
 		sh := &c.shards[i]
@@ -502,8 +436,14 @@ func (c *Cache) Restore(snap CacheSnapshot) error {
 		}
 		sh := &c.shards[shardForHash(e.hash)]
 		sh.mu.Lock()
-		sh.table.insert(e)
+		dup, _ := sh.table.lookup(e.hash, pt)
+		if dup == nil {
+			sh.table.insert(e)
+		}
 		sh.mu.Unlock()
+		if dup != nil {
+			return fmt.Errorf("dataset: restore: duplicate entry for %s", es.Key)
+		}
 	}
 	c.distinct.Store(snap.Distinct)
 	c.total.Store(snap.Total)

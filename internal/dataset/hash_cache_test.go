@@ -95,10 +95,11 @@ func TestHashModeExportByteIdentical(t *testing.T) {
 	}
 }
 
-// TestKeyModeAPIBridging checks every public lookup entry point - handed a
-// point or a precomputed hash, single or batch - resolves one point to one
-// shared cache identity, and that a cache restored from the string-keyed
-// snapshot answers all of them without new evaluator calls.
+// TestKeyModeAPIBridging checks every public lookup entry point - a point
+// lookup, or a batch handed points with or without precomputed hashes -
+// resolves one point to one shared cache identity, and that a cache
+// restored from the string-keyed snapshot answers all of them without new
+// evaluator calls.
 func TestKeyModeAPIBridging(t *testing.T) {
 	s, eval := toySpace()
 	pt := param.Point{2, 5}
@@ -109,18 +110,17 @@ func TestKeyModeAPIBridging(t *testing.T) {
 	check := func(label string, c *Cache) {
 		t.Helper()
 		for name, call := range map[string]func() (metrics.Metrics, error){
-			"Evaluate":          func() (metrics.Metrics, error) { return c.Evaluate(pt) },
-			"EvaluateCtx":       func() (metrics.Metrics, error) { return c.EvaluateCtx(ctx, pt) },
-			"EvaluateHashedCtx": func() (metrics.Metrics, error) { return c.EvaluateHashedCtx(ctx, h, pt) },
+			"Evaluate":    func() (metrics.Metrics, error) { return c.Evaluate(pt) },
+			"EvaluateCtx": func() (metrics.Metrics, error) { return c.EvaluateCtx(ctx, pt) },
 			"EvaluateBatchCtx": func() (metrics.Metrics, error) {
-				ms, errs, err := c.EvaluateBatchCtx(ctx, []param.Point{pt}, 1)
+				ms, errs, err := evalBatch(c, ctx, nil, []param.Point{pt}, 1)
 				if err != nil {
 					return nil, err
 				}
 				return ms[0], errs[0]
 			},
-			"EvaluateBatchHashedCtx": func() (metrics.Metrics, error) {
-				ms, errs, err := c.EvaluateBatchHashedCtx(ctx, []uint64{h}, []param.Point{pt}, 1)
+			"EvaluateBatchCtx with hashes": func() (metrics.Metrics, error) {
+				ms, errs, err := evalBatch(c, ctx, []uint64{h}, []param.Point{pt}, 1)
 				if err != nil {
 					return nil, err
 				}
@@ -188,16 +188,15 @@ func TestHashCollisionVerification(t *testing.T) {
 		t.Errorf("HashCollisions() = %d, Stats().Collisions = %d", got, st.Collisions)
 	}
 
-	// The batch path must survive the same abuse, including in-batch dedup
-	// of equal-hash distinct points (both under and over the linear-scan
-	// threshold).
+	// Batches must survive the same abuse, including equal-hash distinct
+	// points and their duplicates inside one batch.
 	for _, dup := range []int{1, 3} {
 		c.Reset()
 		var batch []param.Point
 		for i := 0; i < dup; i++ {
 			batch = append(batch, pts...)
 		}
-		ms, errs, err := c.EvaluateBatchCtx(context.Background(), batch, 4)
+		ms, errs, err := evalBatch(c, context.Background(), nil, batch, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -243,7 +242,7 @@ func TestHashModeTransientWithdraw(t *testing.T) {
 
 // TestHashModeBatchEquivalence mirrors the batch/single equivalence suite in
 // hash mode across batch shapes and parallelism, including duplicate-heavy
-// batches.
+// batches larger than a generation.
 func TestHashModeBatchEquivalence(t *testing.T) {
 	s, eval := toySpace()
 	r := rand.New(rand.NewSource(17))
@@ -263,7 +262,7 @@ func TestHashModeBatchEquivalence(t *testing.T) {
 		}
 	}
 
-	for _, batchSize := range []int{1, 7, linearBatchDedup + 16} {
+	for _, batchSize := range []int{1, 7, 80} {
 		for _, par := range []int{1, 4} {
 			c := NewCache(s, eval)
 			got := make([]metrics.Metrics, 0, len(pts))
@@ -273,7 +272,7 @@ func TestHashModeBatchEquivalence(t *testing.T) {
 				if hi > len(pts) {
 					hi = len(pts)
 				}
-				ms, errs, err := c.EvaluateBatchCtx(context.Background(), pts[lo:hi], par)
+				ms, errs, err := evalBatch(c, context.Background(), nil, pts[lo:hi], par)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -293,9 +292,10 @@ func TestHashModeBatchEquivalence(t *testing.T) {
 	}
 }
 
-// TestHashedHotPathAllocs pins the perf contract behind the whole refactor:
-// a warm hash-keyed single lookup allocates nothing, and a warm batch
-// allocates only its two result slices. A regression here fails CI.
+// TestHashedHotPathAllocs pins the perf contract of the one resolver: a
+// warm point lookup - a batch of one - allocates nothing, and neither does
+// a warm generation-sized batch writing into caller-owned result slices.
+// A regression here fails CI.
 func TestHashedHotPathAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; counts only hold in non-race builds")
@@ -303,15 +303,14 @@ func TestHashedHotPathAllocs(t *testing.T) {
 	s, eval := toySpace()
 	c := NewCache(s, eval)
 	pt := param.Point{3, 4}
-	h := s.Hash64(pt)
 	ctx := context.Background()
-	if _, err := c.EvaluateHashedCtx(ctx, h, pt); err != nil {
+	if _, err := c.EvaluateCtx(ctx, pt); err != nil {
 		t.Fatal(err)
 	}
 	if avg := testing.AllocsPerRun(200, func() {
-		c.EvaluateHashedCtx(ctx, h, pt)
+		c.EvaluateCtx(ctx, pt)
 	}); avg != 0 {
-		t.Errorf("warm hashed lookup allocates %.1f times per call, want 0", avg)
+		t.Errorf("warm point lookup allocates %.1f times per call, want 0", avg)
 	}
 
 	// Generation-shaped warm batch: 32 requests over 16 distinct points.
@@ -324,26 +323,32 @@ func TestHashedHotPathAllocs(t *testing.T) {
 		hh := s.Hash64(pt)
 		hashes = append(hashes, hh, hh)
 	}
-	if _, _, err := c.EvaluateBatchHashedCtx(ctx, hashes, batch, 1); err != nil {
+	ms := make([]metrics.Metrics, len(batch))
+	errs := make([]error, len(batch))
+	if err := c.EvaluateBatchCtx(ctx, hashes, batch, ms, errs, 1); err != nil {
 		t.Fatal(err)
 	}
-	// 2 result slices; everything else comes from the scratch pool.
-	const wantAllocs = 2
 	if avg := testing.AllocsPerRun(200, func() {
-		c.EvaluateBatchHashedCtx(ctx, hashes, batch, 1)
-	}); avg > wantAllocs {
-		t.Errorf("warm hashed batch allocates %.1f times per call, want <= %d", avg, wantAllocs)
+		c.EvaluateBatchCtx(ctx, hashes, batch, ms, errs, 1)
+	}); avg != 0 {
+		t.Errorf("warm batch allocates %.1f times per call, want 0", avg)
 	}
 }
 
 // TestBatchLengthMismatch checks the batch entry point rejects a ragged
-// hash slice instead of misattributing results.
+// hash or result slice instead of misattributing results.
 func TestBatchLengthMismatch(t *testing.T) {
 	s, eval := toySpace()
 	c := NewCache(s, eval)
 	pts := []param.Point{{1, 1}, {2, 2}}
-	if _, _, err := c.EvaluateBatchHashedCtx(context.Background(), []uint64{1}, pts, 1); err == nil {
+	if _, _, err := evalBatch(c, context.Background(), []uint64{1}, pts, 1); err == nil {
 		t.Error("hashed batch accepted 1 hash for 2 points")
+	}
+	if err := c.EvaluateBatchCtx(context.Background(), nil, pts, make([]metrics.Metrics, 2), make([]error, 1), 1); err == nil {
+		t.Error("batch accepted 1 error slot for 2 points")
+	}
+	if st := c.Stats(); st.Total != 0 {
+		t.Errorf("rejected batches were counted: %+v", st)
 	}
 }
 

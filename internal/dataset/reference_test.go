@@ -136,8 +136,8 @@ func (p faultPlan) evaluator() Evaluator {
 
 // Stream operations.
 const (
-	opPoint     = iota // one lookup, through EvaluateCtx or EvaluateHashedCtx
-	opBatch            // one batch, through EvaluateBatchCtx or EvaluateBatchHashedCtx
+	opPoint     = iota // one lookup through EvaluateCtx: a batch of one
+	opBatch            // one batch through EvaluateBatchCtx, with or without hashes
 	opRoundTrip        // Export, then Restore into a fresh cache
 )
 
@@ -220,26 +220,18 @@ func TestCacheMatchesReference(t *testing.T) {
 			var errs []error
 			switch op.kind {
 			case opPoint:
-				pt := op.pts[0]
-				var m metrics.Metrics
-				var err error
-				if op.hashed {
-					m, err = c.EvaluateHashedCtx(ctx, refSpace.Hash64(pt), pt)
-				} else {
-					m, err = c.EvaluateCtx(ctx, pt)
-				}
+				m, err := c.EvaluateCtx(ctx, op.pts[0])
 				ms, errs = []metrics.Metrics{m}, []error{err}
 			case opBatch:
-				var err error
+				var hashes []uint64
 				if op.hashed {
-					hashes := make([]uint64, len(op.pts))
+					hashes = make([]uint64, len(op.pts))
 					for k, pt := range op.pts {
 						hashes[k] = refSpace.Hash64(pt)
 					}
-					ms, errs, err = c.EvaluateBatchHashedCtx(ctx, hashes, op.pts, op.par)
-				} else {
-					ms, errs, err = c.EvaluateBatchCtx(ctx, op.pts, op.par)
 				}
+				var err error
+				ms, errs, err = evalBatch(c, ctx, hashes, op.pts, op.par)
 				if err != nil {
 					t.Logf("op %d: batch error %v", i, err)
 					return false

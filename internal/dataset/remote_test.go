@@ -11,29 +11,38 @@ import (
 	"nautilus/internal/param"
 )
 
-// fakeRemote answers lookups for a configured subset of hashes and counts
-// how often it was consulted.
+// fakeRemote forwards the hashes it has an answer for plus the declined
+// ones, answers all but the declined, and counts how often it was
+// consulted and how many points it was handed.
 type fakeRemote struct {
-	mu      sync.Mutex
-	answers map[uint64]metrics.Metrics
-	errs    map[uint64]error
-	calls   atomic.Int64
-	hits    atomic.Int64
+	mu       sync.Mutex
+	answers  map[uint64]metrics.Metrics
+	errs     map[uint64]error
+	declined map[uint64]bool
+	calls    atomic.Int64
+	points   atomic.Int64
 }
 
-func (f *fakeRemote) Lookup(_ context.Context, h uint64, _ param.Point) (metrics.Metrics, error, bool) {
-	f.calls.Add(1)
+func (f *fakeRemote) Forwards(_ context.Context, h uint64) bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if err, ok := f.errs[h]; ok {
-		f.hits.Add(1)
-		return nil, err, true
+	_, isErr := f.errs[h]
+	_, isAnswer := f.answers[h]
+	return isErr || isAnswer || f.declined[h]
+}
+
+func (f *fakeRemote) LookupBatch(_ context.Context, hashes []uint64, _ []param.Point, ms []metrics.Metrics, errs []error, ok []bool) {
+	f.calls.Add(1)
+	f.points.Add(int64(len(hashes)))
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for k, h := range hashes {
+		if err, found := f.errs[h]; found {
+			errs[k], ok[k] = err, true
+		} else if m, found := f.answers[h]; found {
+			ms[k], ok[k] = m, true
+		}
 	}
-	if m, ok := f.answers[h]; ok {
-		f.hits.Add(1)
-		return m, nil, true
-	}
-	return nil, nil, false
 }
 
 // TestRemoteTierAnswersMisses proves the remote tier is consulted exactly
@@ -85,8 +94,9 @@ func TestRemoteTierAnswersMisses(t *testing.T) {
 	}
 }
 
-// TestRemoteTierBatchPath proves batch fan-out misses consult the tier too,
-// and that a permanent remote error is memoized.
+// TestRemoteTierBatchPath proves a batch hands all its forwarded misses to
+// the tier in one call, evaluates the rest locally, and memoizes a
+// permanent remote error.
 func TestRemoteTierBatchPath(t *testing.T) {
 	space, _ := toySpace()
 	var localCalls atomic.Int64
@@ -96,14 +106,16 @@ func TestRemoteTierBatchPath(t *testing.T) {
 	})
 	badPt := param.Point{1, 0}
 	goodPt := param.Point{0, 0}
+	declinedPt := param.Point{3, 3}
 	rem := &fakeRemote{
-		answers: map[uint64]metrics.Metrics{space.Hash64(goodPt): {"v": 7}},
-		errs:    map[uint64]error{space.Hash64(badPt): errors.New("infeasible on owner")},
+		answers:  map[uint64]metrics.Metrics{space.Hash64(goodPt): {"v": 7}},
+		errs:     map[uint64]error{space.Hash64(badPt): errors.New("infeasible on owner")},
+		declined: map[uint64]bool{space.Hash64(declinedPt): true},
 	}
 	c.SetRemote(rem)
 
-	pts := []param.Point{goodPt, badPt, {2, 2}}
-	ms, errs, err := c.EvaluateBatchCtx(context.Background(), pts, 2)
+	pts := []param.Point{goodPt, badPt, {2, 2}, declinedPt}
+	ms, errs, err := evalBatch(c, context.Background(), nil, pts, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,8 +128,14 @@ func TestRemoteTierBatchPath(t *testing.T) {
 	if errs[2] != nil || ms[2]["v"] != 2 {
 		t.Fatalf("fall-through point: m=%v err=%v", ms[2], errs[2])
 	}
-	if localCalls.Load() != 1 {
-		t.Fatalf("local evaluator ran %d times, want 1", localCalls.Load())
+	if errs[3] != nil || ms[3]["v"] != 3 {
+		t.Fatalf("declined point: m=%v err=%v, want a local evaluation", ms[3], errs[3])
+	}
+	if localCalls.Load() != 2 {
+		t.Fatalf("local evaluator ran %d times, want 2", localCalls.Load())
+	}
+	if rem.calls.Load() != 1 || rem.points.Load() != 3 {
+		t.Fatalf("remote tier consulted %d times for %d points, want once for 3", rem.calls.Load(), rem.points.Load())
 	}
 	// The memoized remote error answers without another tier consult.
 	calls := rem.calls.Load()

@@ -210,3 +210,18 @@ func TestCacheRestoreRejectsBadKeys(t *testing.T) {
 		t.Fatal("Restore accepted an invalid key")
 	}
 }
+
+// TestCacheRestoreRejectsDuplicateKeys: a snapshot naming one point twice
+// - something Export never writes - fails the restore instead of resuming
+// on whichever entry the table happens to probe first.
+func TestCacheRestoreRejectsDuplicateKeys(t *testing.T) {
+	s, eval := toySpace()
+	c := NewCache(s, eval)
+	snap := CacheSnapshot{Distinct: 2, Total: 2, Entries: []CacheEntrySnapshot{
+		{Key: "3,4", Metrics: metrics.Metrics{"cost": 1}},
+		{Key: "3,4", Metrics: metrics.Metrics{"cost": 999}},
+	}}
+	if err := c.Restore(snap); err == nil {
+		t.Fatal("Restore accepted a snapshot with a duplicate key")
+	}
+}

@@ -9,9 +9,9 @@ import (
 	"nautilus/internal/metrics"
 )
 
-// TestDispatchEquivalence is the engine's dispatch contract: the inline
-// per-point path it takes at Parallelism 1 and the whole-generation batch
-// path it takes at higher parallelism produce identical results - best
+// TestDispatchEquivalence is the engine's dispatch contract: a
+// generation's misses evaluated on the calling goroutine (Parallelism 1)
+// and on pool workers (Parallelism 4) produce identical results - best
 // point, trajectory, and cache accounting included.
 func TestDispatchEquivalence(t *testing.T) {
 	s, eval := quadSpace()
@@ -30,9 +30,9 @@ func TestDispatchEquivalence(t *testing.T) {
 		return mustRun(t, e)
 	}
 
-	inline := run(1)
-	if batch := run(4); !reflect.DeepEqual(inline, batch) {
-		t.Errorf("batch path (par=4) differs from inline path (par=1)\n got: %+v\nwant: %+v", batch, inline)
+	serial := run(1)
+	if parallel := run(4); !reflect.DeepEqual(serial, parallel) {
+		t.Errorf("par=4 run differs from par=1 run\n got: %+v\nwant: %+v", parallel, serial)
 	}
 }
 

@@ -28,7 +28,6 @@ import (
 	"nautilus/internal/metrics"
 	"nautilus/internal/param"
 	"nautilus/internal/pareto"
-	"nautilus/internal/pool"
 	"nautilus/internal/telemetry/trace"
 )
 
@@ -113,12 +112,11 @@ type Config struct {
 	// and population size must match the configuration; the resumed run's
 	// Result is byte-identical to an uninterrupted run's.
 	Resume *Snapshot
-	// BatchBackend, when non-nil, receives the cache's residual misses as
-	// whole batches instead of the cache fanning them out over the
-	// single-point evaluator - the hook a layered cache (e.g. the server's
-	// process-wide shared cache) uses to coalesce in-flight batches across
-	// sessions. Setting it routes every generation through the batch path,
-	// even at Parallelism 1. Portfolio races (core.ModePortfolio) ignore
+	// BatchBackend, when non-nil, receives each generation's cache misses
+	// as one batch instead of the cache fanning them out over the
+	// evaluator - the hook a layered cache (e.g. the server's process-wide
+	// shared cache) uses to coalesce in-flight generations across
+	// sessions and islands. Portfolio races (core.ModePortfolio) ignore
 	// it: their strategies share the race's own dedup tier instead.
 	BatchBackend dataset.BatchEvaluator
 	// Migration, when non-nil, makes the run one island of an island-model
@@ -374,10 +372,13 @@ type Engine struct {
 	// (by genome hash), reused across generations to keep the hot loop
 	// allocation-free.
 	seen map[uint64]struct{}
-	// batchHashes/batchPts are the batch path's reusable request buffers,
-	// sized once per run to keep batching allocation-free too.
+	// batchHashes/batchPts/batchMs/batchErrs are the reusable request and
+	// result buffers each generation's one cache batch reads and fills,
+	// sized once per engine so dispatch allocates nothing.
 	batchHashes []uint64
 	batchPts    []param.Point
+	batchMs     []metrics.Metrics
+	batchErrs   []error
 	// order is the elite-selection scratch permutation, reused across
 	// generations.
 	order []int
@@ -758,19 +759,38 @@ func (e *Engine) snapshot(gen int, draws int64, pop []individual, best individua
 	return snap
 }
 
-// evaluate fills in fitness for the population. The path is chosen from
-// what the run can use, never configured: the batch pipeline amortizes
-// worker fan-out and lock traffic, so with one worker and no bulk backend
-// to feed there is nothing to amortize and inline per-point lookups are
-// strictly cheaper; otherwise the whole generation goes to the cache as
-// one deduplicated batch. Both paths produce identical populations and
-// cache stats (see TestDispatchEquivalence). A non-nil error means ctx was
+// evaluate fills in fitness for the population: the whole generation goes
+// to the cache as one batch, whose misses are evaluated on up to
+// Parallelism workers (on the calling goroutine at Parallelism 1) or
+// handed to the batch backend. Hashes, points, and outcomes stay
+// index-aligned with the population. A non-nil error means ctx was
 // canceled: the generation is incomplete and must be discarded.
 func (e *Engine) evaluate(ctx context.Context, gen int, pop []individual) error {
-	if e.cfg.Parallelism <= 1 && e.cfg.BatchBackend == nil {
-		return e.evaluateInline(ctx, gen, pop)
+	if cap(e.batchPts) < len(pop) {
+		e.batchPts = make([]param.Point, len(pop))
+		e.batchHashes = make([]uint64, len(pop))
+		e.batchMs = make([]metrics.Metrics, len(pop))
+		e.batchErrs = make([]error, len(pop))
 	}
-	return e.evaluateBatch(ctx, gen, pop)
+	pts, hashes := e.batchPts[:len(pop)], e.batchHashes[:len(pop)]
+	ms, errs := e.batchMs[:len(pop)], e.batchErrs[:len(pop)]
+	for i := range pop {
+		hashes[i] = pop[i].hash
+		pts[i] = pop[i].genome
+	}
+	if err := e.cache.EvaluateBatchCtx(ctx, hashes, pts, ms, errs, e.cfg.Parallelism); err != nil {
+		return err
+	}
+	for i := range pop {
+		ind := &pop[i]
+		e.score(ind, ms[i], errs[i])
+		e.tracer.RecordEvaluation(trace.EvaluationRecord{
+			Generation: gen,
+			Feasible:   ind.ok,
+			Fitness:    ind.fitness,
+		})
+	}
+	return nil
 }
 
 // score interprets one evaluation outcome into the individual's fitness
@@ -795,52 +815,6 @@ func (e *Engine) score(ind *individual, m metrics.Metrics, err error) {
 		ind.fitness = math.Inf(-1)
 		ind.value = e.obj.Worst()
 	}
-}
-
-// evaluateInline is the point-at-a-time path: each lookup goes straight to
-// the cache's hashed entry point on the individual's precomputed genome
-// hash, in population order on the calling goroutine.
-func (e *Engine) evaluateInline(ctx context.Context, gen int, pop []individual) error {
-	eval := func(i int) {
-		ind := &pop[i]
-		m, err := e.cache.EvaluateHashedCtx(ctx, ind.hash, ind.genome)
-		e.score(ind, m, err)
-		e.tracer.RecordEvaluation(trace.EvaluationRecord{
-			Generation: gen,
-			Feasible:   ind.ok,
-			Fitness:    ind.fitness,
-		})
-	}
-	return pool.EachCtx(ctx, 1, len(pop), eval, e.tracer)
-}
-
-// evaluateBatch submits the whole generation to the cache as one batch.
-// Hashes, points, and outcomes stay index-aligned, so the scored
-// population is identical to evaluateInline's.
-func (e *Engine) evaluateBatch(ctx context.Context, gen int, pop []individual) error {
-	if cap(e.batchPts) < len(pop) {
-		e.batchPts = make([]param.Point, 0, len(pop))
-		e.batchHashes = make([]uint64, 0, len(pop))
-	}
-	pts, hashes := e.batchPts[:0], e.batchHashes[:0]
-	for i := range pop {
-		hashes = append(hashes, pop[i].hash)
-		pts = append(pts, pop[i].genome)
-	}
-	ms, errs, err := e.cache.EvaluateBatchHashedCtx(ctx, hashes, pts, e.cfg.Parallelism)
-	if err != nil {
-		return err
-	}
-	for i := range pop {
-		ind := &pop[i]
-		e.score(ind, ms[i], errs[i])
-		e.tracer.RecordEvaluation(trace.EvaluationRecord{
-			Generation: gen,
-			Feasible:   ind.ok,
-			Fitness:    ind.fitness,
-		})
-	}
-	return ctx.Err()
 }
 
 // nextGeneration breeds the following population into next's arena-backed

@@ -99,8 +99,8 @@ func TestMultiFrontMutuallyNonDominating(t *testing.T) {
 
 // TestMultiByteIdentical pins the determinism contract for pareto mode:
 // the full Result - front, hypervolume, nadir, trajectory, cache stats -
-// is deeply identical across parallelism levels, and so across the
-// engine's inline (par 1) and batched (par 8) evaluation paths.
+// is deeply identical across parallelism levels: misses evaluated on the
+// calling goroutine (par 1) or on pool workers (par 8).
 func TestMultiByteIdentical(t *testing.T) {
 	s, eval, objs := biSpace()
 	run := func(par int) Result {

@@ -80,11 +80,11 @@ func TestCollectorSeesRun(t *testing.T) {
 	if int(hits+misses) != res.Cache.Total {
 		t.Errorf("cache events %d != total queries %d", hits+misses, res.Cache.Total)
 	}
-	// This run has Parallelism 1, so adaptive dispatch takes the inline
-	// single path: every evaluation is a pool task, exactly like the
-	// legacy point-at-a-time dispatch.
-	if got := snap.Counters[telemetry.MetricPoolTasks]; got != wantEvals {
-		t.Errorf("pool tasks = %d, want %d (evaluations)", got, wantEvals)
+	// Each generation is one cache batch whose misses the pool evaluates
+	// (on the calling goroutine at Parallelism 1): every miss is one pool
+	// task, and hits never reach the pool.
+	if got := snap.Counters[telemetry.MetricPoolTasks]; got != misses {
+		t.Errorf("pool tasks = %d, want %d (cache misses)", got, misses)
 	}
 	gens := col.Generations()
 	if len(gens) != 11 {
@@ -149,8 +149,8 @@ func BenchmarkRunTelemetryNop(b *testing.B) {
 // beyond what its sinks do: an identical run allocates exactly as much
 // with a stream whose only sink discards everything as with no stream at
 // all - spans, generation records, and every per-evaluation, cache, and
-// pool record travel by value - on both the inline (parallelism 1) and
-// the batch (parallelism 4) dispatch path. The runtime occasionally adds
+// pool record travel by value - with misses evaluated on the calling
+// goroutine (parallelism 1) and on pool workers (parallelism 4). The runtime occasionally adds
 // one allocation to a measurement (pooled batch scratch dropped by a
 // concurrent GC cycle) and never removes one, so each side's minimum over
 // a few measurements is compared. Under the race detector, whose own

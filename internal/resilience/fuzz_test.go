@@ -2,6 +2,7 @@ package resilience
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -171,5 +172,35 @@ func TestLoadRejectsCorruption(t *testing.T) {
 		if _, err := Load(path, space, fuzzSeed); err == nil {
 			t.Errorf("case %s: corrupted checkpoint accepted", name)
 		}
+	}
+}
+
+// TestDuplicateCacheEntryRefusesResume: a checkpoint whose cache names one
+// point twice with different outcomes - a tampered file, since Save never
+// writes one - cannot resume a run: the run fails instead of searching on
+// either entry.
+func TestDuplicateCacheEntryRefusesResume(t *testing.T) {
+	space := fuzzSpace(t)
+	snap := fuzzSnapshot()
+	snap.Cache.Entries = append(snap.Cache.Entries,
+		dataset.CacheEntrySnapshot{Key: "3,2", Metrics: metrics.Metrics{"luts": 999}})
+	path := filepath.Join(t.TempDir(), "dup.json")
+	if err := Save(path, space, snap); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(path, space, fuzzSeed)
+	if err != nil {
+		return // refused at load: just as good
+	}
+	eval := func(pt param.Point) (metrics.Metrics, error) {
+		return metrics.Metrics{"luts": float64(100 * (pt[0] + 1))}, nil
+	}
+	engine, err := ga.NewContext(space, metrics.MinimizeMetric("luts"), dataset.AdaptContext(eval),
+		ga.Config{PopulationSize: len(snap.Population), Generations: 5, Seed: fuzzSeed, Resume: loaded}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err := engine.RunContext(context.Background()); err == nil {
+		t.Fatalf("resumed from a checkpoint with a duplicate cache entry: %+v", res)
 	}
 }

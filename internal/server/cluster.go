@@ -13,7 +13,6 @@ import (
 	"nautilus/internal/core"
 	"nautilus/internal/dataset"
 	"nautilus/internal/ga"
-	"nautilus/internal/metrics"
 	"nautilus/internal/param"
 	"nautilus/internal/telemetry/trace"
 )
@@ -146,7 +145,8 @@ func (s *Server) clusterCaches(ip string) (*dataset.Cache, *param.Space, bool) {
 // runClusterIsland runs one island of a cluster session on this node: the
 // spec's payload is the session's JobSpec, the island searches it with the
 // spec's derived seed through the shared per-IP cache (remote tier
-// included, so the cluster still pays for each distinct point once), and
+// included, so the cluster still pays for each distinct point once, and a
+// generation's peer-owned misses travel as one frame per owning peer), and
 // migrants ride the node's exchange. Pure in the spec - a peer re-running
 // a degraded island computes the identical search.
 func (s *Server) runClusterIsland(ctx context.Context, spec cluster.IslandSpec) (cluster.IslandResult, error) {
@@ -163,14 +163,13 @@ func (s *Server) runClusterIsland(ctx context.Context, spec cluster.IslandSpec) 
 	// Scheduler slots are accounted per island, so a clustered session's
 	// islands share the worker budget fairly like any other tenants.
 	sid := fmt.Sprintf("%s#%d", spec.Session, spec.Island)
-	eval := func(ectx context.Context, pt param.Point) (metrics.Metrics, error) {
-		return shared.EvaluateCtx(context.WithValue(ectx, sessionKey{}, sid), pt)
-	}
+	eval, batch := sharedEvaluators(shared, sid, js.Parallelism)
 	cfg := ga.Config{
 		PopulationSize: js.Population,
 		Generations:    js.Generations,
 		Seed:           spec.Seed,
 		Parallelism:    js.Parallelism,
+		BatchBackend:   batch,
 		Migration:      spec.Exchange(s.clusterNode()),
 	}
 	res, err := core.Search(ctx, core.SearchRequest{

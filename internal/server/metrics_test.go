@@ -79,7 +79,7 @@ func TestMetricsExposition(t *testing.T) {
 	}
 	for _, want := range []string{
 		"ga.generation", "ga.dispatch", "ga.selection", "ga.crossover", "ga.mutation",
-		"cache.batch", "cache.dedup", "cache.probe",
+		"cache.batch", "cache.probe", "cache.fanout",
 	} {
 		if !spans[want] {
 			t.Errorf("span %q missing from nautilus_span_duration_ns (have %v)", want, spans)

@@ -308,23 +308,7 @@ func (s *Server) runningCount() int {
 func (s *Server) run(ctx context.Context, sess *session, resume *ga.Snapshot) {
 	defer s.wg.Done()
 	shared := s.sharedCacheFor(sess.entry)
-	// The session's evaluator routes every private-cache miss through the
-	// shared per-IP cache: the session still counts the evaluation as its
-	// own (paper accounting), but only the first session across the whole
-	// process actually pays for it.
-	eval := func(ctx context.Context, pt param.Point) (metrics.Metrics, error) {
-		return shared.EvaluateCtx(context.WithValue(ctx, sessionKey{}, sess.id), pt)
-	}
-	// The batch backend forwards each generation's residual misses to the
-	// shared cache as one batch, so concurrent same-space sessions merge
-	// in-flight generations (each waits on the other's evaluations) instead
-	// of colliding point by point. Per-item errors already carry transient
-	// context cancellations, so the batch-level error adds nothing here.
-	batch := func(ctx context.Context, pts []param.Point) ([]metrics.Metrics, []error) {
-		ms, errs, _ := shared.EvaluateBatchCtx(
-			context.WithValue(ctx, sessionKey{}, sess.id), pts, sess.spec.Parallelism)
-		return ms, errs
-	}
+	eval, batch := sharedEvaluators(shared, sess.id, sess.spec.Parallelism)
 	cfg := ga.Config{
 		PopulationSize: sess.spec.Population,
 		Generations:    sess.spec.Generations,
@@ -465,6 +449,29 @@ func (s *Server) buildResult(sess *session, res ga.Result) *JobResult {
 		}
 	}
 	return out
+}
+
+// sharedEvaluators layers a search on the process-wide shared cache on
+// behalf of scheduler tenant sid. Every private-cache miss resolves through
+// the shared cache: the search still counts the evaluation as its own
+// (paper accounting), but only the first search across the whole process
+// (or, clustered, the whole cluster) actually pays for it. eval is the
+// point-shaped evaluator; batch, the engine's BatchBackend, forwards each
+// generation's misses as one batch, so concurrent same-space searches
+// merge in-flight generations (each waits on the other's evaluations)
+// instead of colliding point by point. Per-item errors already carry
+// transient context cancellations, so the batch-level error adds nothing.
+func sharedEvaluators(shared *dataset.Cache, sid string, par int) (dataset.ContextEvaluator, dataset.BatchEvaluator) {
+	eval := func(ctx context.Context, pt param.Point) (metrics.Metrics, error) {
+		return shared.EvaluateCtx(context.WithValue(ctx, sessionKey{}, sid), pt)
+	}
+	batch := func(ctx context.Context, pts []param.Point) ([]metrics.Metrics, []error) {
+		ms := make([]metrics.Metrics, len(pts))
+		errs := make([]error, len(pts))
+		_ = shared.EvaluateBatchCtx(context.WithValue(ctx, sessionKey{}, sid), nil, pts, ms, errs, par)
+		return ms, errs
+	}
+	return eval, batch
 }
 
 // sharedCacheFor returns the process-wide cache for the entry's IP,
