@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"slices"
+	"sync"
 
 	"nautilus/internal/metrics"
 	"nautilus/internal/param"
@@ -49,21 +50,45 @@ func writeFrame(w io.Writer, op byte, payload []byte) error {
 	return err
 }
 
-// readFrame receives one frame.
+// frameChunk is the largest payload readFrame sizes from the length word
+// alone; a longer one grows as its bytes arrive.
+const frameChunk = 64 << 10
+
+// frameHeaders recycles readFrame's header buffer, which escapes through
+// the reader interface, so a small frame costs one allocation: its payload.
+var frameHeaders = sync.Pool{New: func() any { return new([5]byte) }}
+
+// readFrame receives one frame. A payload up to frameChunk gets one
+// exact-size buffer. A longer one starts at frameChunk and doubles only
+// once the bytes read so far fill it, so a peer that declares a large
+// frame and then stalls holds no more memory than it has actually sent.
 func readFrame(r io.Reader) (byte, []byte, error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	hdr := frameHeaders.Get().(*[5]byte)
+	_, err := io.ReadFull(r, hdr[:])
+	n, op := binary.BigEndian.Uint32(hdr[:4]), hdr[4]
+	frameHeaders.Put(hdr)
+	if err != nil {
 		return 0, nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:4])
 	if n < 1 || n > maxFrame {
 		return 0, nil, fmt.Errorf("cluster: frame length %d outside [1, %d]", n, maxFrame)
 	}
-	payload := make([]byte, n-1)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, err
+	size := int(n) - 1
+	payload := make([]byte, min(size, frameChunk))
+	for off := 0; ; {
+		k, err := io.ReadFull(r, payload[off:])
+		off += k
+		if err == io.EOF && off > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
+			return 0, nil, err
+		}
+		if off == size {
+			return op, payload, nil
+		}
+		payload = append(payload, make([]byte, min(off, size-off))...)
 	}
-	return hdr[4], payload, nil
 }
 
 // appendString appends a u16-length-prefixed string, cut to the longest

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"io"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
+	"testing/iotest"
 
 	"nautilus/internal/dataset"
 	"nautilus/internal/metrics"
@@ -231,4 +234,70 @@ func FuzzDecodeMetrics(f *testing.F) {
 			t.Fatal("canonical metrics are not a fixed point")
 		}
 	})
+}
+
+// TestReadFrameStalledLargeClaim: a header claiming a maxFrame payload
+// followed by 10 bytes and EOF fails, having allocated for the bytes
+// that arrived rather than for the claimed length.
+func TestReadFrameStalledLargeClaim(t *testing.T) {
+	b := binary.BigEndian.AppendUint32(nil, maxFrame)
+	b = append(b, opIsland)
+	b = append(b, make([]byte, 10)...)
+	var rd bytes.Reader
+	least := uint64(math.MaxUint64)
+	for i := 0; i < 5; i++ {
+		rd.Reset(b)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _, err := readFrame(&rd)
+		runtime.ReadMemStats(&after)
+		if err != io.ErrUnexpectedEOF {
+			t.Fatalf("truncated frame: err = %v, want %v", err, io.ErrUnexpectedEOF)
+		}
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	if least >= 128<<10 {
+		t.Errorf("a stalled %d-byte frame claim allocated %d bytes, want < 128 KiB", maxFrame, least)
+	}
+}
+
+// TestReadFrameLarge: a payload past frameChunk arrives whole through the
+// growing buffer, whether the reader hands it over at once or in pieces.
+func TestReadFrameLarge(t *testing.T) {
+	payload := make([]byte, 3*frameChunk+17)
+	for i := range payload {
+		payload[i] = byte(i * 7)
+	}
+	var buf bytes.Buffer
+	if err := writeFrame(&buf, statusOK, payload); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []io.Reader{bytes.NewReader(buf.Bytes()), iotest.HalfReader(bytes.NewReader(buf.Bytes()))} {
+		op, got, err := readFrame(r)
+		if err != nil || op != statusOK || !bytes.Equal(got, payload) {
+			t.Fatalf("readFrame = (0x%02x, %d bytes, %v), want (0x%02x, %d bytes)", op, len(got), err, statusOK, len(payload))
+		}
+	}
+}
+
+// TestReadFrameSmallAllocs pins a small frame at one allocation: its
+// exact-size payload.
+func TestReadFrameSmallAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector adds allocations")
+	}
+	var buf bytes.Buffer
+	if err := writeFrame(&buf, opEval, make([]byte, 200)); err != nil {
+		t.Fatal(err)
+	}
+	var rd bytes.Reader
+	avg := testing.AllocsPerRun(100, func() {
+		rd.Reset(buf.Bytes())
+		if _, _, err := readFrame(&rd); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg != 1 {
+		t.Errorf("a 200-byte frame costs %.1f allocations, want 1", avg)
+	}
 }

@@ -74,17 +74,23 @@ func goldenCases(t *testing.T) []goldenCase {
 	return cases
 }
 
-// search runs the case at seed under cfg's parallelism with the given
-// evaluator and extra options.
-func (gc goldenCase) search(t *testing.T, cfg ga.Config, eval dataset.ContextEvaluator, opts ...core.SearchOption) ga.Result {
-	t.Helper()
+// request is the case's search request under cfg with the given
+// evaluator.
+func (gc goldenCase) request(cfg ga.Config, eval dataset.ContextEvaluator) core.SearchRequest {
 	req := core.SearchRequest{Space: gc.entry.Space, Mode: gc.mode, EvaluateCtx: eval, Config: cfg}
 	if gc.mode == core.ModePareto {
 		req.Objectives = gc.objs
 	} else {
 		req.Objective = gc.entry.Objective
 	}
-	res, err := core.Search(context.Background(), req, append([]core.SearchOption{core.WithGuidance(gc.guidance)}, opts...)...)
+	return req
+}
+
+// search runs the case at seed under cfg's parallelism with the given
+// evaluator and extra options.
+func (gc goldenCase) search(t *testing.T, cfg ga.Config, eval dataset.ContextEvaluator, opts ...core.SearchOption) ga.Result {
+	t.Helper()
+	res, err := core.Search(context.Background(), gc.request(cfg, eval), append([]core.SearchOption{core.WithGuidance(gc.guidance)}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,0 +1,9 @@
+//go:build race
+
+package core_test
+
+// raceEnabled reports whether the race detector is active. Its
+// instrumentation adds allocations of its own (and sync.Pool drops items
+// at random under it), so allocation assertions only hold in non-race
+// builds.
+const raceEnabled = true

@@ -137,14 +137,13 @@ func (c *Cache) probe(ctx context.Context, hashes []uint64, pts []param.Point, m
 		}
 		sh.mu.Unlock()
 		c.noteCollisions(probes, shi)
-		select {
-		case <-e.done:
+		if e.completed() {
 			ms[i], errs[i] = e.m, e.err
-		default:
+		} else {
 			if sc == nil {
 				sc = getScratch()
 			}
-			if event == trace.CacheHit && e.done != sc.local.done && e.done != sc.fwd.done {
+			if event == trace.CacheHit && e.comp != sc.local.comp && e.comp != sc.fwd.comp {
 				event = trace.CacheDedup
 				c.dedup.Add(1)
 			}
@@ -186,15 +185,13 @@ func (c *Cache) collect(ctx context.Context, sc *batchScratch, ms []metrics.Metr
 	waited := false
 	for _, p := range sc.pending {
 		e := p.e
-		select {
-		case <-e.done:
-		default:
+		if !e.completed() {
 			if !waited && c.tracer.Enabled() {
 				start = time.Now()
 			}
 			waited = true
 			select {
-			case <-e.done:
+			case <-e.comp.done:
 			case <-ctx.Done():
 				ms[p.i], errs[p.i] = nil, MarkTransient(ctx.Err())
 				continue
@@ -208,12 +205,12 @@ func (c *Cache) collect(ctx context.Context, sc *batchScratch, ms []metrics.Metr
 }
 
 // missGroup is a set of points one batch owns and completes together. Its
-// done channel is shared by the group's entries and doubles as the
+// completion record is shared by the group's entries and doubles as the
 // batch's owner token: it is set on each entry at insert and never
-// written again, so a later duplicate of an owned point in the same batch
+// replaced, so a later duplicate of an owned point in the same batch
 // recognizes the entry as its own - a hit - instead of waiting on itself.
 type missGroup struct {
-	done    chan struct{}
+	comp    *completion
 	entries []*cacheEntry
 	hashes  []uint64
 	pts     []param.Point
@@ -228,10 +225,10 @@ type missGroup struct {
 
 // add inserts one owned miss and returns its fresh entry.
 func (g *missGroup) add(h uint64, pt param.Point, genome []int32) *cacheEntry {
-	if g.done == nil {
-		g.done = make(chan struct{})
+	if g.comp == nil {
+		g.comp = &completion{done: make(chan struct{})}
 	}
-	e := &cacheEntry{done: g.done, hash: h, genome: genome}
+	e := &cacheEntry{comp: g.comp, hash: h, genome: genome}
 	g.entries = append(g.entries, e)
 	g.hashes = append(g.hashes, h)
 	g.pts = append(g.pts, pt)
@@ -243,9 +240,9 @@ func (g *missGroup) add(h uint64, pt param.Point, genome []int32) *cacheEntry {
 
 // reset drops every reference the group holds (points, entries and
 // outcomes must not be retained by the scratch pool) and keeps the
-// capacity. The closed done channel belongs to the entries now.
+// capacity. The completed record belongs to the entries now.
 func (g *missGroup) reset() {
-	g.done = nil
+	g.comp = nil
 	clear(g.entries)
 	clear(g.pts)
 	clear(g.ms)
@@ -352,7 +349,9 @@ func (c *Cache) evalLocal(ctx context.Context, sc *batchScratch, g *missGroup, p
 // publish completes a group. Transient outcomes are withdrawn from their
 // shard tables before done closes, so no later lookup inherits a poisoned
 // entry; every other outcome is memoized and counts as a distinct
-// evaluation.
+// evaluation. The group is stamped with the next completion sequence
+// number before done closes, which is what lets ExportMark tell entries
+// completed before a mark from those completed after it.
 func (c *Cache) publish(g *missGroup) {
 	if len(g.entries) == 0 {
 		return
@@ -376,5 +375,6 @@ func (c *Cache) publish(g *missGroup) {
 	if transient > 0 {
 		c.transient.Add(transient)
 	}
-	close(g.done)
+	g.comp.seq = c.seq.Add(1)
+	close(g.comp.done)
 }

@@ -274,7 +274,7 @@ func TestConcurrentBatchesMatchReference(t *testing.T) {
 			}
 		}
 		ref := newRefCache(refSpace, func(pt param.Point) (metrics.Metrics, error) { return w.plan.outcome(pt) })
-		ref.batch(all)
+		ref.batch(all, false)
 		if got, want := c.Export().Entries, ref.export().Entries; !reflect.DeepEqual(got, want) {
 			t.Logf("settled Export %+v, reference %+v", got, want)
 			ok = false

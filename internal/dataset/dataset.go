@@ -166,7 +166,11 @@ type Cache struct {
 	dedup      atomic.Int64
 	transient  atomic.Int64
 	collisions atomic.Int64
-	shards     [cacheShards]cacheShard
+	// seq numbers completions: each owning batch stamps the next value on
+	// the group of entries it completes (see publish), so a CacheMark can
+	// tell the entries completed before it from those completed after.
+	seq    atomic.Uint64
+	shards [cacheShards]cacheShard
 }
 
 type cacheShard struct {
@@ -174,18 +178,39 @@ type cacheShard struct {
 	table cacheTable
 }
 
-// cacheEntry is the singleflight slot for one design point. done is closed
-// by the owning batch once m/err are valid; everyone else waits on it. The
-// owner shares one done channel across the entries it completes together,
-// and that channel identifies the owner (see missGroup). The entry carries
-// its genome hash and the packed genome, the identity pair the
-// open-addressed table verifies on every hit.
+// cacheEntry is the singleflight slot for one design point. Its
+// completion's done channel is closed by the owning batch once m/err are
+// valid; everyone else waits on it. The owner shares one completion record
+// across the entries it completes together, and that pointer identifies
+// the owner (see missGroup). The entry carries its genome hash and the
+// packed genome, the identity pair the open-addressed table verifies on
+// every hit. Keeping the completion stamp in the shared record, not here,
+// holds an entry at 64 bytes.
 type cacheEntry struct {
-	done   chan struct{}
+	comp   *completion
 	m      metrics.Metrics
 	err    error
 	hash   uint64
 	genome []int32
+}
+
+// completion is shared by the entries one batch completes together. seq
+// is the cache's completion sequence number, stamped just before done
+// closes and never written again, so it may be read by anyone who has
+// seen done closed. Restored entries share a record with seq 0.
+type completion struct {
+	done chan struct{}
+	seq  uint64
+}
+
+// completed reports whether e's outcome is valid.
+func (e *cacheEntry) completed() bool {
+	select {
+	case <-e.comp.done:
+		return true
+	default:
+		return false
+	}
 }
 
 // NewCache wraps eval for the given space.
@@ -348,6 +373,7 @@ func (c *Cache) Reset() {
 	c.dedup.Store(0)
 	c.transient.Store(0)
 	c.collisions.Store(0)
+	c.seq.Store(0)
 }
 
 // CacheEntrySnapshot is one memoized evaluation in a CacheSnapshot: the
@@ -370,30 +396,57 @@ type CacheSnapshot struct {
 	Transient int64
 }
 
-// Export snapshots the cache for checkpointing. Only completed entries are
-// captured (in-flight singleflight evaluations are skipped); callers that
-// need an exact snapshot - like the GA engine at a generation boundary -
-// export when no evaluations are in flight. Metrics maps are shared, not
-// copied: memoized metrics are immutable by contract.
+// CacheMark records a quiescent cache in O(1): its counters and the
+// completion sequence number. ExportMark(m) later renders the snapshot
+// Export would have returned when m was taken, because completed entries
+// are never removed (transient outcomes are withdrawn before they
+// complete) and every entry completed after m carries a larger stamp. A
+// mark is valid until the cache is Reset or Restored.
+type CacheMark struct {
+	seq                               uint64
+	distinct, total, dedup, transient int64
+}
+
+// Mark records the cache's current state for a later ExportMark. Like
+// Export, it must be taken when no lookup is in flight - the GA engine
+// takes one at every generation boundary of a checkpointing run.
+func (c *Cache) Mark() CacheMark {
+	return CacheMark{
+		seq:       c.seq.Load(),
+		distinct:  c.distinct.Load(),
+		total:     c.total.Load(),
+		dedup:     c.dedup.Load(),
+		transient: c.transient.Load(),
+	}
+}
+
+// Export snapshots the cache for checkpointing: ExportMark of a mark taken
+// now. Callers that need an exact snapshot export when no evaluations are
+// in flight.
+func (c *Cache) Export() CacheSnapshot { return c.ExportMark(c.Mark()) }
+
+// ExportMark snapshots the cache as it stood at mark m: m's counters and
+// the entries completed no later than m. Entries still in flight, and
+// entries completed since - including those a canceled batch publishes
+// after the mark - are left out. Metrics maps are shared, not copied:
+// memoized metrics are immutable by contract.
 //
 // Snapshots speak canonical string keys: each entry's key is rebuilt from
 // its stored packed genome (a cold path), so genome hashes - process-local
 // identities, not stable serialized state - never reach disk.
-func (c *Cache) Export() CacheSnapshot {
+func (c *Cache) ExportMark(m CacheMark) CacheSnapshot {
 	snap := CacheSnapshot{
-		Distinct:  c.distinct.Load(),
-		Total:     c.total.Load(),
-		Dedup:     c.dedup.Load(),
-		Transient: c.transient.Load(),
+		Distinct:  m.distinct,
+		Total:     m.total,
+		Dedup:     m.dedup,
+		Transient: m.transient,
 	}
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
 		sh.table.each(func(e *cacheEntry) {
-			select {
-			case <-e.done:
-			default:
-				return // in flight; not yet a characterization
+			if !e.completed() || e.comp.seq > m.seq {
+				return // in flight, or completed after the mark
 			}
 			es := CacheEntrySnapshot{Key: c.space.Key(c.space.UnpackPoint(e.genome)), Metrics: e.m}
 			if e.err != nil {
@@ -423,14 +476,14 @@ func (c *Cache) Restore(snap CacheSnapshot) error {
 		sh.table = cacheTable{}
 		sh.mu.Unlock()
 	}
-	closed := make(chan struct{})
-	close(closed)
+	restored := &completion{done: make(chan struct{})}
+	close(restored.done)
 	for _, es := range snap.Entries {
 		pt, err := c.space.ParseKey(es.Key)
 		if err != nil {
 			return fmt.Errorf("dataset: restore: %w", err)
 		}
-		e := &cacheEntry{done: closed, m: es.Metrics, hash: c.hashFn(pt), genome: c.space.AppendPacked(nil, pt)}
+		e := &cacheEntry{comp: restored, m: es.Metrics, hash: c.hashFn(pt), genome: c.space.AppendPacked(nil, pt)}
 		if es.Err != "" {
 			e.err = errors.New(es.Err)
 		}

@@ -31,7 +31,7 @@ func TestHashStringModeEquivalence(t *testing.T) {
 	ref := newRefCache(s, eval)
 	for _, pt := range pts {
 		m, err := c.Evaluate(pt)
-		wms, werrs := ref.batch([]param.Point{pt})
+		wms, werrs := ref.batch([]param.Point{pt}, false)
 		if !sameOutcome(m, err, wms[0], werrs[0]) {
 			t.Fatalf("at %s: hash-keyed cache (%v, %v), string-keyed reference (%v, %v)",
 				s.Key(pt), m, err, wms[0], werrs[0])
@@ -62,7 +62,7 @@ func TestHashModeExportByteIdentical(t *testing.T) {
 	ref := newRefCache(s, eval)
 	for _, pt := range pts {
 		c.Evaluate(pt)
-		ref.batch([]param.Point{pt})
+		ref.batch([]param.Point{pt}, false)
 	}
 	hsnap := c.Export()
 	got, err := json.Marshal(hsnap)

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"nautilus/internal/metrics"
 	"nautilus/internal/param"
@@ -40,8 +41,10 @@ func newRefCache(space *param.Space, eval Evaluator) *refCache {
 // a memoized point is answered without an evaluator call, and each other
 // distinct point costs exactly one call whose outcome all its duplicates
 // in the batch share. Transient outcomes are never memoized. A point
-// lookup is a batch of one.
-func (r *refCache) batch(pts []param.Point) ([]metrics.Metrics, []error) {
+// lookup is a batch of one. A batch under an already canceled context
+// makes no evaluator call: each distinct miss ends in one transient
+// cancellation error.
+func (r *refCache) batch(pts []param.Point, canceled bool) ([]metrics.Metrics, []error) {
 	r.total += int64(len(pts))
 	fresh := make(map[string]refOutcome)
 	ms := make([]metrics.Metrics, len(pts))
@@ -53,7 +56,11 @@ func (r *refCache) batch(pts []param.Point) ([]metrics.Metrics, []error) {
 			o, ok = fresh[key]
 		}
 		if !ok {
-			o.m, o.err = r.eval(pt)
+			if canceled {
+				o.m, o.err = nil, MarkTransient(context.Canceled)
+			} else {
+				o.m, o.err = r.eval(pt)
+			}
 			fresh[key] = o
 			if o.err != nil && IsTransient(o.err) {
 				r.transient++
@@ -139,6 +146,7 @@ const (
 	opPoint     = iota // one lookup through EvaluateCtx: a batch of one
 	opBatch            // one batch through EvaluateBatchCtx, with or without hashes
 	opRoundTrip        // Export, then Restore into a fresh cache
+	opMark             // Mark, checked by ExportMark once the stream ends
 )
 
 type cacheOp struct {
@@ -146,11 +154,13 @@ type cacheOp struct {
 	pts    []param.Point
 	par    int
 	hashed bool
+	// canceled runs the lookup under an already canceled context.
+	canceled bool
 }
 
 // cacheStream is one generated workload: a fault plan plus a sequence of
-// point lookups, batches (duplicates included) and Export/Restore
-// round-trips.
+// point lookups, batches (duplicates included), lookups under canceled
+// contexts, Export/Restore round-trips and marks.
 type cacheStream struct {
 	plan faultPlan
 	ops  []cacheOp
@@ -169,8 +179,8 @@ func (cacheStream) Generate(r *rand.Rand, size int) reflect.Value {
 		return true
 	})
 	for n := 1 + r.Intn(2*size+1); n > 0; n-- {
-		op := cacheOp{par: 1 + 2*r.Intn(2), hashed: r.Intn(2) == 0}
-		switch k := r.Intn(10); {
+		op := cacheOp{par: 1 + 2*r.Intn(2), hashed: r.Intn(2) == 0, canceled: r.Intn(6) == 0}
+		switch k := r.Intn(12); {
 		case k < 4:
 			op.kind = opPoint
 			op.pts = []param.Point{refSpace.Random(r)}
@@ -183,8 +193,10 @@ func (cacheStream) Generate(r *rand.Rand, size int) reflect.Value {
 					op.pts = append(op.pts, pt.Clone())
 				}
 			}
-		default:
+		case k < 10:
 			op.kind = opRoundTrip
+		default:
+			op.kind = opMark
 		}
 		s.ops = append(s.ops, op)
 	}
@@ -207,15 +219,28 @@ func sameOutcome(m1 metrics.Metrics, e1 error, m2 metrics.Metrics, e2 error) boo
 // Cache and the map-backed reference in lockstep and demands the same
 // answer for every lookup, and the same Stats() and Export() after every
 // operation: point and batch lookups, duplicate-heavy batches fanned out
-// at par 1 and 3, permanent and transient evaluator errors, and
-// Export/Restore round-trips into a fresh cache.
+// at par 1 and 3, permanent and transient evaluator errors, lookups under
+// canceled contexts, and Export/Restore round-trips into a fresh cache.
+// Marks taken between operations must render, through ExportMark once the
+// whole stream has run, exactly the reference's export at the mark.
 func TestCacheMatchesReference(t *testing.T) {
-	ctx := context.Background()
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	type markedExport struct {
+		c    *Cache
+		mark CacheMark
+		want CacheSnapshot
+	}
 	check := func(s cacheStream) bool {
 		prodEval, refEval := s.plan.evaluator(), s.plan.evaluator()
 		c := NewCache(refSpace, prodEval)
 		ref := newRefCache(refSpace, refEval)
+		var marks []markedExport
 		for i, op := range s.ops {
+			ctx := context.Background()
+			if op.canceled {
+				ctx = canceled
+			}
 			var ms []metrics.Metrics
 			var errs []error
 			switch op.kind {
@@ -232,8 +257,8 @@ func TestCacheMatchesReference(t *testing.T) {
 				}
 				var err error
 				ms, errs, err = evalBatch(c, ctx, hashes, op.pts, op.par)
-				if err != nil {
-					t.Logf("op %d: batch error %v", i, err)
+				if err != ctx.Err() {
+					t.Logf("op %d: batch error %v, context error %v", i, err, ctx.Err())
 					return false
 				}
 			case opRoundTrip:
@@ -244,8 +269,10 @@ func TestCacheMatchesReference(t *testing.T) {
 					return false
 				}
 				ref.restore(ref.export())
+			case opMark:
+				marks = append(marks, markedExport{c, c.Mark(), ref.export()})
 			}
-			wms, werrs := ref.batch(op.pts)
+			wms, werrs := ref.batch(op.pts, op.canceled)
 			for k := range op.pts {
 				if !sameOutcome(ms[k], errs[k], wms[k], werrs[k]) {
 					t.Logf("op %d item %d (%s): cache (%v, %v), reference (%v, %v)",
@@ -262,9 +289,28 @@ func TestCacheMatchesReference(t *testing.T) {
 				return false
 			}
 		}
+		for k, m := range marks {
+			if got := m.c.ExportMark(m.mark); !reflect.DeepEqual(got, m.want) {
+				t.Logf("mark %d: ExportMark %+v, reference export at the mark %+v", k, got, m.want)
+				return false
+			}
+		}
 		return true
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCacheEntrySize pins a cache entry at 64 bytes, a single allocation
+// size class on 64-bit platforms: the completion stamp ExportMark filters
+// on lives in the completion record an entry's batch shares, not in the
+// entry, which would push every entry into the 80-byte class.
+func TestCacheEntrySize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("entry layout is pinned on 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(cacheEntry{}); got != 64 {
+		t.Errorf("cacheEntry is %d bytes, want 64", got)
 	}
 }

@@ -564,16 +564,19 @@ func (e *Engine) RunContext(ctx context.Context) (Result, error) {
 	// the stream on or off.
 	checkpointing := e.cfg.Checkpoint != nil
 
-	// boundary is the resumable state at the start of the generation being
-	// evaluated; on cancellation it becomes the final checkpoint, so a kill
-	// mid-generation loses no completed work.
-	var boundary *Snapshot
+	// mark records the cache at the start of the generation being
+	// evaluated, in O(1). The boundary's Snapshot is built from it only when
+	// the checkpoint is due, or when the run is canceled mid-generation: so
+	// a kill loses no completed work, and a boundary that is not due costs
+	// no export and no copy of the population or trajectory.
+	var mark dataset.CacheMark
 
 	for gen := startGen; gen <= e.cfg.Generations; gen++ {
 		if checkpointing {
-			boundary = e.snapshot(gen, src.draws, pop, best, stale, prevBest, trajectory)
+			mark = e.cache.Mark()
 			if gen != startGen && gen%e.cfg.CheckpointEvery == 0 {
-				if err := e.cfg.Checkpoint(boundary); err != nil {
+				snap := e.snapshot(gen, src.draws, pop, best, stale, prevBest, trajectory, mark)
+				if err := e.cfg.Checkpoint(snap); err != nil {
 					return Result{}, fmt.Errorf("ga: checkpoint at generation %d: %w", gen, err)
 				}
 			}
@@ -588,11 +591,15 @@ func (e *Engine) RunContext(ctx context.Context) (Result, error) {
 		if err := e.evaluate(ctx, gen, pop); err != nil {
 			// Canceled mid-generation: the pool has drained; discard the
 			// partially evaluated generation and checkpoint its boundary.
+			// evaluate draws no RNG and rewrites no genome, and nothing below
+			// has run yet, so this is the state the boundary held - the
+			// mark excludes what the generation added to the cache.
 			dspan.End()
 			gspan.End()
 			interrupted = true
 			if checkpointing {
-				if cerr := e.cfg.Checkpoint(boundary); cerr != nil {
+				snap := e.snapshot(gen, src.draws, pop, best, stale, prevBest, trajectory, mark)
+				if cerr := e.cfg.Checkpoint(snap); cerr != nil {
 					return Result{}, fmt.Errorf("ga: final checkpoint at generation %d: %w", gen, cerr)
 				}
 			}
@@ -738,9 +745,9 @@ func (e *Engine) RunContext(ctx context.Context) (Result, error) {
 }
 
 // snapshot captures the resumable state at the start of generation gen,
-// before its population is evaluated.
+// before its population is evaluated; mark is the cache as it stood then.
 func (e *Engine) snapshot(gen int, draws int64, pop []individual, best individual,
-	stale int, prevBest float64, trajectory []GenPoint) *Snapshot {
+	stale int, prevBest float64, trajectory []GenPoint, mark dataset.CacheMark) *Snapshot {
 	snap := &Snapshot{
 		Seed:       e.cfg.Seed,
 		Generation: gen,
@@ -749,7 +756,7 @@ func (e *Engine) snapshot(gen int, draws int64, pop []individual, best individua
 		Stale:      stale,
 		PrevBest:   prevBest,
 		Trajectory: append([]GenPoint(nil), trajectory...),
-		Cache:      e.cache.Export(),
+		Cache:      e.cache.ExportMark(mark),
 	}
 	if best.ok {
 		snap.Best = best.genome.Clone()

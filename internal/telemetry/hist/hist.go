@@ -8,9 +8,10 @@
 //
 // Observe is a few atomic adds and a bits.Len64; there is no lock, no
 // allocation, and no contention beyond cache-line sharing, so it is safe
-// on the dispatch hot path. Snapshots are consistent enough for
-// monitoring: each bucket is read atomically, concurrent observers may
-// land between reads.
+// on the dispatch hot path. A snapshot's Count is the sum of the buckets
+// it read, so its buckets always add up to its count (an exposition's +Inf
+// bucket never trails its finite ones); concurrent observers may land
+// between reads, so Sum can run a few samples ahead of or behind them.
 package hist
 
 import (
@@ -29,7 +30,6 @@ const NumBuckets = 64
 // Hist is a lock-free histogram over int64 samples (typically
 // nanoseconds). The zero value is ready to use.
 type Hist struct {
-	count   atomic.Int64
 	sum     atomic.Int64
 	buckets [NumBuckets]atomic.Int64
 }
@@ -48,7 +48,6 @@ func bucketOf(v int64) int {
 // Observe records one sample.
 func (h *Hist) Observe(v int64) {
 	h.buckets[bucketOf(v)].Add(1)
-	h.count.Add(1)
 	h.sum.Add(v)
 }
 
@@ -58,10 +57,10 @@ func (h *Hist) ObserveDuration(d time.Duration) { h.Observe(int64(d)) }
 // Snapshot returns a point-in-time copy of the histogram.
 func (h *Hist) Snapshot() Snapshot {
 	var s Snapshot
-	s.Count = h.count.Load()
 	s.Sum = h.sum.Load()
 	for i := range h.buckets {
 		s.Buckets[i] = h.buckets[i].Load()
+		s.Count += s.Buckets[i]
 	}
 	return s
 }
@@ -71,7 +70,7 @@ func (h *Hist) Snapshot() Snapshot {
 type Snapshot struct {
 	// Buckets[i] counts samples in [BucketLo(i), BucketHi(i)).
 	Buckets [NumBuckets]int64
-	// Count is the total number of samples.
+	// Count is the total number of samples: the sum of Buckets.
 	Count int64
 	// Sum is the running sum of all samples.
 	Sum int64

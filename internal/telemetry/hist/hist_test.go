@@ -190,6 +190,44 @@ func TestConcurrentObserve(t *testing.T) {
 	}
 }
 
+// TestSnapshotConsistentUnderObserve: snapshots taken while observers run
+// always have buckets that add up to their count, which is what keeps a
+// scraped exposition's +Inf bucket from trailing its finite buckets.
+func TestSnapshotConsistentUnderObserve(t *testing.T) {
+	h := New()
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					h.Observe(rng.Int63n(1 << 30))
+				}
+			}
+		}(int64(w))
+	}
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+	for i := 0; i < 2000; i++ {
+		s := h.Snapshot()
+		var bucketTotal int64
+		for _, n := range s.Buckets {
+			bucketTotal += n
+		}
+		if bucketTotal != s.Count {
+			t.Fatalf("snapshot %d: bucket total %d != count %d", i, bucketTotal, s.Count)
+		}
+	}
+}
+
 func TestSet(t *testing.T) {
 	s := NewSet()
 	var wg sync.WaitGroup

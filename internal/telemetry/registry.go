@@ -58,11 +58,12 @@ func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // Histogram counts observations into fixed buckets. Bucket i counts
 // observations <= Bounds[i]; the final implicit bucket counts the
-// overflow. Observations are lock-free atomic increments.
+// overflow. Observations are lock-free atomic increments, and a
+// snapshot's Count is the sum of the buckets it read, so the two always
+// agree even while observers run.
 type Histogram struct {
 	bounds []float64
 	counts []atomic.Int64 // len(bounds)+1; last is +Inf overflow
-	count  atomic.Int64
 	sum    Gauge
 }
 
@@ -77,7 +78,6 @@ func newHistogram(bounds []float64) *Histogram {
 func (h *Histogram) Observe(v float64) {
 	i := sort.SearchFloat64s(h.bounds, v)
 	h.counts[i].Add(1)
-	h.count.Add(1)
 	if !math.IsNaN(v) && !math.IsInf(v, 0) {
 		h.sum.Add(v)
 	}
@@ -182,11 +182,11 @@ func (r *Registry) Snapshot() Snapshot {
 		hs := HistogramSnapshot{
 			Bounds: append([]float64(nil), h.bounds...),
 			Counts: make([]int64, len(h.counts)),
-			Count:  h.count.Load(),
 			Sum:    h.sum.Value(),
 		}
 		for i := range h.counts {
 			hs.Counts[i] = h.counts[i].Load()
+			hs.Count += hs.Counts[i]
 		}
 		s.Histograms[name] = hs
 	}

@@ -97,6 +97,19 @@ func TestRegistryConcurrentUse(t *testing.T) {
 			}
 		}()
 	}
+	// Snapshots taken mid-stream agree with themselves: a histogram's
+	// buckets add up to its count, so an exposition's +Inf bucket never
+	// trails its finite ones.
+	for i := 0; i < 200; i++ {
+		h, ok := reg.Snapshot().Histograms["h"]
+		var sum int64
+		for _, n := range h.Counts {
+			sum += n
+		}
+		if ok && sum != h.Count {
+			t.Fatalf("mid-stream snapshot: buckets add up to %d, count %d", sum, h.Count)
+		}
+	}
 	wg.Wait()
 	s := reg.Snapshot()
 	if s.Counters["n"] != 8000 {
