@@ -99,25 +99,17 @@ func newTestCluster(t *testing.T, net faultnet.Network, ids []string, tune func(
 			if err := json.Unmarshal(spec.Payload, &p); err != nil {
 				return IslandResult{}, err
 			}
-			// Like a server's islands, each generation's misses reach the
-			// shared cache - and its peer-owned ones the ring - as one batch.
-			eval := func(ectx context.Context, pt param.Point) (metrics.Metrics, error) {
-				return tn.cache.EvaluateCtx(ectx, pt)
-			}
-			batch := func(ectx context.Context, pts []param.Point) ([]metrics.Metrics, []error) {
-				ms := make([]metrics.Metrics, len(pts))
-				errs := make([]error, len(pts))
-				_ = tn.cache.EvaluateBatchCtx(ectx, nil, pts, ms, errs, 1)
-				return ms, errs
-			}
+			// Like a server's islands, the island's private cache stacks on
+			// the shared one, so each generation's misses reach it - and its
+			// peer-owned ones the ring - as one batch.
 			cfg := ga.Config{
 				Seed:           spec.Seed,
 				Generations:    p.Generations,
 				PopulationSize: p.Population,
-				BatchBackend:   batch,
+				Shared:         tn.cache,
 				Migration:      spec.Exchange(tn.node),
 			}
-			eng, err := ga.NewContext(space, metrics.MinimizeMetric("cost"), eval, cfg, nil)
+			eng, err := ga.NewContext(space, metrics.MinimizeMetric("cost"), tn.cache.EvaluateCtx, cfg, nil)
 			if err != nil {
 				return IslandResult{}, err
 			}

@@ -20,7 +20,6 @@ import (
 	"nautilus/internal/dataset"
 	"nautilus/internal/ga"
 	"nautilus/internal/metrics"
-	"nautilus/internal/param"
 	"nautilus/internal/resilience"
 	"nautilus/internal/resilience/faulty"
 	"nautilus/internal/telemetry"
@@ -234,28 +233,21 @@ func supervisedFaultyEval(t *testing.T, gc goldenCase, eval dataset.ContextEvalu
 
 // dispatchVariant is one way of running a search's evaluations: every
 // generation is one cache batch, whose misses are evaluated on the calling
-// goroutine at parallelism 1, on pool workers above it, or by a batch
-// backend.
+// goroutine at parallelism 1, on pool workers above it, or - stacked - by
+// a shared cache the run's private cache stacks on.
 type dispatchVariant struct {
 	name    string
 	par     int
-	backend dataset.BatchEvaluator
+	stacked bool
 	opts    []core.SearchOption
 }
 
-func dispatchVariants(eval dataset.ContextEvaluator) []dispatchVariant {
-	// backend answers each generation's misses point by point in one call.
-	backend := func(ctx context.Context, pts []param.Point) ([]metrics.Metrics, []error) {
-		ms, errs := make([]metrics.Metrics, len(pts)), make([]error, len(pts))
-		for i, pt := range pts {
-			ms[i], errs[i] = eval(ctx, pt)
-		}
-		return ms, errs
-	}
+func dispatchVariants() []dispatchVariant {
 	return []dispatchVariant{
 		{name: "par=1", par: 1},
 		{name: "par=4", par: 4},
-		{name: "batch-backend/par=1", par: 1, backend: backend},
+		{name: "stacked/par=1", par: 1, stacked: true},
+		{name: "stacked/par=4", par: 4, stacked: true},
 		{name: "every-sink/par=1", par: 1, opts: everySink()},
 		{name: "every-sink/par=4", par: 4, opts: everySink()},
 	}
@@ -272,10 +264,10 @@ func everySink() []core.SearchOption {
 
 // TestSearchGolden pins the JSON Result of every golden case at seeds 1-3
 // and the generation-5 checkpoint of one run. Runs at parallelism 1 and
-// 4, through a batch backend, feeding every trace sink at parallelism 1
-// and 4, under 20% injected transient faults with supervision, and
-// resumed from their own generation-5 snapshot must all reproduce the
-// golden bytes.
+// 4, stacked on a shared cache at parallelism 1 and 4, feeding every
+// trace sink at parallelism 1 and 4, under 20% injected transient faults
+// with supervision, and resumed from their own generation-5 snapshot must
+// all reproduce the golden bytes.
 func TestSearchGolden(t *testing.T) {
 	for _, gc := range goldenCases(t) {
 		for seed := int64(1); seed <= 3; seed++ {
@@ -287,7 +279,7 @@ func TestSearchGolden(t *testing.T) {
 				checkGolden(t, fmt.Sprintf("%s_seed%d", gc.name, seed), want)
 				pinSnapshot := gc.name == "fft_min-luts" && seed == 1
 
-				for _, v := range dispatchVariants(eval) {
+				for _, v := range dispatchVariants() {
 					var snap []byte
 					save := func(s *ga.Snapshot) error {
 						if s.Generation == 5 {
@@ -296,7 +288,9 @@ func TestSearchGolden(t *testing.T) {
 						return nil
 					}
 					cfg := goldenCfg(seed, v.par)
-					cfg.BatchBackend = v.backend
+					if v.stacked {
+						cfg.Shared = dataset.NewCacheContext(gc.entry.Space, eval)
+					}
 					cfg.Checkpoint, cfg.CheckpointEvery = save, 5
 					got := gc.search(t, cfg, eval, v.opts...)
 					if g := goldenJSON(t, got); !bytes.Equal(g, want) {

@@ -1,10 +1,11 @@
 // ModePortfolio: race diverse search strategies over one shared dedup
 // cache. The guided GA, the unguided baseline GA, and simulated annealing
-// all walk the same space concurrently; every strategy's evaluations land
-// in a shared singleflight cache layered under each strategy's private
-// one (exactly the server's session-over-shared-cache arrangement), so a
-// design point any strategy has characterized is free for the others and
-// the whole race costs roughly one search's worth of evaluator calls.
+// all walk the same space concurrently; every GA strategy's private cache
+// stacks on the race tier, a singleflight cache the annealer looks up
+// directly (exactly the server's session-over-shared-cache arrangement),
+// so a design point any strategy has characterized is free for the others
+// and the whole race costs roughly one search's worth of evaluator calls.
+// A served race stacks the tier itself on the request's Config.Shared.
 // The merge is deterministic: each strategy is seeded independently and
 // is itself byte-identical across parallelism, and the winner is chosen
 // by objective comparison with lowest-strategy-index tie-breaking.
@@ -57,11 +58,12 @@ func searchPortfolio(ctx context.Context, req SearchRequest, eval dataset.Contex
 		return ga.Result{}, fmt.Errorf("core: portfolio mode does not compose with migration")
 	}
 
-	// The shared dedup tier: every strategy's private cache forwards its
-	// misses here, so the raw evaluator sees each distinct design point at
-	// most once across the whole race.
-	shared := dataset.NewCacheContext(req.Space, eval)
-	sharedEval := shared.EvaluateCtx
+	// The race tier: every GA strategy's private cache stacks on it and the
+	// annealer looks points up in it, so the raw evaluator (or the
+	// request's Shared cache, which the tier stacks on in turn) sees each
+	// distinct design point at most once across the whole race.
+	tier := dataset.NewCacheContext(req.Space, eval)
+	tier.SetParent(cfg.Shared)
 
 	type entry struct {
 		name string
@@ -75,10 +77,7 @@ func searchPortfolio(ctx context.Context, req SearchRequest, eval dataset.Contex
 	gaStrategy := func(k int, name string, lead bool) entry {
 		cfgS := cfg
 		cfgS.Seed = strategySeed(cfg.Seed, k)
-		// A batch backend would send the strategy's misses past the race's
-		// shared tier, which then counts only the annealer; every strategy
-		// layers on the shared tier instead, as the annealer does.
-		cfgS.BatchBackend = nil
+		cfgS.Shared = tier
 		var strat ga.Strategy
 		if lead {
 			strat = sc.strategy(&cfgS)
@@ -86,7 +85,7 @@ func searchPortfolio(ctx context.Context, req SearchRequest, eval dataset.Contex
 			cfgS.Tracer = nil
 		}
 		return entry{name: name, run: func(ctx context.Context) (ga.Result, error) {
-			engine, err := ga.NewContext(req.Space, req.Objective, sharedEval, cfgS, strat)
+			engine, err := ga.NewContext(req.Space, req.Objective, eval, cfgS, strat)
 			if err != nil {
 				return ga.Result{}, err
 			}
@@ -103,7 +102,7 @@ func searchPortfolio(ctx context.Context, req SearchRequest, eval dataset.Contex
 	// Annealing's budget mirrors the GA's worst-case evaluation count:
 	// population x (generations + 1), from the effective (defaulted)
 	// configuration.
-	probe, err := ga.NewContext(req.Space, req.Objective, sharedEval, cfg, nil)
+	probe, err := ga.NewContext(req.Space, req.Objective, eval, cfg, nil)
 	if err != nil {
 		return ga.Result{}, err
 	}
@@ -113,7 +112,7 @@ func searchPortfolio(ctx context.Context, req SearchRequest, eval dataset.Contex
 		Seed:   strategySeed(cfg.Seed, 2),
 	}
 	entries = append(entries, entry{name: StrategyAnneal, run: func(ctx context.Context) (ga.Result, error) {
-		return search.AnnealCtx(ctx, req.Space, req.Objective, sharedEval, annealCfg)
+		return search.AnnealCtx(ctx, req.Space, req.Objective, tier.EvaluateCtx, annealCfg)
 	}})
 
 	results := make([]ga.Result, len(entries))
@@ -164,10 +163,10 @@ func searchPortfolio(ctx context.Context, req SearchRequest, eval dataset.Contex
 		}
 	}
 	merged.Portfolio = outcomes
-	// The race's true evaluator cost is the shared tier's accounting: each
-	// strategy's DistinctEvals counts its private walk, while the shared
-	// cache counts distinct raw-evaluator invocations across all of them.
-	stats := shared.Stats()
+	// The race's true evaluator cost is the race tier's accounting: each
+	// strategy's DistinctEvals counts its private walk, while the tier
+	// counts the distinct points all of them asked for.
+	stats := tier.Stats()
 	// Probe-collision counts depend on concurrent insertion order; zero
 	// them so merged results stay byte-identical run to run.
 	stats.Collisions = 0

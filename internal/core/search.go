@@ -30,7 +30,7 @@ const (
 // SearchRequest names everything a Nautilus search needs: the
 // characterized space, the objective (or objective vector), exactly one
 // evaluator form, and the GA configuration - scale, operators,
-// checkpointing, resume, batch backend and migration all live in Config.
+// checkpointing, resume, the shared cache and migration all live in Config.
 // Guidance and the trace stream attach as SearchOptions.
 type SearchRequest struct {
 	// Space is the design space to search.

@@ -279,26 +279,18 @@ func TestPortfolioDedupBound(t *testing.T) {
 }
 
 // TestPortfolioDeterministic: the merged result (winner choice, per-
-// strategy outcomes, shared-cache accounting) is identical run to run,
-// across parallelism, and with a batch backend - which the server sets on
-// every session and which must not route the GA strategies' misses past
-// the race's shared tier.
+// strategy outcomes, race-tier accounting) is identical run to run, across
+// parallelism, and stacked on a shared cache - as the server runs every
+// session - which must see exactly the race tier's misses.
 func TestPortfolioDeterministic(t *testing.T) {
 	space, eval, obj := portfolioSpace()
-	backend := func(ctx context.Context, pts []param.Point) ([]metrics.Metrics, []error) {
-		ms, errs := make([]metrics.Metrics, len(pts)), make([]error, len(pts))
-		for i, pt := range pts {
-			ms[i], errs[i] = eval(pt)
-		}
-		return ms, errs
-	}
-	run := func(par int, b dataset.BatchEvaluator) ga.Result {
+	run := func(par int, shared *dataset.Cache) ga.Result {
 		res, err := core.Search(context.Background(), core.SearchRequest{
 			Space:     space,
 			Mode:      core.ModePortfolio,
 			Objective: obj,
 			Evaluate:  eval,
-			Config:    ga.Config{PopulationSize: 10, Generations: 30, Seed: 9, Parallelism: par, BatchBackend: b},
+			Config:    ga.Config{PopulationSize: 10, Generations: 30, Seed: 9, Parallelism: par, Shared: shared},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -306,15 +298,24 @@ func TestPortfolioDeterministic(t *testing.T) {
 		return res
 	}
 	ref := run(1, nil)
-	for _, v := range []struct {
-		par     int
-		backend dataset.BatchEvaluator
-	}{{1, nil}, {8, nil}, {1, backend}} {
-		got := run(v.par, v.backend)
-		if !reflect.DeepEqual(got, ref) {
-			t.Fatalf("par=%d backend=%t portfolio diverged: distinct/queries/hits %d/%d/%d, want %d/%d/%d\n got %+v\nwant %+v",
-				v.par, v.backend != nil, got.DistinctEvals, got.Cache.Total, got.Cache.Hits,
-				ref.DistinctEvals, ref.Cache.Total, ref.Cache.Hits, got, ref)
+	for _, par := range []int{1, 8} {
+		for _, stacked := range []bool{false, true} {
+			var shared *dataset.Cache
+			if stacked {
+				shared = dataset.NewCache(space, eval)
+			}
+			got := run(par, shared)
+			if !reflect.DeepEqual(got, ref) {
+				t.Fatalf("par=%d stacked=%t portfolio diverged: distinct/queries/hits %d/%d/%d, want %d/%d/%d\n got %+v\nwant %+v",
+					par, stacked, got.DistinctEvals, got.Cache.Total, got.Cache.Hits,
+					ref.DistinctEvals, ref.Cache.Total, ref.Cache.Hits, got, ref)
+			}
+			if stacked {
+				if st := shared.Stats(); st.Total != ref.Cache.Distinct+ref.Cache.Transient || st.Distinct != ref.DistinctEvals {
+					t.Errorf("par=%d: shared cache stats %+v, want one lookup per race-tier miss (%d distinct)",
+						par, st, ref.DistinctEvals)
+				}
+			}
 		}
 	}
 }

@@ -5,7 +5,7 @@
 // generation asks for a whole population of them at once. A Cache answers
 // every lookup through one resolver - a point lookup is a batch of one -
 // that probes each request under its shard lock, hands the batch's misses
-// down to the next tier in one call each (the batch backend or a fan-out
+// down to the next tier in one call each (the parent cache or a fan-out
 // over the evaluator, and the remote tier for points another node owns),
 // and waits on points other callers already have in flight. A batch is resolved entirely on 64-bit
 // genome hashes - no string key is built anywhere on the path, and every
@@ -24,25 +24,24 @@ import (
 	"nautilus/internal/telemetry/trace"
 )
 
-// BatchEvaluator characterizes a whole batch of design points in one call,
-// returning exactly one (metrics, error) pair per point, index-aligned with
-// pts. It is the contract a generation-at-a-time dispatcher evaluates
-// against: implementations may layer another cache underneath (the
-// server's process-wide shared cache) or forward the batch to a backend
-// that genuinely evaluates in bulk. Per-item errors follow the Evaluator
-// convention - permanent means infeasible, transient (IsTransient) means
-// retry later, never memoize.
-type BatchEvaluator func(ctx context.Context, pts []param.Point) ([]metrics.Metrics, []error)
-
-// SetBatchBackend routes the cache's misses through b in one call per
-// batch instead of fanning them out over the cache's own evaluator. This
-// is how caches stack: a session-private cache hands its misses to the
-// process-wide shared cache as a single batch, so concurrent sessions
-// searching the same space merge their in-flight generations instead of
-// colliding point by point. Call it before the cache is shared across
-// goroutines; a nil backend restores the fan-out.
-func (c *Cache) SetBatchBackend(b BatchEvaluator) {
-	c.batch = b
+// SetParent stacks the cache on parent: the cache's misses go to parent
+// in one EvaluateBatchCtx call per batch instead of fanning out over the
+// cache's own evaluator, which is then never called. This is how caches
+// stack: a session-private cache, which keeps the session's own paper
+// accounting, resolves its misses in the process-wide shared cache, so
+// concurrent searches of the same space merge their in-flight generations
+// and a distinct point is paid for once per process. Two preconditions
+// hold for every stack and are not checked:
+//
+//   - parent is built over the same *param.Space, so this cache's genome
+//     hashes are valid for it;
+//   - a stacked cache has no remote tier of its own (SetRemote) and
+//     reaches one only through its parent.
+//
+// Call it before the cache is shared across goroutines; a nil parent
+// restores the fan-out.
+func (c *Cache) SetParent(parent *Cache) {
+	c.parent = parent
 }
 
 // EvaluateBatchCtx resolves a batch of lookups in one pass, writing pts[i]'s
@@ -53,7 +52,7 @@ func (c *Cache) SetBatchBackend(b BatchEvaluator) {
 //   - a hit: the point is memoized, or an earlier request of this batch
 //     owns it;
 //   - a miss: the batch owns the point and resolves it - in one call to
-//     the batch backend (SetBatchBackend) or a fan-out over the evaluator
+//     the parent cache (SetParent) or a fan-out over the evaluator
 //     on up to par pool workers, or, for a point the remote tier
 //     (SetRemote) forwards, in one call to that tier, evaluating locally
 //     whatever it cannot answer;
@@ -266,8 +265,6 @@ type batchScratch struct {
 	// remote tier forwards to a peer.
 	local, fwd missGroup
 	pending    []pendingLookup
-	// sub is the sub-batch handed to the batch backend.
-	sub []param.Point
 
 	// fan evaluates group g's j-th todo point under ctx through c's
 	// evaluator; the three fields are set around each pool run.
@@ -294,17 +291,23 @@ func putScratch(sc *batchScratch) {
 	sc.local.reset()
 	sc.fwd.reset()
 	clear(sc.pending)
-	clear(sc.sub)
-	sc.pending, sc.sub = sc.pending[:0], sc.sub[:0]
+	sc.pending = sc.pending[:0]
 	sc.c, sc.ctx, sc.g = nil, nil, nil
 	scratchPool.Put(sc)
 }
 
-// evalLocal evaluates g's unresolved points: in one call to the batch
-// backend when one is set, otherwise fanned out over the evaluator on up
-// to par pool workers. A point the pool never started (ctx was canceled
-// first) gets a transient error, like a canceled attempt.
+// evalLocal evaluates g's unresolved points: in one call to the parent
+// cache when one is set, otherwise fanned out over the evaluator on up to
+// par pool workers. A point the pool never started (ctx was canceled
+// first) gets a transient error, like a canceled attempt. Only a forwarded
+// group is ever partly resolved, and a stacked cache forwards nothing, so
+// the parent gets the whole group and writes every outcome - a canceled
+// wait included.
 func (c *Cache) evalLocal(ctx context.Context, sc *batchScratch, g *missGroup, par int) {
+	if c.parent != nil {
+		_ = c.parent.EvaluateBatchCtx(ctx, g.hashes, g.pts, g.ms, g.errs, par)
+		return
+	}
 	todo := g.todo[:0]
 	for k, done := range g.resolved {
 		if !done {
@@ -313,28 +316,6 @@ func (c *Cache) evalLocal(ctx context.Context, sc *batchScratch, g *missGroup, p
 	}
 	g.todo = todo
 	if len(todo) == 0 {
-		return
-	}
-	if c.batch != nil {
-		sub := sc.sub[:0]
-		for _, k := range todo {
-			sub = append(sub, g.pts[k])
-		}
-		sc.sub = sub
-		oms, oerrs := c.batch(ctx, sub)
-		if len(oms) != len(sub) || len(oerrs) != len(sub) {
-			// A misbehaving backend must not leave owned entries open
-			// forever; treat the whole sub-batch as a transient failure.
-			err := MarkTransient(fmt.Errorf("dataset: batch backend returned %d/%d results for %d points",
-				len(oms), len(oerrs), len(sub)))
-			for _, k := range todo {
-				g.ms[k], g.errs[k] = nil, err
-			}
-			return
-		}
-		for j, k := range todo {
-			g.ms[k], g.errs[k] = oms[j], oerrs[j]
-		}
 		return
 	}
 	sc.c, sc.ctx, sc.g = c, ctx, g

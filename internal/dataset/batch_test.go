@@ -144,76 +144,51 @@ func TestBatchTransientWithdrawal(t *testing.T) {
 	}
 }
 
-// TestBatchBackendForwarding: with a batch backend set, residual misses
-// arrive at the backend as one deduplicated batch in first-appearance
-// order, and cached keys never reach it.
-func TestBatchBackendForwarding(t *testing.T) {
+// TestParentForwarding: a stacked cache hands its misses to the parent as
+// one deduplicated batch in first-appearance order, memoized points never
+// reach the parent, and the child's own evaluator is never called.
+func TestParentForwarding(t *testing.T) {
 	s, eval := toySpace()
-	var calls [][]string
-	c := NewCache(s, eval)
-	c.SetBatchBackend(func(ctx context.Context, pts []param.Point) ([]metrics.Metrics, []error) {
-		keys := make([]string, len(pts))
-		ms := make([]metrics.Metrics, len(pts))
-		errs := make([]error, len(pts))
-		for i, pt := range pts {
-			keys[i] = s.Key(pt)
-			ms[i], errs[i] = eval(pt)
-		}
-		calls = append(calls, keys)
-		return ms, errs
+	var evaluated []string
+	parent := NewCache(s, func(pt param.Point) (metrics.Metrics, error) {
+		evaluated = append(evaluated, s.Key(pt))
+		return eval(pt)
 	})
-
-	pts := []param.Point{{5, 1}, {6, 2}, {5, 1}, {7, 3}}
-	if _, _, err := evalBatch(c, context.Background(), nil, pts, 4); err != nil {
-		t.Fatal(err)
-	}
-	want := [][]string{{"5,1", "6,2", "7,3"}}
-	if !reflect.DeepEqual(calls, want) {
-		t.Fatalf("backend calls = %v, want %v", calls, want)
-	}
-
-	// Second batch: only the genuinely new key reaches the backend.
-	pts = []param.Point{{5, 1}, {8, 4}}
-	if _, _, err := evalBatch(c, context.Background(), nil, pts, 4); err != nil {
-		t.Fatal(err)
-	}
-	want = append(want, []string{"8,4"})
-	if !reflect.DeepEqual(calls, want) {
-		t.Fatalf("backend calls = %v, want %v", calls, want)
-	}
-}
-
-// TestBatchBackendMisbehaving: a backend returning the wrong number of
-// results fails the sub-batch transiently without poisoning the cache.
-func TestBatchBackendMisbehaving(t *testing.T) {
-	s, eval := toySpace()
-	c := NewCache(s, eval)
-	broken := true
-	c.SetBatchBackend(func(ctx context.Context, pts []param.Point) ([]metrics.Metrics, []error) {
-		if broken {
-			return nil, nil
-		}
-		ms := make([]metrics.Metrics, len(pts))
-		errs := make([]error, len(pts))
-		for i, pt := range pts {
-			ms[i], errs[i] = eval(pt)
-		}
-		return ms, errs
+	c := NewCache(s, func(pt param.Point) (metrics.Metrics, error) {
+		t.Errorf("child evaluator called for %s", s.Key(pt))
+		return eval(pt)
 	})
+	c.SetParent(parent)
 
-	pt := []param.Point{{2, 3}}
-	_, errs, err := evalBatch(c, context.Background(), nil, pt, 1)
-	if err != nil {
-		t.Fatal(err)
+	// At par 1 the parent evaluates its misses in order on the calling
+	// goroutine, so evaluated records each forwarded batch as it arrived.
+	lookup := func(pts []param.Point, want ...string) {
+		t.Helper()
+		evaluated = nil
+		before := parent.TotalQueries()
+		ms, errs, err := evalBatch(c, context.Background(), nil, pts, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, pt := range pts {
+			wm, werr := eval(pt)
+			if !sameOutcome(ms[i], errs[i], wm, werr) {
+				t.Errorf("%s: (%v, %v), want (%v, %v)", s.Key(pt), ms[i], errs[i], wm, werr)
+			}
+		}
+		if got := parent.TotalQueries() - before; got != len(want) || !reflect.DeepEqual(evaluated, want) {
+			t.Errorf("parent got %d lookups evaluating %v, want %v", got, evaluated, want)
+		}
 	}
-	if errs[0] == nil || !IsTransient(errs[0]) {
-		t.Fatalf("broken backend: err %v, want transient", errs[0])
-	}
+	lookup([]param.Point{{5, 1}, {6, 2}, {5, 1}, {7, 3}}, "5,1", "6,2", "7,3")
+	// Second batch: only the genuinely new point reaches the parent.
+	lookup([]param.Point{{5, 1}, {8, 4}}, "8,4")
 
-	broken = false
-	_, errs, err = evalBatch(c, context.Background(), nil, pt, 1)
-	if err != nil || errs[0] != nil {
-		t.Fatalf("after repair: %v / %v (entry poisoned?)", err, errs[0])
+	if st := c.Stats(); st.Distinct != 4 || st.Total != 6 {
+		t.Errorf("child stats %+v, want 4 distinct of 6 lookups", st)
+	}
+	if st := parent.Stats(); st.Distinct != 4 || st.Total != 4 {
+		t.Errorf("parent stats %+v, want 4 distinct of 4 lookups", st)
 	}
 }
 

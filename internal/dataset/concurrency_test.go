@@ -36,12 +36,15 @@ type concBatch struct {
 
 // concWorkload is one generated concurrent workload over refSpace: a fault
 // plan, the points a remote tier forwards (and, of those, the ones it
-// declines to answer), and per goroutine a sequence of batches.
+// declines to answer), and per goroutine a sequence of batches, looked up
+// either directly or through the goroutine's own child cache stacked on
+// the cache under test.
 type concWorkload struct {
 	plan     faultPlan
 	forward  map[string]bool
 	declined map[string]bool
 	workers  [][]concBatch
+	stacked  []bool
 }
 
 func (concWorkload) Generate(r *rand.Rand, size int) reflect.Value {
@@ -76,7 +79,9 @@ func (concWorkload) Generate(r *rand.Rand, size int) reflect.Value {
 		return refSpace.Random(r)
 	}
 	w.workers = make([][]concBatch, 2+r.Intn(3))
+	w.stacked = make([]bool, len(w.workers))
 	for g := range w.workers {
+		w.stacked[g] = r.Intn(3) == 0
 		for n := 1 + r.Intn(size/8+2); n > 0; n-- {
 			b := concBatch{par: 1 + r.Intn(3)}
 			switch k := r.Intn(10); {
@@ -126,16 +131,20 @@ func (f *concRemote) LookupBatch(_ context.Context, hashes []uint64, pts []param
 // TestConcurrentBatchesMatchReference runs generated concurrent workloads
 // through one Cache: several goroutines issue batches with in-batch
 // duplicates, points shared across goroutines, transient evaluator errors,
-// canceled contexts and a remote tier. It checks that
+// canceled contexts and a remote tier, some of them through their own
+// child cache stacked on it (SetParent). It checks that
 //
 //   - every evaluator call is one distinct point or one withdrawn
 //     transient: a point is evaluated to a permanent outcome at most once,
-//     never both locally and remotely, and Stats agrees;
+//     never both locally and remotely, a child's own evaluator is never
+//     called, and Stats agrees;
+//   - the cache counts one lookup per child miss: its Total is the direct
+//     lookups plus the children's Distinct + Transient;
 //   - no batch waits on its own entries, so every workload finishes under
 //     its timeout;
-//   - every lookup that does not end transiently returns its point's
-//     permanent outcome, and once every point is settled Export equals the
-//     reference cache's.
+//   - every lookup that does not end transiently, directly or through a
+//     child, returns its point's permanent outcome, and once every point is
+//     settled Export equals the reference cache's.
 func TestConcurrentBatchesMatchReference(t *testing.T) {
 	keys := make(map[uint64]string)
 	var all []param.Point
@@ -177,11 +186,26 @@ func TestConcurrentBatchesMatchReference(t *testing.T) {
 			default:
 			}
 		}
+		children := make([]*Cache, len(w.workers))
+		for g, stacked := range w.stacked {
+			if stacked {
+				children[g] = NewCacheContext(refSpace, func(context.Context, param.Point) (metrics.Metrics, error) {
+					fail("worker %d: child evaluator called", g)
+					return nil, nil
+				})
+				children[g].SetParent(c)
+			}
+		}
 		var wg sync.WaitGroup
-		total := 0
+		direct := 0
 		for g, batches := range w.workers {
-			for _, b := range batches {
-				total += len(b.pts)
+			lc := c
+			if children[g] != nil {
+				lc = children[g]
+			} else {
+				for _, b := range batches {
+					direct += len(b.pts)
+				}
 			}
 			wg.Add(1)
 			go func(g int, batches []concBatch) {
@@ -194,7 +218,7 @@ func TestConcurrentBatchesMatchReference(t *testing.T) {
 					case canceledMid:
 						time.AfterFunc(50*time.Microsecond, cancel)
 					}
-					ms, errs, err := evalBatch(c, ctx, nil, b.pts, b.par)
+					ms, errs, err := evalBatch(lc, ctx, nil, b.pts, b.par)
 					cancel()
 					if err != nil && b.cancel == liveCtx {
 						fail("worker %d batch %d: live batch failed: %v", g, bi, err)
@@ -228,8 +252,15 @@ func TestConcurrentBatchesMatchReference(t *testing.T) {
 		}
 
 		// Every evaluator call is one distinct point or one withdrawn
-		// transient.
+		// transient, and every child miss is one lookup here.
 		st := c.Stats()
+		total := direct
+		for _, child := range children {
+			if child != nil {
+				cst := child.Stats()
+				total += cst.Distinct + cst.Transient
+			}
+		}
 		resolved := 0
 		for key, n := range permanentCalls {
 			if n != 1 || rem.answers[key] != 0 {
@@ -248,8 +279,8 @@ func TestConcurrentBatchesMatchReference(t *testing.T) {
 			}
 		}
 		if st.Total != total || st.Distinct != resolved || st.Transient < transientCalls {
-			t.Logf("Stats %+v after %d lookups, %d resolved points, %d transient evaluator calls",
-				st, total, resolved, transientCalls)
+			t.Logf("Stats %+v after %d lookups (%d direct), %d resolved points, %d transient evaluator calls",
+				st, total, direct, resolved, transientCalls)
 			ok = false
 		}
 

@@ -155,7 +155,7 @@ type Cache struct {
 	space  *param.Space
 	eval   ContextEvaluator
 	tracer *trace.Tracer
-	batch  BatchEvaluator
+	parent *Cache
 	remote Remote
 	// hashFn computes a point's 64-bit genome hash. It defaults to the
 	// space's Hash64 and is overridable from tests to force collisions.

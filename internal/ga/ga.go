@@ -112,13 +112,15 @@ type Config struct {
 	// and population size must match the configuration; the resumed run's
 	// Result is byte-identical to an uninterrupted run's.
 	Resume *Snapshot
-	// BatchBackend, when non-nil, receives each generation's cache misses
-	// as one batch instead of the cache fanning them out over the
-	// evaluator - the hook a layered cache (e.g. the server's process-wide
-	// shared cache) uses to coalesce in-flight generations across
-	// sessions and islands. Portfolio races (core.ModePortfolio) ignore
-	// it: their strategies share the race's own dedup tier instead.
-	BatchBackend dataset.BatchEvaluator
+	// Shared, when non-nil, is the cache this run's private cache stacks
+	// on (dataset.Cache.SetParent): each generation's misses resolve there
+	// as one batch instead of fanning out over the evaluator, so the run
+	// keeps its own paper accounting while concurrent runs over the same
+	// space (the server's sessions and islands) pay for a distinct point
+	// once. It must be built over the run's Space. Portfolio races
+	// (core.ModePortfolio) stack their race tier on it and every GA
+	// strategy on the race tier.
+	Shared *dataset.Cache
 	// Migration, when non-nil, makes the run one island of an island-model
 	// search: every Migration.Interval generations the island's best
 	// genomes are shipped through Migration.Exchange and the returned
@@ -414,9 +416,7 @@ func NewContext(space *param.Space, obj metrics.Objective, eval dataset.ContextE
 	}
 	cache := dataset.NewCacheContext(space, eval)
 	cache.SetTracer(cfg.Tracer)
-	if cfg.BatchBackend != nil {
-		cache.SetBatchBackend(cfg.BatchBackend)
-	}
+	cache.SetParent(cfg.Shared)
 	return &Engine{
 		space:    space,
 		obj:      obj,
@@ -769,7 +769,7 @@ func (e *Engine) snapshot(gen int, draws int64, pop []individual, best individua
 // evaluate fills in fitness for the population: the whole generation goes
 // to the cache as one batch, whose misses are evaluated on up to
 // Parallelism workers (on the calling goroutine at Parallelism 1) or
-// handed to the batch backend. Hashes, points, and outcomes stay
+// handed to the Shared cache. Hashes, points, and outcomes stay
 // index-aligned with the population. A non-nil error means ctx was
 // canceled: the generation is incomplete and must be discarded.
 func (e *Engine) evaluate(ctx context.Context, gen int, pop []individual) error {

@@ -86,7 +86,7 @@ func (e *Engine) migrate(ctx context.Context, gen int, pop, next []individual) {
 	slot := len(next) - 1
 	for _, m := range in {
 		// Immigrants are wire data in a cluster: validate before adoption.
-		if !e.validGenome(m.Genome) {
+		if e.space.Validate(m.Genome) != nil {
 			continue
 		}
 		copy(next[slot].genome, m.Genome)
@@ -114,17 +114,4 @@ func (e *Engine) emigrants(pop []individual, count int) []Migrant {
 		out[k] = Migrant{Genome: pop[idx[k]].genome.Clone()}
 	}
 	return out
-}
-
-// validGenome accepts a genome iff it indexes this engine's space.
-func (e *Engine) validGenome(g param.Point) bool {
-	if len(g) != e.space.Len() {
-		return false
-	}
-	for i, v := range g {
-		if v < 0 || v >= e.space.Param(i).Card() {
-			return false
-		}
-	}
-	return true
 }

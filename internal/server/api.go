@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 
@@ -215,10 +216,8 @@ func writeError(w http.ResponseWriter, err error) {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var spec JobSpec
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	spec, err := decodeJobSpec(r.Body)
+	if err != nil {
 		writeError(w, &BadRequestError{Err: fmt.Errorf("decode job spec: %w", err)})
 		return
 	}
@@ -229,6 +228,15 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Location", "/v1/jobs/"+st.ID)
 	writeJSON(w, http.StatusAccepted, st)
+}
+
+// decodeJobSpec reads a submitted job spec, refusing unknown fields.
+func decodeJobSpec(r io.Reader) (JobSpec, error) {
+	var spec JobSpec
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&spec)
+	return spec, err
 }
 
 func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {

@@ -159,17 +159,16 @@ func (s *Server) runClusterIsland(ctx context.Context, spec cluster.IslandSpec) 
 	if err != nil {
 		return cluster.IslandResult{}, err
 	}
-	shared := s.sharedCacheFor(entry)
 	// Scheduler slots are accounted per island, so a clustered session's
 	// islands share the worker budget fairly like any other tenants.
-	sid := fmt.Sprintf("%s#%d", spec.Session, spec.Island)
-	eval, batch := sharedEvaluators(shared, sid, js.Parallelism)
+	ctx = context.WithValue(ctx, sessionKey{}, fmt.Sprintf("%s#%d", spec.Session, spec.Island))
+	shared := s.sharedCacheFor(entry)
 	cfg := ga.Config{
 		PopulationSize: js.Population,
 		Generations:    js.Generations,
 		Seed:           spec.Seed,
 		Parallelism:    js.Parallelism,
-		BatchBackend:   batch,
+		Shared:         shared,
 		Migration:      spec.Exchange(s.clusterNode()),
 	}
 	res, err := core.Search(ctx, core.SearchRequest{
@@ -177,7 +176,7 @@ func (s *Server) runClusterIsland(ctx context.Context, spec cluster.IslandSpec) 
 		Mode:        js.Mode,
 		Objective:   entry.Objective,
 		Objectives:  objs,
-		EvaluateCtx: eval,
+		EvaluateCtx: shared.EvaluateCtx,
 		Config:      cfg,
 	}, core.WithGuidance(guid))
 	if err != nil {

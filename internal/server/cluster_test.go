@@ -26,8 +26,8 @@ type clusterTestEnv struct {
 
 // newClusterEnv builds n clustered servers ("n0".."n{n-1}") over net, each
 // serving its HTTP API at "n<i>:8080" on the same network so /v1 proxying
-// has somewhere to go.
-func newClusterEnv(t *testing.T, net faultnet.Network, n int) *clusterTestEnv {
+// has somewhere to go, and stalling each real evaluation by evalDelay.
+func newClusterEnv(t *testing.T, net faultnet.Network, n int, evalDelay time.Duration) *clusterTestEnv {
 	t.Helper()
 	env := &clusterTestEnv{
 		client: &http.Client{Transport: &http.Transport{DialContext: net.DialContext}},
@@ -50,7 +50,8 @@ func newClusterEnv(t *testing.T, net faultnet.Network, n int) *clusterTestEnv {
 			}
 		}
 		srv := newTestServer(t, Options{
-			Network: net,
+			Network:   net,
+			EvalDelay: evalDelay,
 			Cluster: &ClusterOptions{
 				NodeID:            id,
 				Addr:              rpc[id],
@@ -113,7 +114,7 @@ func TestClusterServerDeterminism(t *testing.T) {
 	spec := testSpec()
 	spec.Seed = 11
 
-	env := newClusterEnv(t, faultnet.NewMemory(), 3)
+	env := newClusterEnv(t, faultnet.NewMemory(), 3, 0)
 	_, res := runClusterJob(t, env, spec)
 	if res.ID != "job-n0-000001" {
 		t.Fatalf("clustered job ID = %q, want job-n0-000001", res.ID)
@@ -135,7 +136,7 @@ func TestClusterServerDeterminism(t *testing.T) {
 		t.Errorf("clustered status missing progress: %+v", st)
 	}
 
-	fresh := newClusterEnv(t, faultnet.NewMemory(), 3)
+	fresh := newClusterEnv(t, faultnet.NewMemory(), 3, 0)
 	_, res2 := runClusterJob(t, fresh, spec)
 	a, _ := json.Marshal(res)
 	b, _ := json.Marshal(res2)
@@ -148,7 +149,7 @@ func TestClusterServerDeterminism(t *testing.T) {
 // any job, forwarding to the minting node; unknown jobs still 404, and
 // each node's observability carries the cluster block.
 func TestClusterServerProxy(t *testing.T) {
-	env := newClusterEnv(t, faultnet.NewMemory(), 2)
+	env := newClusterEnv(t, faultnet.NewMemory(), 2, 0)
 	spec := testSpec()
 	spec.Seed = 4
 	_, res := runClusterJob(t, env, spec)
@@ -235,7 +236,7 @@ func TestClusterParetoFrontMerge(t *testing.T) {
 	spec := paretoSpec()
 	spec.Seed = 7
 
-	env := newClusterEnv(t, faultnet.NewMemory(), 2)
+	env := newClusterEnv(t, faultnet.NewMemory(), 2, 0)
 	_, res := runClusterJob(t, env, spec)
 	if len(res.Front) == 0 {
 		t.Fatal("clustered pareto result has no front")
@@ -264,7 +265,7 @@ func TestClusterParetoFrontMerge(t *testing.T) {
 		t.Errorf("status front %d/hv %v, result %d/%v", st.FrontSize, st.Hypervolume, len(res.Front), res.Hypervolume)
 	}
 
-	fresh := newClusterEnv(t, faultnet.NewMemory(), 2)
+	fresh := newClusterEnv(t, faultnet.NewMemory(), 2, 0)
 	_, res2 := runClusterJob(t, fresh, spec)
 	a, _ := json.Marshal(res)
 	b, _ := json.Marshal(res2)

@@ -307,15 +307,20 @@ func (s *Server) runningCount() int {
 // run executes one session to a terminal state.
 func (s *Server) run(ctx context.Context, sess *session, resume *ga.Snapshot) {
 	defer s.wg.Done()
+	// The search stacks its private cache on the process-wide shared one:
+	// it still counts each evaluation as its own (paper accounting), but
+	// only the first search across the whole process (or, clustered, the
+	// whole cluster) pays for it, and every evaluation it does pay for is
+	// charged to the session's scheduler tenant.
+	ctx = context.WithValue(ctx, sessionKey{}, sess.id)
 	shared := s.sharedCacheFor(sess.entry)
-	eval, batch := sharedEvaluators(shared, sess.id, sess.spec.Parallelism)
 	cfg := ga.Config{
 		PopulationSize: sess.spec.Population,
 		Generations:    sess.spec.Generations,
 		Seed:           sess.spec.Seed,
 		Parallelism:    sess.spec.Parallelism,
 		Resume:         resume,
-		BatchBackend:   batch,
+		Shared:         shared,
 	}
 	// Portfolio sessions never checkpoint: a race is three interleaved
 	// searches whose shared-cache state is not a ga.Snapshot, and core
@@ -358,7 +363,7 @@ func (s *Server) run(ctx context.Context, sess *session, resume *ga.Snapshot) {
 			Mode:        sess.spec.Mode,
 			Objective:   sess.entry.Objective,
 			Objectives:  sess.objs,
-			EvaluateCtx: eval,
+			EvaluateCtx: shared.EvaluateCtx,
 			Config:      cfg,
 		}, core.WithGuidance(sess.guid))
 	}
@@ -449,29 +454,6 @@ func (s *Server) buildResult(sess *session, res ga.Result) *JobResult {
 		}
 	}
 	return out
-}
-
-// sharedEvaluators layers a search on the process-wide shared cache on
-// behalf of scheduler tenant sid. Every private-cache miss resolves through
-// the shared cache: the search still counts the evaluation as its own
-// (paper accounting), but only the first search across the whole process
-// (or, clustered, the whole cluster) actually pays for it. eval is the
-// point-shaped evaluator; batch, the engine's BatchBackend, forwards each
-// generation's misses as one batch, so concurrent same-space searches
-// merge in-flight generations (each waits on the other's evaluations)
-// instead of colliding point by point. Per-item errors already carry
-// transient context cancellations, so the batch-level error adds nothing.
-func sharedEvaluators(shared *dataset.Cache, sid string, par int) (dataset.ContextEvaluator, dataset.BatchEvaluator) {
-	eval := func(ctx context.Context, pt param.Point) (metrics.Metrics, error) {
-		return shared.EvaluateCtx(context.WithValue(ctx, sessionKey{}, sid), pt)
-	}
-	batch := func(ctx context.Context, pts []param.Point) ([]metrics.Metrics, []error) {
-		ms := make([]metrics.Metrics, len(pts))
-		errs := make([]error, len(pts))
-		_ = shared.EvaluateBatchCtx(context.WithValue(ctx, sessionKey{}, sid), nil, pts, ms, errs, par)
-		return ms, errs
-	}
-	return eval, batch
 }
 
 // sharedCacheFor returns the process-wide cache for the entry's IP,

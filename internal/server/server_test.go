@@ -3,11 +3,13 @@ package server
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
 	"nautilus/internal/catalog"
 	"nautilus/internal/core"
+	"nautilus/internal/faultnet"
 	"nautilus/internal/ga"
 )
 
@@ -185,6 +187,46 @@ func TestSharedCacheDedup(t *testing.T) {
 	if shared.Distinct != solo.DistinctEvals {
 		t.Fatalf("shared cache spent %d evaluations, want exactly one session's %d",
 			shared.Distinct, solo.DistinctEvals)
+	}
+}
+
+// TestEvaluationsChargedToSessionTenant: every evaluation a search pays
+// for through the shared cache holds a scheduler slot in its own tenant's
+// name - the session for a scalar or portfolio session, the
+// "<session>#<island>" pair for a cluster island - so the fair scheduler
+// tells sessions apart. EvalDelay holds each evaluation in flight long
+// enough to observe its slot.
+func TestEvaluationsChargedToSessionTenant(t *testing.T) {
+	for _, spec := range []JobSpec{testSpec(), portfolioSpec()} {
+		s := newTestServer(t, Options{EvalDelay: 5 * time.Millisecond})
+		st, err := s.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, func() bool { return s.sched.held(st.ID) >= 1 })
+		if got := waitDone(t, s, st.ID); got.State != StateDone {
+			t.Fatalf("%q session ended %s: %s", spec.Mode, got.State, got.Error)
+		}
+		s.Drain(context.Background())
+	}
+
+	env := newClusterEnv(t, faultnet.NewMemory(), 2, 5*time.Millisecond)
+	st, err := env.servers[0].Submit(testSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool {
+		for _, srv := range env.servers {
+			for k := range env.servers {
+				if srv.sched.held(fmt.Sprintf("%s#%d", st.ID, k)) >= 1 {
+					return true
+				}
+			}
+		}
+		return false
+	})
+	if got := waitDone(t, env.servers[0], st.ID); got.State != StateDone {
+		t.Fatalf("clustered session ended %s: %s", got.State, got.Error)
 	}
 }
 
