@@ -41,6 +41,14 @@ type Guidance struct {
 	hasTarget  []bool
 	step       []int   // max mutation step (0 = unset)
 	order      [][]int // rank -> value index for ordering-hinted categorical params
+
+	// Gene-pick scratch, written by MutationGenes: generation wGen's
+	// blended weights over len(blended) genes, their sum, and the sampling
+	// buffer. clone drops it, so no two copies share it.
+	wGen    int
+	wTotal  float64
+	blended []float64
+	work    []float64
 }
 
 func newGuidance(space *param.Space, confidence float64) *Guidance {
@@ -66,21 +74,28 @@ func (g *Guidance) Confidence() float64 { return g.confidence }
 // - the single knob separating the paper's "weakly guided" and "strongly
 // guided" configurations.
 func (g *Guidance) WithConfidence(c float64) *Guidance {
-	out := *g
+	out := g.clone()
 	if math.IsNaN(c) {
 		c = 0 // NaN trust is no trust; clamp would pass NaN through
 	}
 	out.confidence = clamp(c, 0, 1)
-	return &out
+	return out
 }
 
 // WithTracer returns a copy of the guidance reporting hint decisions to
-// tr (nil records nothing). The copy shares the compiled hint tables;
-// Search uses this to give each engine its own observed view of a
-// guidance shared across concurrent trials.
+// tr (nil records nothing), sharing the compiled hint tables but not the
+// gene-pick scratch. Search hands every engine such a copy, so one
+// Guidance can steer concurrent searches without being written by them.
 func (g *Guidance) WithTracer(tr *trace.Tracer) *Guidance {
-	out := *g
+	out := g.clone()
 	out.tr = tr
+	return out
+}
+
+// clone copies g without its gene-pick scratch.
+func (g *Guidance) clone() *Guidance {
+	out := *g
+	out.blended, out.work = nil, nil
 	return &out
 }
 
@@ -104,8 +119,10 @@ func (g *Guidance) ImportanceAt(i, gen int) float64 {
 
 // MutationGenes implements ga.Strategy. The number of mutations matches the
 // baseline in distribution (one coin per gene at the configured rate); which
-// genes receive them is drawn from the importance-blended distribution.
-func (g *Guidance) MutationGenes(r *rand.Rand, gen int, genome param.Point, rate float64) []int {
+// genes receive them is drawn from the importance-blended distribution,
+// computed once per generation into g's scratch. Only one engine may drive
+// a Guidance at a time; Search gives each engine its own copy.
+func (g *Guidance) MutationGenes(r *rand.Rand, gen int, genome param.Point, rate float64, dst []int) []int {
 	n := 0
 	for range genome {
 		if r.Float64() < rate {
@@ -113,31 +130,21 @@ func (g *Guidance) MutationGenes(r *rand.Rand, gen int, genome param.Point, rate
 		}
 	}
 	if n == 0 {
-		return nil
+		return dst
 	}
 	if n > len(genome) {
 		n = len(genome)
 	}
-
-	// Blended selection weights.
-	weights := make([]float64, len(genome))
-	var impSum float64
-	for i := range weights {
-		weights[i] = g.ImportanceAt(i, gen)
-		impSum += weights[i]
-	}
-	uniform := 1.0 / float64(len(genome))
-	for i := range weights {
-		weights[i] = (1-g.confidence)*uniform + g.confidence*weights[i]/impSum
+	if gen != g.wGen || len(genome) != len(g.blended) {
+		g.blend(gen, len(genome))
 	}
 
-	// Weighted sampling without replacement.
-	picked := make([]int, 0, n)
-	total := 0.0
-	for _, w := range weights {
-		total += w
-	}
-	for len(picked) < n && total > 1e-12 {
+	// Weighted sampling without replacement, over a copy of the blend.
+	weights := append(g.work[:0], g.blended...)
+	g.work = weights
+	total := g.wTotal
+	start := len(dst)
+	for len(dst)-start < n && total > 1e-12 {
 		x := r.Float64() * total
 		for i, w := range weights {
 			if w == 0 {
@@ -145,7 +152,7 @@ func (g *Guidance) MutationGenes(r *rand.Rand, gen int, genome param.Point, rate
 			}
 			x -= w
 			if x <= 0 {
-				picked = append(picked, i)
+				dst = append(dst, i)
 				total -= w
 				weights[i] = 0
 				break
@@ -157,7 +164,7 @@ func (g *Guidance) MutationGenes(r *rand.Rand, gen int, genome param.Point, rate
 		// each pick by whether an importance skew was actually in effect
 		// for that gene at this generation (hint set, not fully decayed,
 		// confidence > 0); the complement is an effectively uniform pick.
-		for _, i := range picked {
+		for _, i := range dst[start:] {
 			mech := trace.HintGeneUniform
 			if g.confidence > 0 && g.ImportanceAt(i, gen) > 1 {
 				mech = trace.HintGeneImportance
@@ -165,7 +172,26 @@ func (g *Guidance) MutationGenes(r *rand.Rand, gen int, genome param.Point, rate
 			g.tr.RecordHint(trace.HintRecord{Generation: gen, Gene: i, Mechanism: mech})
 		}
 	}
-	return picked
+	return dst
+}
+
+// blend computes generation gen's gene-pick weights over n genes - each
+// gene's decayed importance, normalized and blended with uniform by
+// confidence - and their sum.
+func (g *Guidance) blend(gen, n int) {
+	w := g.blended[:0]
+	var impSum float64
+	for i := 0; i < n; i++ {
+		w = append(w, g.ImportanceAt(i, gen))
+		impSum += w[i]
+	}
+	uniform := 1.0 / float64(n)
+	total := 0.0
+	for i := range w {
+		w[i] = (1-g.confidence)*uniform + g.confidence*w[i]/impSum
+		total += w[i]
+	}
+	g.wGen, g.wTotal, g.blended = gen, total, w
 }
 
 // axisRank returns gene value vi's position along parameter i's working

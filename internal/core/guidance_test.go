@@ -2,8 +2,11 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -50,7 +53,7 @@ func TestMutationGenesCountMatchesBaselineRate(t *testing.T) {
 	total := 0
 	const trials = 20000
 	for i := 0; i < trials; i++ {
-		total += len(g.MutationGenes(r, 0, genome, 0.1))
+		total += len(g.MutationGenes(r, 0, genome, 0.1, nil))
 	}
 	mean := float64(total) / trials // expect 8 * 0.1 = 0.8
 	if mean < 0.72 || mean > 0.88 {
@@ -72,7 +75,7 @@ func TestMutationGenesSkewedByImportance(t *testing.T) {
 	// rates without-replacement sampling deliberately spreads picks, to
 	// keep the per-operation mutation count baseline-equivalent).
 	for i := 0; i < 120000; i++ {
-		for _, gi := range g.MutationGenes(r, 0, genome, 0.05) {
+		for _, gi := range g.MutationGenes(r, 0, genome, 0.05, nil) {
 			counts[gi]++
 		}
 	}
@@ -100,7 +103,7 @@ func TestMutationGenesUniformAtZeroConfidence(t *testing.T) {
 	counts := make([]int, s.Len())
 	total := 0
 	for i := 0; i < 40000; i++ {
-		for _, gi := range g.MutationGenes(r, 0, genome, 0.25) {
+		for _, gi := range g.MutationGenes(r, 0, genome, 0.25, nil) {
 			counts[gi]++
 			total++
 		}
@@ -120,7 +123,7 @@ func TestMutationGenesNoDuplicates(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
 	genome := make(param.Point, s.Len())
 	for i := 0; i < 2000; i++ {
-		picked := g.MutationGenes(r, 0, genome, 0.9)
+		picked := g.MutationGenes(r, 0, genome, 0.9, nil)
 		seen := map[int]bool{}
 		for _, gi := range picked {
 			if seen[gi] {
@@ -399,7 +402,7 @@ func TestQuickMutationGenesValid(t *testing.T) {
 		}
 		r := rand.New(rand.NewSource(seed))
 		genome := make(param.Point, s.Len())
-		picked := g.MutationGenes(r, 3, genome, rate)
+		picked := g.MutationGenes(r, 3, genome, rate, nil)
 		if len(picked) > s.Len() {
 			return false
 		}
@@ -450,7 +453,7 @@ func TestGuidanceDeterministic(t *testing.T) {
 		out := []int{}
 		genome := make(param.Point, s.Len())
 		for i := 0; i < 100; i++ {
-			out = append(out, g.MutationGenes(r, i, genome, 0.3)...)
+			out = append(out, g.MutationGenes(r, i, genome, 0.3, nil)...)
 			out = append(out, g.MutateValue(r, i, i%s.Len(), i%16))
 		}
 		return out
@@ -490,5 +493,141 @@ func TestGuidanceDescribe(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("Describe missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// referenceMutationGenes is MutationGenes without the per-engine scratch:
+// every call recomputes the blended weights from ImportanceAt and
+// allocates its buffers. The scratch must reproduce its picks and its RNG
+// draws exactly.
+func referenceMutationGenes(g *Guidance, r *rand.Rand, gen int, genome param.Point, rate float64) []int {
+	n := 0
+	for range genome {
+		if r.Float64() < rate {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	if n > len(genome) {
+		n = len(genome)
+	}
+	weights := make([]float64, len(genome))
+	var impSum float64
+	for i := range weights {
+		weights[i] = g.ImportanceAt(i, gen)
+		impSum += weights[i]
+	}
+	uniform := 1.0 / float64(len(genome))
+	for i := range weights {
+		weights[i] = (1-g.confidence)*uniform + g.confidence*weights[i]/impSum
+	}
+	picked := make([]int, 0, n)
+	total := 0.0
+	for _, w := range weights {
+		total += w
+	}
+	for len(picked) < n && total > 1e-12 {
+		x := r.Float64() * total
+		for i, w := range weights {
+			if w == 0 {
+				continue
+			}
+			x -= w
+			if x <= 0 {
+				picked = append(picked, i)
+				total -= w
+				weights[i] = 0
+				break
+			}
+		}
+	}
+	return picked
+}
+
+// scratchCase is one generated guidance and call sequence: per-gene
+// importance 1-100 with optional decay, a confidence, and calls whose
+// generations repeat, advance and jump backwards (as resumed runs and
+// islands do), over genome lengths up to the space's.
+type scratchCase struct {
+	imp, decay []float64
+	conf       float64
+	calls      []scratchCall
+	seed       int64
+}
+
+type scratchCall struct {
+	gen, genes int
+	rate       float64
+}
+
+func (scratchCase) Generate(r *rand.Rand, _ int) reflect.Value {
+	n := 1 + r.Intn(8)
+	sc := scratchCase{imp: make([]float64, n), decay: make([]float64, n), seed: r.Int63()}
+	for i := range sc.imp {
+		sc.imp[i] = float64(1 + r.Intn(100))
+		if r.Intn(2) == 0 {
+			sc.decay[i] = r.Float64()
+		}
+	}
+	switch r.Intn(4) {
+	case 0:
+		sc.conf = 0
+	case 1:
+		sc.conf = 1
+	default:
+		sc.conf = r.Float64()
+	}
+	gen := r.Intn(20)
+	for k, calls := 0, 1+r.Intn(40); k < calls; k++ {
+		switch r.Intn(4) {
+		case 0:
+			gen = r.Intn(60)
+		case 1:
+			gen++
+		}
+		genes := n
+		if r.Intn(4) == 0 {
+			genes = 1 + r.Intn(n)
+		}
+		sc.calls = append(sc.calls, scratchCall{gen: gen, genes: genes, rate: r.Float64()})
+	}
+	return reflect.ValueOf(sc)
+}
+
+// Property: an engine's guidance copy, caching each generation's blend,
+// returns the reference's picks (appended after whatever dst holds) and
+// leaves the RNG where the reference leaves it, without writing the
+// guidance it was copied from.
+func TestQuickGuidanceScratchMatchesReference(t *testing.T) {
+	f := func(sc scratchCase) bool {
+		ps := make([]*param.Param, len(sc.imp))
+		for i := range ps {
+			ps[i] = param.Int(fmt.Sprintf("p%d", i), 0, 3, 1)
+		}
+		g := newGuidance(param.MustSpace(ps...), sc.conf)
+		copy(g.importance, sc.imp)
+		copy(g.decay, sc.decay)
+		engine := g.WithTracer(nil)
+		ra, rb := rand.New(rand.NewSource(sc.seed)), rand.New(rand.NewSource(sc.seed))
+		genome := make(param.Point, len(sc.imp))
+		var buf []int
+		for k, c := range sc.calls {
+			dst := buf[:0]
+			if k%2 == 1 {
+				dst = append(dst, -1)
+			}
+			buf = engine.MutationGenes(ra, c.gen, genome[:c.genes], c.rate, dst)
+			want := referenceMutationGenes(g, rb, c.gen, genome[:c.genes], c.rate)
+			if !slices.Equal(buf[:len(dst)], dst) || !slices.Equal(buf[len(dst):], want) {
+				t.Logf("call %d %+v: picks %v after %v, want %v", k, c, buf[len(dst):], buf[:len(dst)], want)
+				return false
+			}
+		}
+		return ra.Int63() == rb.Int63() && g.blended == nil && g.work == nil
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
 	}
 }

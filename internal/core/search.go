@@ -68,8 +68,8 @@ type searchConfig struct {
 }
 
 // WithGuidance applies hint-guided mutation (nil or zero-confidence
-// guidance degrades to the unguided baseline). When the run has a trace
-// stream, it is handed a copy of g reporting hint decisions to it; the
+// guidance degrades to the unguided baseline). Each engine gets its own
+// copy of g, reporting hint decisions to the run's trace stream; the
 // caller's guidance is never mutated.
 func WithGuidance(g *Guidance) SearchOption {
 	return func(c *searchConfig) { c.guidance = g }
@@ -162,16 +162,12 @@ func Search(ctx context.Context, req SearchRequest, opts ...SearchOption) (ga.Re
 	return engine.RunContext(ctx)
 }
 
-// strategy resolves the run's mutation strategy: the configured guidance
-// (reporting to the run's trace stream when there is one) or nil for the
+// strategy resolves one engine's mutation strategy: its own copy of the
+// configured guidance, reporting to the run's trace stream, or nil for the
 // unguided baseline.
 func (c *searchConfig) strategy(cfg *ga.Config) ga.Strategy {
-	g := c.guidance
-	if g == nil {
+	if c.guidance == nil {
 		return nil
 	}
-	if cfg.Tracer != nil {
-		g = g.WithTracer(cfg.Tracer)
-	}
-	return g
+	return c.guidance.WithTracer(cfg.Tracer)
 }

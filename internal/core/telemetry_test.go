@@ -44,7 +44,7 @@ func TestGuidanceHintTelemetry(t *testing.T) {
 
 	picks := 0
 	for i := 0; i < 3000; i++ {
-		picks += len(g.MutationGenes(r, 0, genome, 0.1))
+		picks += len(g.MutationGenes(r, 0, genome, 0.1, nil))
 	}
 	const aIdx, bIdx, cIdx = 0, 1, 2
 	moves := 0

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"math/rand"
 	"sort"
 	"strconv"
 	"strings"
@@ -506,84 +505,73 @@ func (c *Cache) Restore(snap CacheSnapshot) error {
 	return nil
 }
 
-// Dataset is a fully enumerated characterization of a design space:
-// feasible points with their metrics, plus the count of infeasible points.
+// Dataset is a fully enumerated characterization of a design space: one
+// metrics slot per point, indexed by the point's flat index (PointAt's
+// numbering), where nil marks an infeasible or absent point.
 type Dataset struct {
-	space      *param.Space
-	byKey      map[string]metrics.Metrics
-	keys       []string // feasible keys in enumeration order
-	infeasible int
+	space *param.Space
+	slots []metrics.Metrics // by flat index; nil = infeasible or absent
+	size  int               // non-nil slots
 
 	mu     sync.Mutex
 	sorted map[string][]float64 // objective name -> sorted values (lazy)
 }
 
+// maxTablePoints bounds the spaces a Dataset indexes: a larger space is
+// refused rather than given one slot per point.
+const maxTablePoints = 1 << 24
+
+// tableSize returns the slot count a table over space needs, refusing
+// spaces above maxTablePoints.
+func tableSize(space *param.Space) (int, error) {
+	n := space.Cardinality()
+	if n > maxTablePoints {
+		return 0, fmt.Errorf("dataset: space has %d points, more than the %d a table indexes", n, maxTablePoints)
+	}
+	return int(n), nil
+}
+
+// newTable wraps slots, one per point of space in flat order.
+func newTable(space *param.Space, slots []metrics.Metrics) *Dataset {
+	d := &Dataset{space: space, slots: slots, sorted: make(map[string][]float64)}
+	for _, m := range slots {
+		if m != nil {
+			d.size++
+		}
+	}
+	return d
+}
+
 // Build enumerates the whole space through eval. Infeasible points are
-// counted but not stored. Intended for spaces up to a few hundred thousand
-// points.
+// counted but not stored. Spaces above 2^24 points are refused.
 func Build(space *param.Space, eval Evaluator) (*Dataset, error) {
 	return BuildParallel(space, eval, 1)
 }
 
-// maxParallelBuild bounds the per-point result buffer a parallel Build will
-// allocate; larger spaces fall back to sequential streaming enumeration.
-const maxParallelBuild = 1 << 24
-
 // BuildParallel is Build with up to parallelism concurrent evaluator calls.
-// Points are assembled in flat enumeration order afterwards, so the
-// resulting dataset is identical to Build's at any parallelism level.
+// Each result lands in its point's slot, so the dataset is identical to
+// Build's at any parallelism level.
 func BuildParallel(space *param.Space, eval Evaluator, parallelism int) (*Dataset, error) {
-	d := &Dataset{
-		space:  space,
-		byKey:  make(map[string]metrics.Metrics),
-		sorted: make(map[string][]float64),
+	n, err := tableSize(space)
+	if err != nil {
+		return nil, err
 	}
-	if n64 := space.Cardinality(); parallelism > 1 && n64 > 1 && n64 <= maxParallelBuild {
-		n := int(n64)
-		type outcome struct {
-			m   metrics.Metrics
-			err error
+	slots, err := pool.Map(parallelism, n, func(i int) (metrics.Metrics, error) {
+		pt := space.PointAt(uint64(i))
+		switch m, err := eval(pt); {
+		case err != nil:
+			return nil, nil // infeasible: the slot stays nil
+		case m == nil:
+			return nil, fmt.Errorf("dataset: evaluator returned nil metrics without error at %s", space.Describe(pt))
+		default:
+			return m, nil
 		}
-		results, _ := pool.Map(parallelism, n, func(i int) (outcome, error) {
-			var o outcome
-			o.m, o.err = eval(space.PointAt(uint64(i)))
-			return o, nil
-		}, nil)
-		for i, o := range results {
-			if o.err != nil {
-				d.infeasible++
-				continue
-			}
-			pt := space.PointAt(uint64(i))
-			if o.m == nil {
-				return nil, fmt.Errorf("dataset: evaluator returned nil metrics without error at %s", space.Describe(pt))
-			}
-			key := space.Key(pt)
-			d.byKey[key] = o.m
-			d.keys = append(d.keys, key)
-		}
-	} else {
-		var firstErr error
-		space.Enumerate(func(pt param.Point) bool {
-			m, err := eval(pt)
-			if err != nil {
-				d.infeasible++
-				return true
-			}
-			if m == nil {
-				firstErr = fmt.Errorf("dataset: evaluator returned nil metrics without error at %s", space.Describe(pt))
-				return false
-			}
-			key := space.Key(pt)
-			d.byKey[key] = m
-			d.keys = append(d.keys, key)
-			return true
-		})
-		if firstErr != nil {
-			return nil, firstErr
-		}
+	}, nil)
+	if err != nil {
+		return nil, err
 	}
-	if len(d.byKey) == 0 {
+	d := newTable(space, slots)
+	if d.size == 0 {
 		return nil, errors.New("dataset: no feasible points")
 	}
 	return d, nil
@@ -593,15 +581,17 @@ func BuildParallel(space *param.Space, eval Evaluator, parallelism int) (*Datase
 func (d *Dataset) Space() *param.Space { return d.space }
 
 // Size returns the number of feasible characterized points.
-func (d *Dataset) Size() int { return len(d.byKey) }
+func (d *Dataset) Size() int { return d.size }
 
-// Infeasible returns the number of infeasible points encountered.
-func (d *Dataset) Infeasible() int { return d.infeasible }
+// Infeasible returns the number of infeasible (or absent) points.
+func (d *Dataset) Infeasible() int { return len(d.slots) - d.size }
 
-// Lookup returns the stored metrics for pt.
+// Lookup returns the stored metrics for pt: its flat index, then one slot
+// read. Like Space.Key it panics with Space.Validate's error on a
+// malformed point.
 func (d *Dataset) Lookup(pt param.Point) (metrics.Metrics, bool) {
-	m, ok := d.byKey[d.space.Key(pt)]
-	return m, ok
+	m := d.slots[d.space.FlatIndex(pt)]
+	return m, m != nil
 }
 
 // Evaluator returns an Evaluator backed by the dataset (missing points are
@@ -616,17 +606,16 @@ func (d *Dataset) Evaluator() Evaluator {
 	}
 }
 
-// Each calls fn for every feasible point in enumeration order.
+// Each calls fn for every feasible point in flat enumeration order,
+// stopping early if fn returns false. The Point passed to fn is reused
+// between calls; clone it to retain it.
 func (d *Dataset) Each(fn func(pt param.Point, m metrics.Metrics) bool) {
-	for _, key := range d.keys {
-		pt, err := d.space.ParseKey(key)
-		if err != nil {
-			panic(err) // keys were produced by this space
-		}
-		if !fn(pt, d.byKey[key]) {
-			return
-		}
-	}
+	i := 0
+	d.space.Enumerate(func(pt param.Point) bool {
+		m := d.slots[i]
+		i++
+		return m == nil || fn(pt, m)
+	})
 }
 
 // values returns the dataset's objective values sorted from best to worst.
@@ -637,9 +626,9 @@ func (d *Dataset) values(obj metrics.Objective) []float64 {
 	if v, ok := d.sorted[name]; ok {
 		return v
 	}
-	vals := make([]float64, 0, len(d.byKey))
-	for _, key := range d.keys {
-		if v, ok := obj.Value(d.byKey[key]); ok {
+	vals := make([]float64, 0, d.size)
+	for _, m := range d.slots {
+		if v, ok := obj.Value(m); ok {
 			vals = append(vals, v)
 		}
 	}
@@ -653,20 +642,19 @@ func (d *Dataset) values(obj metrics.Objective) []float64 {
 	return vals
 }
 
-// Best returns the best feasible point and objective value in the dataset.
+// Best returns the best feasible point and objective value in the dataset,
+// the first in flat order on a tie.
 func (d *Dataset) Best(obj metrics.Objective) (param.Point, float64) {
-	bestVal := obj.Worst()
-	var bestKey string
-	for _, key := range d.keys {
-		if v, ok := obj.Value(d.byKey[key]); ok && obj.Better(v, bestVal) {
-			bestVal, bestKey = v, key
+	bestVal, best := obj.Worst(), -1
+	for i, m := range d.slots {
+		if v, ok := obj.Value(m); ok && obj.Better(v, bestVal) {
+			bestVal, best = v, i
 		}
 	}
-	if bestKey == "" {
+	if best < 0 {
 		return nil, bestVal
 	}
-	pt, _ := d.space.ParseKey(bestKey)
-	return pt, bestVal
+	return d.space.PointAt(uint64(best)), bestVal
 }
 
 // Rank returns how many feasible designs are strictly better than value
@@ -753,14 +741,14 @@ func (d *Dataset) ExpectedRandomDraws(obj metrics.Objective, value float64) floa
 // ---- CSV persistence -------------------------------------------------------
 
 // WriteCSV writes the dataset as CSV: a header of parameter names and metric
-// names, then one row per feasible point (parameter string values followed
-// by metric values).
+// names, then one row per feasible point in flat order (parameter string
+// values followed by metric values).
 func (d *Dataset) WriteCSV(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	// Collect the union of metric names, sorted, for stable columns.
 	nameSet := map[string]bool{}
-	for _, key := range d.keys {
-		for name := range d.byKey[key] {
+	for _, m := range d.slots {
+		for name := range m {
 			nameSet[name] = true
 		}
 	}
@@ -774,13 +762,13 @@ func (d *Dataset) WriteCSV(w io.Writer) error {
 	if _, err := fmt.Fprintln(bw, strings.Join(cols, ",")); err != nil {
 		return err
 	}
-	for _, key := range d.keys {
-		pt, _ := d.space.ParseKey(key)
-		row := make([]string, 0, len(cols))
-		for i := 0; i < d.space.Len(); i++ {
-			row = append(row, d.space.Param(i).StringValue(pt[i]))
+	var err error
+	row := make([]string, 0, len(cols))
+	d.Each(func(pt param.Point, m metrics.Metrics) bool {
+		row = row[:0]
+		for i, v := range pt {
+			row = append(row, d.space.Param(i).StringValue(v))
 		}
-		m := d.byKey[key]
 		for _, name := range metricNames {
 			if v, ok := m[name]; ok {
 				row = append(row, strconv.FormatFloat(v, 'g', -1, 64))
@@ -788,20 +776,23 @@ func (d *Dataset) WriteCSV(w io.Writer) error {
 				row = append(row, "")
 			}
 		}
-		if _, err := fmt.Fprintln(bw, strings.Join(row, ",")); err != nil {
-			return err
-		}
+		_, err = fmt.Fprintln(bw, strings.Join(row, ","))
+		return err == nil
+	})
+	if err != nil {
+		return err
 	}
 	return bw.Flush()
 }
 
 // ReadCSV reads a dataset previously written by WriteCSV for the given
-// space.
+// space. It fails closed: a header that repeats a column, or names a metric
+// with an empty name or one holding a carriage return (which line reading
+// strips), is rejected, as is a row naming a point twice.
 func ReadCSV(space *param.Space, r io.Reader) (*Dataset, error) {
-	d := &Dataset{
-		space:  space,
-		byKey:  make(map[string]metrics.Metrics),
-		sorted: make(map[string][]float64),
+	n, err := tableSize(space)
+	if err != nil {
+		return nil, err
 	}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -813,12 +804,21 @@ func ReadCSV(space *param.Space, r io.Reader) (*Dataset, error) {
 	if len(cols) < np {
 		return nil, fmt.Errorf("dataset: CSV has %d columns, space needs %d parameters", len(cols), np)
 	}
-	for i, name := range space.Names() {
-		if cols[i] != name {
-			return nil, fmt.Errorf("dataset: CSV column %d is %q, want parameter %q", i, cols[i], name)
+	seen := make(map[string]bool, len(cols))
+	for i, name := range cols {
+		if i < np && name != space.Param(i).Name() {
+			return nil, fmt.Errorf("dataset: CSV column %d is %q, want parameter %q", i, name, space.Param(i).Name())
 		}
+		if i >= np && (name == "" || strings.ContainsRune(name, '\r')) {
+			return nil, fmt.Errorf("dataset: line 1: column %d has unusable metric name %q", i, name)
+		}
+		if seen[name] {
+			return nil, fmt.Errorf("dataset: line 1: column %q repeats", name)
+		}
+		seen[name] = true
 	}
 	metricNames := cols[np:]
+	slots := make([]metrics.Metrics, n)
 	line := 1
 	for sc.Scan() {
 		line++
@@ -826,13 +826,17 @@ func ReadCSV(space *param.Space, r io.Reader) (*Dataset, error) {
 		if len(fields) != len(cols) {
 			return nil, fmt.Errorf("dataset: line %d has %d fields, want %d", line, len(fields), len(cols))
 		}
-		pt := make(param.Point, np)
+		idx := 0
 		for i := 0; i < np; i++ {
-			idx := space.Param(i).IndexOf(fields[i])
-			if idx < 0 {
-				return nil, fmt.Errorf("dataset: line %d: unknown value %q for %s", line, fields[i], space.Param(i).Name())
+			p := space.Param(i)
+			v := p.IndexOf(fields[i])
+			if v < 0 {
+				return nil, fmt.Errorf("dataset: line %d: unknown value %q for %s", line, fields[i], p.Name())
 			}
-			pt[i] = idx
+			idx = idx*p.Card() + v
+		}
+		if slots[idx] != nil {
+			return nil, fmt.Errorf("dataset: line %d: duplicate point %s", line, space.Key(space.PointAt(uint64(idx))))
 		}
 		m := make(metrics.Metrics, len(metricNames))
 		for j, name := range metricNames {
@@ -846,59 +850,14 @@ func ReadCSV(space *param.Space, r io.Reader) (*Dataset, error) {
 			}
 			m[name] = v
 		}
-		key := space.Key(pt)
-		if _, dup := d.byKey[key]; dup {
-			return nil, fmt.Errorf("dataset: line %d: duplicate point %s", line, key)
-		}
-		d.byKey[key] = m
-		d.keys = append(d.keys, key)
+		slots[idx] = m
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	if len(d.byKey) == 0 {
+	d := newTable(space, slots)
+	if d.size == 0 {
 		return nil, errors.New("dataset: CSV contains no points")
-	}
-	d.infeasible = int(space.Cardinality()) - len(d.byKey)
-	return d, nil
-}
-
-// Sample characterizes n distinct uniformly drawn points of the space (the
-// practical alternative to Build when the space is too large to enumerate -
-// the situation the paper's IP users actually face). Infeasible draws count
-// toward the budget, like failed synthesis jobs. Fails if fewer than two
-// feasible points are found within the budget.
-func Sample(space *param.Space, eval Evaluator, n int, seed int64) (*Dataset, error) {
-	if n < 2 {
-		return nil, fmt.Errorf("dataset: sample size %d < 2", n)
-	}
-	if space.Cardinality() < uint64(n) {
-		return Build(space, eval)
-	}
-	d := &Dataset{
-		space:  space,
-		byKey:  make(map[string]metrics.Metrics),
-		sorted: make(map[string][]float64),
-	}
-	r := rand.New(rand.NewSource(seed))
-	seen := make(map[string]bool, n)
-	for len(seen) < n {
-		pt := space.Random(r)
-		key := space.Key(pt)
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		m, err := eval(pt)
-		if err != nil {
-			d.infeasible++
-			continue
-		}
-		d.byKey[key] = m
-		d.keys = append(d.keys, key)
-	}
-	if len(d.byKey) < 2 {
-		return nil, fmt.Errorf("dataset: only %d feasible points in a %d-point sample", len(d.byKey), n)
 	}
 	return d, nil
 }

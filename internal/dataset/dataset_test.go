@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -280,9 +281,21 @@ func TestReadCSVRejectsGarbage(t *testing.T) {
 		"a,b,cost\n1,2,zzz\n",      // bad float
 		"a,b,cost\n1,2,3\n1,2,4\n", // duplicate point
 	}
-	for _, c := range cases {
+	// An ambiguous header fails on line 1, before a repeated column's
+	// last value could silently win.
+	ambiguous := []string{
+		"a,b,cost,cost\n1,2,3,4\n", // repeated column
+		"a,b,\n1,2,3\n",            // empty metric name
+		"a,b,x\r,cost\n1,2,3,4\n",  // name a line read would strip
+	}
+	for _, c := range append(cases, ambiguous...) {
 		if _, err := ReadCSV(s, bytes.NewReader([]byte(c))); err == nil {
 			t.Errorf("ReadCSV(%q) succeeded, want error", c)
+		}
+	}
+	for _, c := range ambiguous {
+		if _, err := ReadCSV(s, bytes.NewReader([]byte(c))); err == nil || !strings.Contains(err.Error(), "line 1") {
+			t.Errorf("ReadCSV(%q) = %v, want a line-1 error", c, err)
 		}
 	}
 }
@@ -365,44 +378,5 @@ func TestWriteCSVStableHeader(t *testing.T) {
 	want := fmt.Sprintf("a,b,cost,%s,%s", metrics.FmaxMHz, metrics.LUTs)
 	if header != want {
 		t.Errorf("header = %q, want %q", header, want)
-	}
-}
-
-func TestSample(t *testing.T) {
-	s, eval := toySpace()
-	d, err := Sample(s, eval, 30, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Size()+d.Infeasible() != 30 {
-		t.Errorf("sample characterized %d+%d points, want 30", d.Size(), d.Infeasible())
-	}
-	obj := metrics.MinimizeMetric("cost")
-	if _, best := d.Best(obj); best < 0 || best > 98 {
-		t.Errorf("sampled best %v out of range", best)
-	}
-	// Deterministic per seed.
-	d2, _ := Sample(s, eval, 30, 1)
-	if d.Size() != d2.Size() {
-		t.Error("Sample not deterministic")
-	}
-	// Oversized sample falls back to full enumeration.
-	full, err := Sample(s, eval, 1000, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if full.Size() != 99 {
-		t.Errorf("oversized sample got %d points, want full 99", full.Size())
-	}
-	if _, err := Sample(s, eval, 1, 1); err == nil {
-		t.Error("sample size 1 accepted")
-	}
-}
-
-func TestSampleAllInfeasible(t *testing.T) {
-	s := param.MustSpace(param.Int("x", 0, 99, 1))
-	bad := func(param.Point) (metrics.Metrics, error) { return nil, errors.New("no") }
-	if _, err := Sample(s, bad, 20, 1); err == nil {
-		t.Error("all-infeasible sample accepted")
 	}
 }

@@ -230,9 +230,10 @@ func (c Config) validate() error {
 // two operator decisions Nautilus hints act on. Implementations may be
 // stateful per run but must be deterministic given the rand stream.
 type Strategy interface {
-	// MutationGenes returns the gene indices to mutate for one genome this
-	// generation. rate is the configured per-gene mutation rate.
-	MutationGenes(r *rand.Rand, gen int, genome param.Point, rate float64) []int
+	// MutationGenes appends the gene indices to mutate for one genome this
+	// generation to dst (the engine's reused buffer) and returns the
+	// result. rate is the configured per-gene mutation rate.
+	MutationGenes(r *rand.Rand, gen int, genome param.Point, rate float64, dst []int) []int
 	// MutateValue returns the new value index for gene g of the genome
 	// (current is the present index).
 	MutateValue(r *rand.Rand, gen int, g, current int) int
@@ -245,14 +246,13 @@ type Baseline struct {
 }
 
 // MutationGenes flips an independent coin per gene at the configured rate.
-func (b Baseline) MutationGenes(r *rand.Rand, gen int, genome param.Point, rate float64) []int {
-	var genes []int
+func (b Baseline) MutationGenes(r *rand.Rand, gen int, genome param.Point, rate float64, dst []int) []int {
 	for g := range genome {
 		if r.Float64() < rate {
-			genes = append(genes, g)
+			dst = append(dst, g)
 		}
 	}
-	return genes
+	return dst
 }
 
 // MutateValue draws a uniform different value for the gene.
@@ -384,6 +384,8 @@ type Engine struct {
 	// order is the elite-selection scratch permutation, reused across
 	// generations.
 	order []int
+	// picks is the strategy's MutationGenes buffer, reused across children.
+	picks []int
 	// objs is the full objective vector in multi-objective (pareto) runs;
 	// nil in scalar runs. objs[0] is the primary objective and aliases
 	// e.obj, so every scalar reporting path speaks the primary objective.
@@ -936,7 +938,8 @@ func (e *Engine) breedInto(r *rand.Rand, gen int, child param.Point, sel selecto
 			t0 = now
 		}
 	}
-	for _, g := range e.strategy.MutationGenes(r, gen, child, e.cfg.MutationRate) {
+	e.picks = e.strategy.MutationGenes(r, gen, child, e.cfg.MutationRate, e.picks[:0])
+	for _, g := range e.picks {
 		if g < 0 || g >= len(child) {
 			continue // defensive: ignore out-of-range picks from strategies
 		}

@@ -265,18 +265,36 @@ func TestBaselineMutationGenesRate(t *testing.T) {
 	total := 0
 	const trials = 20000
 	for i := 0; i < trials; i++ {
-		total += len(b.MutationGenes(r, 0, genome, 0.1))
+		total += len(b.MutationGenes(r, 0, genome, 0.1, nil))
 	}
 	mean := float64(total) / trials // expect 0.4 genes per genome
 	if mean < 0.35 || mean > 0.45 {
 		t.Errorf("mean mutations %v, want ~0.4", mean)
 	}
 	// rate 0 -> never; rate 1 -> all genes.
-	if len(b.MutationGenes(r, 0, genome, 0)) != 0 {
+	if len(b.MutationGenes(r, 0, genome, 0, nil)) != 0 {
 		t.Error("rate 0 should mutate nothing")
 	}
-	if len(b.MutationGenes(r, 0, genome, 1)) != s.Len() {
+	if len(b.MutationGenes(r, 0, genome, 1, nil)) != s.Len() {
 		t.Error("rate 1 should mutate every gene")
+	}
+}
+
+// TestBaselineMutationGenesAllocs pins the engine-owned pick buffer: with
+// a warm buffer passed as dst, baseline gene picking allocates nothing.
+func TestBaselineMutationGenesAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; counts only hold in non-race builds")
+	}
+	s, _ := quadSpace()
+	b := Baseline{Space: s}
+	r := rand.New(rand.NewSource(1))
+	genome := make(param.Point, s.Len())
+	buf := b.MutationGenes(r, 0, genome, 1, nil)
+	if avg := testing.AllocsPerRun(200, func() {
+		buf = b.MutationGenes(r, 0, genome, 0.5, buf[:0])
+	}); avg != 0 {
+		t.Errorf("warm MutationGenes allocates %.1f times per call, want 0", avg)
 	}
 }
 

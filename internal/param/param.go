@@ -453,14 +453,19 @@ func (s *Space) PointAt(n uint64) Point {
 	return pt
 }
 
-// FlatIndex is the inverse of PointAt.
+// FlatIndex is the inverse of PointAt: one bounds-checked mixed-radix
+// fold, allocation-free. Like Key it panics with Validate's error on a
+// malformed point.
 func (s *Space) FlatIndex(pt Point) uint64 {
-	if err := s.Validate(pt); err != nil {
-		panic(err)
+	if len(pt) != len(s.params) {
+		panic(s.Validate(pt))
 	}
 	var n uint64
 	for i, v := range pt {
-		n = n*uint64(s.params[i].Card()) + uint64(v)
+		if uint64(v) >= s.packCards[i] { // also catches v < 0 via wraparound
+			panic(s.Validate(pt))
+		}
+		n = n*s.packCards[i] + uint64(v)
 	}
 	return n
 }
