@@ -88,6 +88,9 @@ func TestExitSuccess(t *testing.T) {
 // feeding every observability sink prints the same result block as a
 // plain run, its one journal carries every event kind plus the spans -
 // the supervisor's among them - and -summary ends with the span table.
+// Every generation line carries the generation's cache lookups by
+// outcome, and over the run they add up to the summary's cache and
+// faults lines and to the result's synthesis-job accounting.
 func TestObservedRunMatchesPlain(t *testing.T) {
 	base := []string{"-ip", "fft", "-query", "min-luts", "-gens", "6", "-pop", "6", "-seed", "3", "-par", "2"}
 	_, plain, _ := runNautilus(t, base...)
@@ -108,21 +111,33 @@ func TestObservedRunMatchesPlain(t *testing.T) {
 		t.Fatal(err)
 	}
 	kinds, spans := map[string]bool{}, map[string]bool{}
+	var hits, misses, dedups, transient int
 	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
 		var ev struct {
-			Event string   `json:"event"`
-			TMs   *float64 `json:"t_ms"`
-			Name  string   `json:"name"`
+			Event      string   `json:"event"`
+			TMs        *float64 `json:"t_ms"`
+			Name       string   `json:"name"`
+			Hits       *int     `json:"cache_hits"`
+			Misses     *int     `json:"cache_misses"`
+			Dedups     *int     `json:"cache_dedups"`
+			Transient  *int     `json:"cache_transient"`
+			Collisions *int     `json:"cache_collisions"`
 		}
 		if err := json.Unmarshal([]byte(line), &ev); err != nil || ev.TMs == nil {
 			t.Fatalf("bad journal line (%v): %s", err, line)
 		}
 		kinds[ev.Event] = true
-		if ev.Event == "span" {
+		switch ev.Event {
+		case "span":
 			spans[ev.Name] = true
+		case "generation":
+			if ev.Hits == nil || ev.Misses == nil || ev.Dedups == nil || ev.Transient == nil || ev.Collisions == nil {
+				t.Fatalf("generation line lacks a cache field: %s", line)
+			}
+			hits, misses, dedups, transient = hits+*ev.Hits, misses+*ev.Misses, dedups+*ev.Dedups, transient+*ev.Transient
 		}
 	}
-	for _, want := range []string{"generation", "eval", "hint", "cache", "pool", "span"} {
+	for _, want := range []string{"generation", "eval", "hint", "pool", "span"} {
 		if !kinds[want] {
 			t.Errorf("journal has no %q lines (kinds %v)", want, kinds)
 		}
@@ -131,6 +146,17 @@ func TestObservedRunMatchesPlain(t *testing.T) {
 		if !spans[want] {
 			t.Errorf("journal has no %s span (spans %v)", want, spans)
 		}
+	}
+	lookups := hits + misses + dedups
+	wantCache := fmt.Sprintf("cache:        %d lookups: %d hits (", lookups, hits)
+	wantJobs := fmt.Sprintf("synthesis jobs:  %d distinct design evaluations (%d queries", misses-transient, lookups)
+	for _, want := range []string{wantCache, wantJobs} {
+		if !strings.Contains(out, want) {
+			t.Errorf("journal's generation lines sum to %q, which the output lacks:\n%s", want, out)
+		}
+	}
+	if wantFaults := fmt.Sprintf("faults:       %d transient", transient); transient > 0 && !strings.Contains(out, wantFaults) {
+		t.Errorf("journal's generation lines sum to %q, which the summary lacks:\n%s", wantFaults, out)
 	}
 }
 

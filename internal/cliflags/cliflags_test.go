@@ -195,7 +195,7 @@ func TestTracingBuild(t *testing.T) {
 	sp := st.Tracer.Start("test.op")
 	sp.Child("test.child").End()
 	sp.End()
-	st.Tracer.RecordCache(trace.CacheRecord{Event: trace.CacheHit})
+	st.Tracer.RecordGeneration(trace.GenerationRecord{Generation: 1, CacheHits: 1})
 	if err := st.Close(); err != nil {
 		t.Fatalf("Close() = %v", err)
 	}
@@ -203,7 +203,7 @@ func TestTracingBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(data), `"test.child"`) || !strings.Contains(string(data), `"event":"cache"`) {
+	if !strings.Contains(string(data), `"test.child"`) || !strings.Contains(string(data), `"event":"generation"`) {
 		t.Errorf("journal missing spans or records:\n%s", data)
 	}
 	if got := len(st.Ring.Snapshot()); got != 2 {

@@ -57,8 +57,6 @@ type Options struct {
 	// Network is the transport every listen and dial goes through
 	// (default faultnet.System - real TCP).
 	Network faultnet.Network
-	// Vnodes is the per-node virtual-node count (default DefaultVnodes).
-	Vnodes int
 	// Registry, when set, receives the cluster.* counters.
 	Registry *telemetry.Registry
 	// Caches resolves the shared evaluation cache (and its space) for a
@@ -144,7 +142,7 @@ func NewNode(opts Options) (*Node, error) {
 			members = append(members, id)
 		}
 	}
-	ring, err := NewRing(members, opts.Vnodes)
+	ring, err := NewRing(members, DefaultVnodes)
 	if err != nil {
 		return nil, err
 	}
@@ -542,10 +540,27 @@ func (n *Node) handleMigrate(payload []byte) (byte, []byte) {
 	return statusOK, nil
 }
 
-// handleIsland runs one island of a cluster session on this node.
-func (n *Node) handleIsland(payload []byte) (byte, []byte) {
+// decodeIslandSpec decodes an opIsland payload and fails closed on a spec
+// this node cannot run: the island must index [0, Islands), and a spec of
+// two or more islands must name the members its migration ring routes to.
+func decodeIslandSpec(payload []byte) (IslandSpec, error) {
 	var spec IslandSpec
 	if err := json.Unmarshal(payload, &spec); err != nil {
+		return IslandSpec{}, err
+	}
+	if spec.Island < 0 || spec.Island >= spec.Islands {
+		return IslandSpec{}, fmt.Errorf("cluster: island %d outside [0, %d)", spec.Island, spec.Islands)
+	}
+	if spec.Islands > 1 && len(spec.Members) == 0 {
+		return IslandSpec{}, fmt.Errorf("cluster: %d islands over no members", spec.Islands)
+	}
+	return spec, nil
+}
+
+// handleIsland runs one island of a cluster session on this node.
+func (n *Node) handleIsland(payload []byte) (byte, []byte) {
+	spec, err := decodeIslandSpec(payload)
+	if err != nil {
 		return statusErr, []byte(err.Error())
 	}
 	if n.opts.RunIsland == nil {

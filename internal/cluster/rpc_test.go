@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"encoding/json"
 	"io"
 	"math"
 	"runtime"
@@ -12,6 +13,7 @@ import (
 	"testing/iotest"
 
 	"nautilus/internal/dataset"
+	"nautilus/internal/ga"
 	"nautilus/internal/metrics"
 	"nautilus/internal/param"
 )
@@ -232,6 +234,69 @@ func FuzzDecodeMetrics(f *testing.F) {
 		}
 		if !bytes.Equal(appendMetrics(nil, back), canon) {
 			t.Fatal("canonical metrics are not a fixed point")
+		}
+	})
+}
+
+// FuzzIslandSpec: the opIsland decoder fails closed. A payload it rejects
+// is answered statusErr and runs nothing; a spec it accepts runs, and its
+// migration exchange routes to a member inside the spec's member list. A
+// spec of two or more islands with a migration block and no members, or
+// with a negative island, used to panic the node on its first exchange.
+func FuzzIslandSpec(f *testing.F) {
+	for _, spec := range []IslandSpec{
+		{Session: "s", Island: 1, Islands: 3, Members: []string{"a", "b"}, Migration: &MigrationSpec{Interval: 1, Count: 1}},
+		{Session: "s", Island: 2, Islands: 3, Members: []string{"a"}, Migration: &MigrationSpec{Interval: 5, Count: 1}},
+		{Session: "s", Island: 0, Islands: 1},
+		{Session: "s", Island: 0, Islands: 2, Migration: &MigrationSpec{Interval: 5, Count: 1}},
+		{Session: "s", Island: -1, Islands: 2, Members: []string{"a"}, Migration: &MigrationSpec{Interval: 5, Count: 1}},
+		{Session: "s", Island: 2, Islands: 2, Members: []string{"a", "b"}},
+	} {
+		b, err := json.Marshal(spec)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Add([]byte(`{"island":0,"islands":0,"members":["a"]}`))
+	f.Add([]byte(`{"island":1}`))
+	f.Add([]byte(`[`))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		ran := false
+		var n *Node
+		n = &Node{
+			baseCtx:  context.Background(),
+			mail:     make(map[mailKey]chan []ga.Migrant),
+			sessions: make(map[string]int),
+			opts: Options{ID: "a", RunIsland: func(ctx context.Context, spec IslandSpec) (IslandResult, error) {
+				ran = true
+				if mig := spec.Exchange(n); mig != nil {
+					// One exchange under a canceled context: it routes the
+					// emigrants (to a local mailbox, or to a peer this node
+					// cannot dial), then returns without waiting.
+					cctx, cancel := context.WithCancel(ctx)
+					cancel()
+					_, _ = mig.Exchange(cctx, mig.Interval, []ga.Migrant{{Genome: param.Point{0}}})
+				}
+				return IslandResult{Island: spec.Island}, nil
+			}},
+		}
+		spec, err := decodeIslandSpec(b)
+		status, body := n.handleIsland(b)
+		if err != nil {
+			if status != statusErr || ran {
+				t.Fatalf("rejected spec (%v) answered with status 0x%02x, ran %v", err, status, ran)
+			}
+			return
+		}
+		if status != statusOK || !ran {
+			t.Fatalf("accepted spec %+v answered with status 0x%02x (%s), ran %v", spec, status, body, ran)
+		}
+		// For two or more islands the exchange above indexed
+		// members[(island+1)%islands%len(members)], which is in range
+		// exactly when these hold.
+		if spec.Island < 0 || spec.Island >= spec.Islands || (spec.Islands > 1 && len(spec.Members) == 0) {
+			t.Fatalf("accepted spec %+v cannot route its migrants", spec)
 		}
 	})
 }

@@ -117,9 +117,7 @@ func (c *Cache) probe(ctx context.Context, hashes []uint64, pts []param.Point, m
 		// Whether the remote tier would forward a miss is decided before
 		// the shard lock is taken, so no tier code runs under it.
 		fwd := c.remote != nil && c.remote.Forwards(ctx, h)
-		shi := shardForHash(h)
-		sh := &c.shards[shi]
-		event := trace.CacheHit
+		sh := &c.shards[shardForHash(h)]
 		sh.mu.Lock()
 		e, probes := sh.table.lookup(h, pt)
 		if e == nil {
@@ -132,23 +130,25 @@ func (c *Cache) probe(ctx context.Context, hashes []uint64, pts []param.Point, m
 			}
 			e = g.add(h, pt, c.space.AppendPacked(nil, pt))
 			sh.table.insert(e)
-			event = trace.CacheMiss
 		}
 		sh.mu.Unlock()
-		c.noteCollisions(probes, shi)
+		if probes > 0 {
+			c.collisions.Add(int64(probes))
+		}
 		if e.completed() {
 			ms[i], errs[i] = e.m, e.err
 		} else {
 			if sc == nil {
 				sc = getScratch()
 			}
-			if event == trace.CacheHit && e.comp != sc.local.comp && e.comp != sc.fwd.comp {
-				event = trace.CacheDedup
+			// An entry in flight under another owner's completion is a
+			// singleflight wait; one this batch owns is a miss (just
+			// inserted) or a hit on an earlier request of the batch.
+			if e.comp != sc.local.comp && e.comp != sc.fwd.comp {
 				c.dedup.Add(1)
 			}
 			sc.pending = append(sc.pending, pendingLookup{i: i, e: e})
 		}
-		c.tracer.RecordCache(trace.CacheRecord{Event: event, Shard: shi})
 	}
 	return sc
 }
@@ -345,12 +345,10 @@ func (c *Cache) publish(g *missGroup) {
 			continue
 		}
 		transient++
-		shi := shardForHash(e.hash)
-		sh := &c.shards[shi]
+		sh := &c.shards[shardForHash(e.hash)]
 		sh.mu.Lock()
 		sh.table.remove(e)
 		sh.mu.Unlock()
-		c.tracer.RecordCache(trace.CacheRecord{Event: trace.CacheTransient, Shard: shi})
 	}
 	c.distinct.Add(distinct)
 	if transient > 0 {

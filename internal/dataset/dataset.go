@@ -225,28 +225,17 @@ func NewCacheContext(space *param.Space, eval ContextEvaluator) *Cache {
 	return &Cache{space: space, eval: eval, hashFn: space.Hash64}
 }
 
-// SetTracer attaches the trace stream: one cache record (hit, miss, or
-// singleflight-dedup wait, with the shard index) per lookup plus
-// transient withdrawals and collision probes, and spans covering each
-// batch's resolution phases (probe, miss fan-out, waits on points in
-// flight elsewhere). Call it before the cache is shared across goroutines; nil
-// (the default) disables the stream at the cost of one nil check per
-// event. The stream observes lookups only - results and counters are
-// identical with it on or off.
+// SetTracer attaches the trace stream: spans covering each batch's
+// resolution phases (probe, miss fan-out, waits on points in flight
+// elsewhere) and the fan-out's pool records. Lookup outcomes are not
+// streamed: the cache counts them itself (Stats, DedupedWaits,
+// TransientFailures, HashCollisions), and a GA engine reports each
+// generation's share of its cache's counts on the generation record.
+// Call it before the cache is shared across goroutines; nil (the
+// default) disables the stream at the cost of one nil check per span.
+// The stream observes lookups only - results and counters are identical
+// with it on or off.
 func (c *Cache) SetTracer(tr *trace.Tracer) { c.tracer = tr }
-
-// noteCollisions folds a lookup's collision-probe count into the cache's
-// counter and the trace stream. Called outside the shard lock; n is almost
-// always 0 (Hash64 is injective on packable spaces).
-func (c *Cache) noteCollisions(n, shi int) {
-	if n == 0 {
-		return
-	}
-	c.collisions.Add(int64(n))
-	for k := 0; k < n; k++ {
-		c.tracer.RecordCache(trace.CacheRecord{Event: trace.CacheCollision, Shard: shi})
-	}
-}
 
 // shardForHash stripes genome hashes on their top bits, leaving the low
 // bits for the in-shard open-addressed table index.

@@ -7,8 +7,6 @@ import (
 
 	"nautilus/internal/metrics"
 	"nautilus/internal/param"
-	"nautilus/internal/telemetry"
-	"nautilus/internal/telemetry/trace"
 )
 
 func statSpace(t *testing.T) (*param.Space, Evaluator) {
@@ -48,37 +46,12 @@ func TestCacheStatsSnapshot(t *testing.T) {
 	}
 }
 
-// TestCacheTelemetryEvents checks each lookup reports exactly one hit or
-// miss event (dedup requires contention, covered below) carrying a valid
-// shard index.
-func TestCacheTelemetryEvents(t *testing.T) {
-	s, eval := statSpace(t)
-	c := NewCache(s, eval)
-	col := telemetry.NewCollector(nil)
-	c.SetTracer(trace.New(trace.Config{Sinks: []trace.Sink{col}}))
-	for _, x := range []int{5, 5, 6, 5} {
-		if _, err := c.Evaluate(param.Point{x}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	snap := col.Registry().Snapshot()
-	if got := snap.Counters[telemetry.MetricCacheMisses]; got != 2 {
-		t.Errorf("misses = %d, want 2", got)
-	}
-	if got := snap.Counters[telemetry.MetricCacheHits]; got != 2 {
-		t.Errorf("hits = %d, want 2", got)
-	}
-	// A nil stream must restore the free default, not panic.
-	c.SetTracer(nil)
-	if _, err := c.Evaluate(param.Point{7}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestCacheDedupTelemetry provokes a deterministic singleflight wait: the
 // owner blocks inside the evaluator while a second goroutine looks the
-// same point up, records its dedup event, and blocks on the owner's
-// result. The evaluator is released only once the wait has been observed.
+// same point up, counts its dedup wait, and blocks on the owner's result.
+// The evaluator is released only once the wait has been observed. The
+// cache's own counters are the one record of it: one distinct evaluation
+// and one wait, which Stats counts among its hits.
 func TestCacheDedupTelemetry(t *testing.T) {
 	s := param.MustSpace(param.Int("x", 0, 9, 1))
 	inEval := make(chan struct{})
@@ -89,8 +62,6 @@ func TestCacheDedupTelemetry(t *testing.T) {
 		return metrics.Metrics{"cost": 1}, nil
 	}
 	c := NewCache(s, eval)
-	col := telemetry.NewCollector(nil)
-	c.SetTracer(trace.New(trace.Config{Sinks: []trace.Sink{col}}))
 
 	var wg sync.WaitGroup
 	wg.Add(2)
@@ -101,7 +72,7 @@ func TestCacheDedupTelemetry(t *testing.T) {
 		}
 	}()
 	<-inEval
-	go func() { // waiter: finds the in-flight entry, records a dedup wait
+	go func() { // waiter: finds the in-flight entry, counts a dedup wait
 		defer wg.Done()
 		if _, err := c.Evaluate(param.Point{4}); err != nil {
 			t.Error(err)
@@ -117,15 +88,8 @@ func TestCacheDedupTelemetry(t *testing.T) {
 	close(release)
 	wg.Wait()
 
-	snap := col.Registry().Snapshot()
-	if got := snap.Counters[telemetry.MetricCacheMisses]; got != 1 {
-		t.Errorf("misses = %d, want 1 (singleflight)", got)
-	}
-	if got := snap.Counters[telemetry.MetricCacheDedups]; got != 1 {
-		t.Errorf("dedup events = %d, want 1", got)
-	}
-	if got := snap.Counters[telemetry.MetricCacheHits]; got != 0 {
-		t.Errorf("hits = %d, want 0", got)
+	if got := c.DedupedWaits(); got != 1 {
+		t.Errorf("dedup waits = %d, want 1", got)
 	}
 	st := c.Stats()
 	if st.Distinct != 1 || st.Total != 2 || st.Hits != 1 {

@@ -563,8 +563,14 @@ func (e *Engine) RunContext(ctx context.Context) (Result, error) {
 	// The stream is observational only: wall-clock timing and the
 	// per-generation record are built solely when a live tracer asks for
 	// them, and nothing here touches r, so runs are byte-identical with
-	// the stream on or off.
+	// the stream on or off. counts is the cache's accounting as of the
+	// last record (or the Reset/Restore above), so each record carries
+	// exactly its own generation's lookups.
 	checkpointing := e.cfg.Checkpoint != nil
+	var counts cacheCounts
+	if e.tracing {
+		counts = readCacheCounts(e.cache)
+	}
 
 	// mark records the cache at the start of the generation being
 	// evaluated, in O(1). The boundary's Snapshot is built from it only when
@@ -670,7 +676,7 @@ func (e *Engine) RunContext(ctx context.Context) (Result, error) {
 			if feasible > 0 {
 				mean = sum / float64(feasible)
 			}
-			e.tracer.RecordGeneration(trace.GenerationRecord{
+			rec := trace.GenerationRecord{
 				Generation:    gen,
 				BestValue:     best.value,
 				BestFitness:   best.fitness,
@@ -681,7 +687,11 @@ func (e *Engine) RunContext(ctx context.Context) (Result, error) {
 				FrontSize:     gp.FrontSize,
 				Hypervolume:   gp.Hypervolume,
 				Elapsed:       time.Since(genStart),
-			})
+			}
+			now := readCacheCounts(e.cache)
+			now.since(counts, &rec)
+			counts = now
+			e.tracer.RecordGeneration(rec)
 		}
 		if e.cfg.ConvergenceWindow > 0 {
 			if best.fitness == prevBest && unique == 1 {
@@ -744,6 +754,35 @@ func (e *Engine) RunContext(ctx context.Context) (Result, error) {
 		res.Nadir = mv.nadirValues()
 	}
 	return res, nil
+}
+
+// cacheCounts is a reading of a cache's lookup counters. The engine's
+// cache is quiescent between generations - its one batch per generation
+// has returned - so two readings taken there differ by exactly the
+// lookups of the generations between them.
+type cacheCounts struct {
+	total, distinct, dedup, transient, collisions int
+}
+
+func readCacheCounts(c *dataset.Cache) cacheCounts {
+	return cacheCounts{
+		total:      c.TotalQueries(),
+		distinct:   c.DistinctEvaluations(),
+		dedup:      c.DedupedWaits(),
+		transient:  c.TransientFailures(),
+		collisions: c.HashCollisions(),
+	}
+}
+
+// since writes the lookups between base and c into r's cache fields. Each
+// owned miss ends memoized (distinct) or withdrawn (transient), and every
+// lookup that was neither a miss nor a dedup wait was a hit.
+func (c cacheCounts) since(base cacheCounts, r *trace.GenerationRecord) {
+	r.CacheMisses = c.distinct - base.distinct + c.transient - base.transient
+	r.CacheDedups = c.dedup - base.dedup
+	r.CacheHits = c.total - base.total - r.CacheMisses - r.CacheDedups
+	r.CacheTransient = c.transient - base.transient
+	r.CacheCollisions = c.collisions - base.collisions
 }
 
 // snapshot captures the resumable state at the start of generation gen,

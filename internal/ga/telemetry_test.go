@@ -53,7 +53,8 @@ func TestTelemetryDoesNotPerturbSearch(t *testing.T) {
 }
 
 // TestCollectorSeesRun checks the engine actually reports generations,
-// evaluations, cache lookups, and pool events through the stream.
+// evaluations, cache lookups (on its generation records), and pool
+// events through the stream.
 func TestCollectorSeesRun(t *testing.T) {
 	s, eval := quadSpace()
 	col := telemetry.NewCollector(nil)
@@ -78,7 +79,7 @@ func TestCollectorSeesRun(t *testing.T) {
 		t.Errorf("cache misses %d != distinct evals %d", misses, res.DistinctEvals)
 	}
 	if int(hits+misses) != res.Cache.Total {
-		t.Errorf("cache events %d != total queries %d", hits+misses, res.Cache.Total)
+		t.Errorf("cache lookups %d != total queries %d", hits+misses, res.Cache.Total)
 	}
 	// Each generation is one cache batch whose misses the pool evaluates
 	// (on the calling goroutine at Parallelism 1): every miss is one pool
@@ -148,8 +149,8 @@ func BenchmarkRunTelemetryNop(b *testing.B) {
 // TestNopTelemetryAddsNoAllocs verifies that a live stream costs no heap
 // beyond what its sinks do: an identical run allocates exactly as much
 // with a stream whose only sink discards everything as with no stream at
-// all - spans, generation records, and every per-evaluation, cache, and
-// pool record travel by value - with misses evaluated on the calling
+// all - spans, generation records, and every per-evaluation and pool
+// record travel by value - with misses evaluated on the calling
 // goroutine (parallelism 1) and on pool workers (parallelism 4). The runtime occasionally adds
 // one allocation to a measurement (pooled batch scratch dropped by a
 // concurrent GC cycle) and never removes one, so each side's minimum over
@@ -187,10 +188,10 @@ func TestNopTelemetryAddsNoAllocs(t *testing.T) {
 
 // TestOneStreamSinksAgree runs one search with a Collector, a Journal,
 // and a Durations sink on the same stream and checks they saw the same
-// events: the journal's cache lines equal the collector's hits + misses,
-// which equal the result's total cache queries (parallelism 1 has no
-// singleflight waits), and its span lines per name equal the Durations
-// counts.
+// events: the cache fields of the journal's generation lines sum to the
+// collector's cache counters, which equal the result's own cache
+// accounting (hits + misses + dedups = Total, misses = Distinct +
+// Transient), and its span lines per name equal the Durations counts.
 func TestOneStreamSinksAgree(t *testing.T) {
 	s, eval := quadSpace()
 	col := telemetry.NewCollector(nil)
@@ -207,20 +208,33 @@ func TestOneStreamSinksAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cacheLines := 0
+	var lines struct{ gens, hits, misses, dedups, transient, collisions int64 }
 	spanLines := map[string]int64{}
 	sc := bufio.NewScanner(&buf)
 	for sc.Scan() {
 		var line struct {
-			Event string `json:"event"`
-			Name  string `json:"name"`
+			Event      string `json:"event"`
+			Name       string `json:"name"`
+			Hits       *int64 `json:"cache_hits"`
+			Misses     *int64 `json:"cache_misses"`
+			Dedups     *int64 `json:"cache_dedups"`
+			Transient  *int64 `json:"cache_transient"`
+			Collisions *int64 `json:"cache_collisions"`
 		}
 		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
 			t.Fatalf("bad journal line %q: %v", sc.Text(), err)
 		}
 		switch line.Event {
-		case "cache":
-			cacheLines++
+		case "generation":
+			if line.Hits == nil || line.Misses == nil || line.Dedups == nil || line.Transient == nil || line.Collisions == nil {
+				t.Fatalf("generation line lacks a cache field: %s", sc.Text())
+			}
+			lines.gens++
+			lines.hits += *line.Hits
+			lines.misses += *line.Misses
+			lines.dedups += *line.Dedups
+			lines.transient += *line.Transient
+			lines.collisions += *line.Collisions
 		case "span":
 			spanLines[line.Name]++
 		}
@@ -230,10 +244,28 @@ func TestOneStreamSinksAgree(t *testing.T) {
 	}
 
 	reg := col.Registry()
-	lookups := reg.Counter(telemetry.MetricCacheHits).Value() + reg.Counter(telemetry.MetricCacheMisses).Value()
-	if int64(cacheLines) != lookups || lookups != int64(res.Cache.Total) {
-		t.Errorf("cache: %d journal lines, %d collector lookups, %d result queries - want all equal",
-			cacheLines, lookups, res.Cache.Total)
+	counter := func(name string) int64 { return reg.Counter(name).Value() }
+	if lines.gens != counter(telemetry.MetricGenerations) {
+		t.Errorf("generations: %d journal lines, collector %d", lines.gens, counter(telemetry.MetricGenerations))
+	}
+	for _, c := range []struct {
+		name         string
+		journal, col int64
+	}{
+		{"hits", lines.hits, counter(telemetry.MetricCacheHits)},
+		{"misses", lines.misses, counter(telemetry.MetricCacheMisses)},
+		{"dedups", lines.dedups, counter(telemetry.MetricCacheDedups)},
+		{"transient", lines.transient, counter(telemetry.MetricCacheTransient)},
+		{"collisions", lines.collisions, counter(telemetry.MetricCacheCollisions)},
+	} {
+		if c.journal != c.col {
+			t.Errorf("cache %s: journal lines sum to %d, collector %d", c.name, c.journal, c.col)
+		}
+	}
+	st := res.Cache
+	if lookups := lines.hits + lines.misses + lines.dedups; lookups != int64(st.Total) || lines.misses != int64(st.Distinct+st.Transient) {
+		t.Errorf("journal: %d lookups and %d misses, result: %d total, %d distinct, %d transient",
+			lookups, lines.misses, st.Total, st.Distinct, st.Transient)
 	}
 	snaps := durs.Hists.Snapshot()
 	if len(spanLines) == 0 || len(spanLines) != len(snaps) {

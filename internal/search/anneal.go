@@ -17,26 +17,16 @@ import (
 type AnnealConfig struct {
 	// Budget is the distinct-evaluation budget.
 	Budget int
-	// InitialTemp is the starting temperature in units of fitness spread;
-	// 0 selects it automatically from an initial random probe.
-	InitialTemp float64
-	// Cooling is the geometric cooling factor per accepted step (default
-	// 0.995).
-	Cooling float64
-	// Restarts re-seeds the walk when the temperature freezes (default 3).
-	Restarts int
-	Seed     int64
+	Seed   int64
 }
 
-func (c AnnealConfig) withDefaults() AnnealConfig {
-	if c.Cooling == 0 {
-		c.Cooling = 0.995
-	}
-	if c.Restarts == 0 {
-		c.Restarts = 3
-	}
-	return c
-}
+// The annealing schedule. Each walk starts at half the fitness spread of
+// a small random probe and cools geometrically per step; when it freezes
+// the walk re-seeds, up to annealRestarts walks per run.
+const (
+	annealCooling  = 0.995
+	annealRestarts = 3
+)
 
 // AnnealCtx runs simulated annealing over the space: a single-point walk
 // that accepts worsening moves with probability exp(-delta/T) under a
@@ -45,7 +35,6 @@ func (c AnnealConfig) withDefaults() AnnealConfig {
 // cancellation stops the walk at the next step with Interrupted set on the
 // partial result. A plain evaluator goes through dataset.AdaptContext.
 func AnnealCtx(ctx context.Context, space *param.Space, obj metrics.Objective, eval dataset.ContextEvaluator, cfg AnnealConfig) (ga.Result, error) {
-	cfg = cfg.withDefaults()
 	if cfg.Budget < 2 {
 		return ga.Result{}, fmt.Errorf("search: anneal budget %d < 2", cfg.Budget)
 	}
@@ -118,7 +107,7 @@ func AnnealCtx(ctx context.Context, space *param.Space, obj metrics.Objective, e
 
 	step := 0
 	interrupted := false
-	for restart := 0; restart < cfg.Restarts && cache.DistinctEvaluations() < cfg.Budget; restart++ {
+	for restart := 0; restart < annealRestarts && cache.DistinctEvaluations() < cfg.Budget; restart++ {
 		if ctx.Err() != nil {
 			interrupted = true
 			break
@@ -127,27 +116,23 @@ func AnnealCtx(ctx context.Context, space *param.Space, obj metrics.Objective, e
 		curFit := fitness(cur)
 		note(cur, curFit)
 
-		temp := cfg.InitialTemp
-		if temp <= 0 {
-			// Probe a handful of random points to scale the temperature to
-			// the fitness landscape.
-			span := 0.0
-			probeBest, probeWorst := curFit, curFit
-			for i := 0; i < 5 && cache.DistinctEvaluations() < cfg.Budget; i++ {
-				f := fitness(space.Random(r))
-				if f > probeBest && !math.IsInf(f, 0) {
-					probeBest = f
-				}
-				if f < probeWorst && !math.IsInf(f, 0) {
-					probeWorst = f
-				}
+		// Probe a handful of random points to scale the temperature to the
+		// fitness landscape.
+		probeBest, probeWorst := curFit, curFit
+		for i := 0; i < 5 && cache.DistinctEvaluations() < cfg.Budget; i++ {
+			f := fitness(space.Random(r))
+			if f > probeBest && !math.IsInf(f, 0) {
+				probeBest = f
 			}
-			span = probeBest - probeWorst
-			if span <= 0 || math.IsInf(span, 0) || math.IsNaN(span) {
-				span = 1
+			if f < probeWorst && !math.IsInf(f, 0) {
+				probeWorst = f
 			}
-			temp = span / 2
 		}
+		span := probeBest - probeWorst
+		if span <= 0 || math.IsInf(span, 0) || math.IsNaN(span) {
+			span = 1
+		}
+		temp := span / 2
 		minTemp := temp * 1e-4
 
 		for temp > minTemp && cache.DistinctEvaluations() < cfg.Budget {
@@ -163,7 +148,7 @@ func AnnealCtx(ctx context.Context, space *param.Space, obj metrics.Objective, e
 			if delta >= 0 || (!math.IsInf(nbFit, -1) && r.Float64() < math.Exp(delta/temp)) {
 				cur, curFit = nb, nbFit
 			}
-			temp *= cfg.Cooling
+			temp *= annealCooling
 			if step%25 == 0 {
 				record(step)
 			}

@@ -57,7 +57,7 @@ func TestAnnealEscapesLocalOptimum(t *testing.T) {
 	obj := metrics.MinimizeMetric("cost")
 	found := 0
 	for seed := int64(0); seed < 10; seed++ {
-		res, err := annealPlain(s, obj, eval, AnnealConfig{Budget: 20, Seed: seed, Restarts: 2})
+		res, err := annealPlain(s, obj, eval, AnnealConfig{Budget: 20, Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}

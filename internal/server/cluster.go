@@ -55,9 +55,6 @@ type ClusterOptions struct {
 	MigrationInterval int
 	// MigrationCount is the emigrants per exchange (default 1).
 	MigrationCount int
-	// Vnodes is the ring's per-node virtual-node count (default
-	// cluster.DefaultVnodes).
-	Vnodes int
 	// RPCTimeout / MigrationTimeout pass through to cluster.Options.
 	RPCTimeout       time.Duration
 	MigrationTimeout time.Duration
@@ -96,7 +93,6 @@ func (s *Server) initCluster() error {
 		Addr:             co.Addr,
 		Peers:            co.Peers,
 		Network:          s.opts.Network,
-		Vnodes:           co.Vnodes,
 		Registry:         s.reg,
 		Caches:           s.clusterCaches,
 		RunIsland:        s.runClusterIsland,

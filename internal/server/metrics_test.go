@@ -8,7 +8,6 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"regexp"
 	"sort"
 	"strings"
 	"testing"
@@ -16,11 +15,6 @@ import (
 
 	"nautilus/internal/telemetry/prom"
 )
-
-// volatileFamily matches exposition families whose presence depends on
-// scheduling (per-shard dedup-wait counters materialize lazily on
-// contention), excluded from the golden family list.
-var volatileFamily = regexp.MustCompile(`_shard\d+$`)
 
 // TestMetricsExposition runs sessions to completion, scrapes /metrics,
 // and feeds it through the strict parser: the exposition must be
@@ -137,13 +131,11 @@ func TestMetricsExposition(t *testing.T) {
 		}
 	}
 
-	// Golden check: the stable family name/type set is a contract with
-	// dashboards; renames must show up as a reviewed golden diff.
+	// Golden check: the family name/type set is a contract with
+	// dashboards; renames must show up as a reviewed golden diff. Every
+	// family is in it - none appears or vanishes with scheduling.
 	var lines []string
 	for _, f := range fams {
-		if volatileFamily.MatchString(f.Name) {
-			continue
-		}
 		lines = append(lines, fmt.Sprintf("%s %s", f.Name, f.Type))
 	}
 	sort.Strings(lines)

@@ -387,7 +387,7 @@ func (s *Server) run(ctx context.Context, sess *session, resume *ga.Snapshot) {
 		state, msg = StateFailed, "no feasible design found"
 	default:
 		state = StateDone
-		result = s.buildResult(sess, res)
+		result = s.buildResult(ctx, sess, shared, res)
 	}
 
 	if result != nil {
@@ -412,14 +412,19 @@ func (s *Server) run(ctx context.Context, sess *session, resume *ga.Snapshot) {
 	}
 }
 
-// buildResult assembles the final payload for a finished search.
-func (s *Server) buildResult(sess *session, res ga.Result) *JobResult {
+// buildResult assembles the final payload for a finished search. The best
+// point's metrics come from the shared cache, where the search memoized
+// them, so reading them costs a hit (a remote hit on a clustered
+// coordinator) rather than another evaluator run. The lookup ignores a
+// cancel of ctx: a drain that lands after the search ended must not
+// blank a finished result's metrics.
+func (s *Server) buildResult(ctx context.Context, sess *session, shared *dataset.Cache, res ga.Result) *JobResult {
 	space := sess.entry.Space
 	params := make(map[string]string, space.Len())
 	for i := 0; i < space.Len(); i++ {
 		params[space.Param(i).Name()] = space.Param(i).StringValue(res.BestPoint[i])
 	}
-	m, _ := sess.entry.Eval(res.BestPoint)
+	m, _ := shared.EvaluateCtx(context.WithoutCancel(ctx), res.BestPoint)
 	gens := -1
 	if n := len(res.Trajectory); n > 0 {
 		gens = res.Trajectory[n-1].Generation

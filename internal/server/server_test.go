@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -187,6 +188,62 @@ func TestSharedCacheDedup(t *testing.T) {
 	if shared.Distinct != solo.DistinctEvals {
 		t.Fatalf("shared cache spent %d evaluations, want exactly one session's %d",
 			shared.Distinct, solo.DistinctEvals)
+	}
+}
+
+// TestResultMetricsReadFromSharedCache: a finished session reads its best
+// design's metrics through the shared cache, where its search memoized
+// them. Each finished session adds one lookup to the shared cache and no
+// evaluation, so the scheduler's grants still equal the shared distinct
+// count. Built on a server whose shared cache lacks the point, the result
+// still carries the metrics when its context was canceled after the
+// search ended (a drain).
+func TestResultMetricsReadFromSharedCache(t *testing.T) {
+	spec := testSpec()
+	s := newTestServer(t, Options{})
+	defer s.Drain(context.Background())
+	var last *JobResult
+	var sess *session
+	for i := 1; i <= 2; i++ {
+		st, err := s.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := waitDone(t, s, st.ID); got.State != StateDone {
+			t.Fatalf("session ended %s: %s", got.State, got.Error)
+		}
+		if last, err = s.Result(st.ID); err != nil {
+			t.Fatal(err)
+		}
+		if sess, err = s.get(st.ID); err != nil {
+			t.Fatal(err)
+		}
+		// Every private miss is one shared lookup, and the result one more.
+		shared := s.SharedCacheStats()["fft"]
+		if want := i * (last.DistinctEvals + 1); shared.Total != want || shared.Distinct != last.DistinctEvals {
+			t.Errorf("after %d sessions the shared cache saw %d lookups and %d distinct points, want %d and %d",
+				i, shared.Total, shared.Distinct, want, last.DistinctEvals)
+		}
+		if grants := s.reg.Counter(MetricSchedulerGrants).Value(); grants != int64(shared.Distinct) {
+			t.Errorf("after %d sessions the scheduler granted %d evaluations for %d distinct points", i, grants, shared.Distinct)
+		}
+	}
+	best, err := sess.entry.Space.ParseKey(last.Key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := sess.entry.Eval(best)
+	if err != nil || len(want) == 0 || !reflect.DeepEqual(map[string]float64(want), last.Metrics) {
+		t.Fatalf("result metrics %v, evaluator %v (err %v)", last.Metrics, want, err)
+	}
+
+	fresh := newTestServer(t, Options{})
+	defer fresh.Drain(context.Background())
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	out := fresh.buildResult(ctx, sess, fresh.sharedCacheFor(sess.entry), ga.Result{BestPoint: best, BestValue: last.BestValue})
+	if !reflect.DeepEqual(out.Metrics, last.Metrics) {
+		t.Errorf("result built after a drain carries metrics %v, want %v", out.Metrics, last.Metrics)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"nautilus/internal/catalog"
 	"nautilus/internal/core"
@@ -315,7 +316,11 @@ func newSession(id string, seq int, spec JobSpec, entry *catalog.Entry, guid *co
 		state: StateRunning,
 		gen:   -1,
 	}
-	s.progress = newProgressSink(s)
+	// The collector backs /debug/sessions with its registry alone; the
+	// session's generations reach status, SSE and /v1/sessions through
+	// the progress sink, so the collector keeps no copy of them.
+	s.col.DisableGenerationRetention()
+	s.progress = &progressSink{s: s}
 	return s
 }
 
@@ -420,36 +425,31 @@ func (s *session) finish(state State, errMsg string, result *JobResult) {
 type progressSink struct {
 	trace.NopSink
 	s *session
-	// hits, misses, and dedups are the session collector's cache counters,
-	// held so the per-generation hit rate reads three atomics.
-	hits, misses, dedups *telemetry.Counter
-}
-
-func newProgressSink(s *session) *progressSink {
-	reg := s.col.Registry()
-	return &progressSink{
-		s:      s,
-		hits:   reg.Counter(telemetry.MetricCacheHits),
-		misses: reg.Counter(telemetry.MetricCacheMisses),
-		dedups: reg.Counter(telemetry.MetricCacheDedups),
-	}
+	// hits and lookups sum the cache fields of the generation records
+	// this sink has seen: the session cache's running hit ratio. Lookups
+	// are added before hits and read after them, so a concurrent reader
+	// never sees more hits than lookups.
+	hits, lookups atomic.Int64
 }
 
 // cacheHitRate is the session cache's running hit ratio; ok is false
 // before any lookup happened.
 func (p *progressSink) cacheHitRate() (rate float64, ok bool) {
-	hits := p.hits.Value()
-	total := hits + p.misses.Value() + p.dedups.Value()
-	if total == 0 {
+	hits := p.hits.Load()
+	lookups := p.lookups.Load()
+	if lookups == 0 {
 		return 0, false
 	}
-	return float64(hits) / float64(total), true
+	return float64(hits) / float64(lookups), true
 }
 
 // OnGeneration implements trace.Sink: a generation that ran here is
-// timed into the latency histogram, then published.
+// timed into the latency histogram and its cache lookups are added to
+// the running hit ratio, then it is published.
 func (p *progressSink) OnGeneration(g trace.GenerationRecord) {
 	p.s.genLat.ObserveDuration(g.Elapsed)
+	p.lookups.Add(int64(g.CacheHits + g.CacheMisses + g.CacheDedups))
+	p.hits.Add(int64(g.CacheHits))
 	p.publish(g)
 }
 

@@ -13,37 +13,35 @@ import (
 // Metric names the Collector maintains in its Registry. Exported so tests
 // and the debug endpoint can reference them without string drift.
 const (
-	MetricGenerations      = "ga.generations"
-	MetricEvaluations      = "ga.evaluations"
-	MetricEvalInfeasible   = "ga.evaluations_infeasible"
-	MetricGenerationMillis = "ga.generation_ms"
-	MetricBestValue        = "ga.best_value"
-	MetricMeanFitness      = "ga.mean_fitness"
-	MetricUniqueGenomes    = "ga.unique_genomes"
-	MetricDistinctEvals    = "ga.distinct_evals"
-	MetricCacheHits        = "cache.hits"
-	MetricCacheMisses      = "cache.misses"
-	MetricCacheDedups      = "cache.dedup_waits"
-	MetricCacheTransient   = "cache.transient_errors"
-	MetricCacheCollisions  = "cache.collisions"
-	MetricPoolTasks        = "pool.tasks"
-	MetricPoolBusy         = "pool.workers_busy"
-	MetricPoolBusyMax      = "pool.workers_busy_max"
-	hintMetricPrefix       = "hints."
-	gateGuidedMetric       = "hints.gate_guided"
-	gateUnguidedMetric     = "hints.gate_unguided"
-	dedupShardFmt          = "cache.dedup_waits.shard%02d"
+	MetricGenerations     = "ga.generations"
+	MetricEvaluations     = "ga.evaluations"
+	MetricEvalInfeasible  = "ga.evaluations_infeasible"
+	MetricCacheHits       = "cache.hits"
+	MetricCacheMisses     = "cache.misses"
+	MetricCacheDedups     = "cache.dedup_waits"
+	MetricCacheTransient  = "cache.transient_errors"
+	MetricCacheCollisions = "cache.collisions"
+	MetricPoolTasks       = "pool.tasks"
+	MetricPoolBusy        = "pool.workers_busy"
+	MetricPoolBusyMax     = "pool.workers_busy_max"
+	hintMetricPrefix      = "hints."
+	gateGuidedMetric      = "hints.gate_guided"
+	gateUnguidedMetric    = "hints.gate_unguided"
 )
-
-// generationMillisBounds are the fixed buckets for per-generation wall
-// time: sub-millisecond analytical models through multi-minute synthesis.
-var generationMillisBounds = []float64{0.01, 0.1, 1, 10, 100, 1_000, 10_000, 60_000}
 
 // Collector is the trace sink that aggregates run events into a Registry
 // and retains the per-generation trajectory, powering the end-of-run
 // summary and the live metrics endpoints. Spans pass it by (the Durations
 // sink aggregates those). It is safe for concurrent use; counter updates
 // are atomic and only generation retention takes a mutex.
+//
+// The registry holds only what stays meaningful when many runs feed one
+// collector - counters that sum across runs and the pool's busy-worker
+// gauges - so one collector can aggregate any number of concurrent
+// searches (the nautserve daemon feeds every session into one). A run's own values -
+// best value, mean fitness, diversity, distinct evaluations, generation
+// latency - live on its generation records (Generations, the journal, a
+// server session's status and SSE stream) and on the ga.generation span.
 type Collector struct {
 	trace.NopSink
 	reg *Registry
@@ -51,11 +49,6 @@ type Collector struct {
 	generations    *Counter
 	evals          *Counter
 	evalInfeasible *Counter
-	genMillis      *Histogram
-	bestValue      *Gauge
-	meanFitness    *Gauge
-	uniqueGenomes  *Gauge
-	distinctEvals  *Gauge
 
 	hintCounters map[string]*Counter // per mechanism, pre-resolved
 	gateGuided   *Counter
@@ -86,11 +79,6 @@ func NewCollector(reg *Registry) *Collector {
 		generations:     reg.Counter(MetricGenerations),
 		evals:           reg.Counter(MetricEvaluations),
 		evalInfeasible:  reg.Counter(MetricEvalInfeasible),
-		genMillis:       reg.Histogram(MetricGenerationMillis, generationMillisBounds),
-		bestValue:       reg.Gauge(MetricBestValue),
-		meanFitness:     reg.Gauge(MetricMeanFitness),
-		uniqueGenomes:   reg.Gauge(MetricUniqueGenomes),
-		distinctEvals:   reg.Gauge(MetricDistinctEvals),
 		hintCounters:    make(map[string]*Counter, 5),
 		gateGuided:      reg.Counter(gateGuidedMetric),
 		gateUnguided:    reg.Counter(gateUnguidedMetric),
@@ -114,8 +102,8 @@ func NewCollector(reg *Registry) *Collector {
 }
 
 // DisableGenerationRetention stops the collector from keeping the
-// per-generation record slice. Aggregate counters, gauges, and histograms
-// are unaffected; Generations returns nil afterwards. Long-lived processes
+// per-generation record slice. Aggregate counters and gauges are
+// unaffected; Generations returns nil afterwards. Long-lived processes
 // (the nautserve daemon) aggregate unbounded numbers of runs into one
 // collector and must not grow memory per generation.
 func (c *Collector) DisableGenerationRetention() {
@@ -128,14 +116,15 @@ func (c *Collector) DisableGenerationRetention() {
 // Registry returns the collector's backing registry (for ServeDebug).
 func (c *Collector) Registry() *Registry { return c.reg }
 
-// OnGeneration implements trace.Sink.
+// OnGeneration implements trace.Sink: it counts the generation and adds
+// its cache lookups to the cache counters.
 func (c *Collector) OnGeneration(g trace.GenerationRecord) {
 	c.generations.Inc()
-	c.genMillis.Observe(float64(g.Elapsed) / float64(time.Millisecond))
-	c.bestValue.Set(g.BestValue)
-	c.meanFitness.Set(g.MeanFitness)
-	c.uniqueGenomes.Set(float64(g.UniqueGenomes))
-	c.distinctEvals.Set(float64(g.DistinctEvals))
+	c.cacheHits.Add(int64(g.CacheHits))
+	c.cacheMisses.Add(int64(g.CacheMisses))
+	c.cacheDedups.Add(int64(g.CacheDedups))
+	c.cacheTransient.Add(int64(g.CacheTransient))
+	c.cacheCollisions.Add(int64(g.CacheCollisions))
 	c.mu.Lock()
 	if c.retain {
 		c.gens = append(c.gens, g)
@@ -163,26 +152,6 @@ func (c *Collector) OnHint(h trace.HintRecord) {
 		} else {
 			c.gateUnguided.Inc()
 		}
-	}
-}
-
-// OnCache implements trace.Sink.
-func (c *Collector) OnCache(r trace.CacheRecord) {
-	switch r.Event {
-	case trace.CacheHit:
-		c.cacheHits.Inc()
-	case trace.CacheMiss:
-		c.cacheMisses.Inc()
-	case trace.CacheDedup:
-		c.cacheDedups.Inc()
-		// Dedup waits are contention events, rare by design; resolving the
-		// per-shard counter lazily here keeps the hit/miss fast path
-		// allocation-free.
-		c.reg.Counter(fmt.Sprintf(dedupShardFmt, r.Shard)).Inc()
-	case trace.CacheTransient:
-		c.cacheTransient.Inc()
-	case trace.CacheCollision:
-		c.cacheCollisions.Inc()
 	}
 }
 

@@ -71,16 +71,21 @@ type journalSpan struct {
 }
 
 type journalGeneration struct {
-	Event         string   `json:"event"`
-	TMillis       float64  `json:"t_ms"`
-	Generation    int      `json:"gen"`
-	BestValue     *float64 `json:"best,omitempty"`
-	BestFitness   *float64 `json:"best_fitness,omitempty"`
-	MeanFitness   *float64 `json:"mean_fitness,omitempty"`
-	Feasible      int      `json:"feasible"`
-	UniqueGenomes int      `json:"unique"`
-	DistinctEvals int      `json:"distinct_evals"`
-	ElapsedMillis float64  `json:"elapsed_ms"`
+	Event           string   `json:"event"`
+	TMillis         float64  `json:"t_ms"`
+	Generation      int      `json:"gen"`
+	BestValue       *float64 `json:"best,omitempty"`
+	BestFitness     *float64 `json:"best_fitness,omitempty"`
+	MeanFitness     *float64 `json:"mean_fitness,omitempty"`
+	Feasible        int      `json:"feasible"`
+	UniqueGenomes   int      `json:"unique"`
+	DistinctEvals   int      `json:"distinct_evals"`
+	ElapsedMillis   float64  `json:"elapsed_ms"`
+	CacheHits       int      `json:"cache_hits"`
+	CacheMisses     int      `json:"cache_misses"`
+	CacheDedups     int      `json:"cache_dedups"`
+	CacheTransient  int      `json:"cache_transient"`
+	CacheCollisions int      `json:"cache_collisions"`
 }
 
 type journalEvaluation struct {
@@ -98,13 +103,6 @@ type journalHint struct {
 	Gene       int     `json:"gene"`
 	Mechanism  string  `json:"mechanism"`
 	Guided     bool    `json:"guided"`
-}
-
-type journalCache struct {
-	Event   string  `json:"event"`
-	TMillis float64 `json:"t_ms"`
-	Kind    string  `json:"kind"`
-	Shard   int     `json:"shard"`
 }
 
 type journalPool struct {
@@ -127,16 +125,21 @@ func (j *Journal) OnSpan(sp trace.Span) {
 // OnGeneration implements trace.Sink.
 func (j *Journal) OnGeneration(g trace.GenerationRecord) {
 	j.emit(journalGeneration{
-		Event:         "generation",
-		TMillis:       j.sinceMillis(),
-		Generation:    g.Generation,
-		BestValue:     finite(g.BestValue),
-		BestFitness:   finite(g.BestFitness),
-		MeanFitness:   finite(g.MeanFitness),
-		Feasible:      g.Feasible,
-		UniqueGenomes: g.UniqueGenomes,
-		DistinctEvals: g.DistinctEvals,
-		ElapsedMillis: float64(g.Elapsed) / float64(time.Millisecond),
+		Event:           "generation",
+		TMillis:         j.sinceMillis(),
+		Generation:      g.Generation,
+		BestValue:       finite(g.BestValue),
+		BestFitness:     finite(g.BestFitness),
+		MeanFitness:     finite(g.MeanFitness),
+		Feasible:        g.Feasible,
+		UniqueGenomes:   g.UniqueGenomes,
+		DistinctEvals:   g.DistinctEvals,
+		ElapsedMillis:   float64(g.Elapsed) / float64(time.Millisecond),
+		CacheHits:       g.CacheHits,
+		CacheMisses:     g.CacheMisses,
+		CacheDedups:     g.CacheDedups,
+		CacheTransient:  g.CacheTransient,
+		CacheCollisions: g.CacheCollisions,
 	})
 }
 
@@ -161,11 +164,6 @@ func (j *Journal) OnHint(h trace.HintRecord) {
 		Mechanism:  h.Mechanism,
 		Guided:     h.Guided,
 	})
-}
-
-// OnCache implements trace.Sink.
-func (j *Journal) OnCache(c trace.CacheRecord) {
-	j.emit(journalCache{Event: "cache", TMillis: j.sinceMillis(), Kind: c.Event, Shard: c.Shard})
 }
 
 // OnPool implements trace.Sink.

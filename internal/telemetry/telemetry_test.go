@@ -123,45 +123,55 @@ func TestRegistryConcurrentUse(t *testing.T) {
 	}
 }
 
+// TestCollectorAggregation feeds every record kind into a collector and
+// checks its registry: generation records add their cache fields to the
+// cache counters, and the registry holds only what sums across runs -
+// the two pool gauges and no per-run gauge or histogram.
 func TestCollectorAggregation(t *testing.T) {
 	col := NewCollector(nil)
-	col.OnGeneration(trace.GenerationRecord{Generation: 0, BestValue: 10, MeanFitness: -3, UniqueGenomes: 7, DistinctEvals: 10, Elapsed: time.Millisecond})
-	col.OnGeneration(trace.GenerationRecord{Generation: 1, BestValue: 8, MeanFitness: -2, UniqueGenomes: 5, DistinctEvals: 14, Elapsed: time.Millisecond})
+	col.OnGeneration(trace.GenerationRecord{Generation: 0, BestValue: 10, MeanFitness: -3, UniqueGenomes: 7, DistinctEvals: 10, Elapsed: time.Millisecond,
+		CacheMisses: 10, CacheTransient: 1})
+	col.OnGeneration(trace.GenerationRecord{Generation: 1, BestValue: 8, MeanFitness: -2, UniqueGenomes: 5, DistinctEvals: 14, Elapsed: time.Millisecond,
+		CacheHits: 3, CacheMisses: 4, CacheDedups: 2, CacheCollisions: 1})
 	col.OnEvaluation(trace.EvaluationRecord{Feasible: true, Fitness: 1})
 	col.OnEvaluation(trace.EvaluationRecord{Feasible: false, Fitness: math.Inf(-1)})
 	col.OnHint(trace.HintRecord{Mechanism: trace.HintGeneImportance})
 	col.OnHint(trace.HintRecord{Mechanism: trace.HintValueTarget, Guided: true})
 	col.OnHint(trace.HintRecord{Mechanism: trace.HintValueUniform, Guided: false})
-	col.OnCache(trace.CacheRecord{Event: trace.CacheMiss, Shard: 1})
-	col.OnCache(trace.CacheRecord{Event: trace.CacheHit, Shard: 1})
-	col.OnCache(trace.CacheRecord{Event: trace.CacheDedup, Shard: 3})
 	col.OnPool(trace.PoolRecord{Event: trace.PoolWorkerBusy, Worker: 0})
 	col.OnPool(trace.PoolRecord{Event: trace.PoolTask, Worker: 0})
 	col.OnPool(trace.PoolRecord{Event: trace.PoolWorkerIdle, Worker: 0})
 
 	s := col.Registry().Snapshot()
 	checks := map[string]int64{
-		MetricGenerations:           2,
-		MetricEvaluations:           2,
-		MetricEvalInfeasible:        1,
-		MetricCacheHits:             1,
-		MetricCacheMisses:           1,
-		MetricCacheDedups:           1,
-		MetricPoolTasks:             1,
-		"hints.gene_importance":     1,
-		"hints.value_target":        1,
-		"hints.value_uniform":       1,
-		gateGuidedMetric:            1,
-		gateUnguidedMetric:          1,
-		"cache.dedup_waits.shard03": 1,
+		MetricGenerations:       2,
+		MetricEvaluations:       2,
+		MetricEvalInfeasible:    1,
+		MetricCacheHits:         3,
+		MetricCacheMisses:       14,
+		MetricCacheDedups:       2,
+		MetricCacheTransient:    1,
+		MetricCacheCollisions:   1,
+		MetricPoolTasks:         1,
+		"hints.gene_importance": 1,
+		"hints.value_target":    1,
+		"hints.value_uniform":   1,
+		gateGuidedMetric:        1,
+		gateUnguidedMetric:      1,
 	}
 	for name, want := range checks {
 		if got := s.Counters[name]; got != want {
 			t.Errorf("%s = %d, want %d", name, got, want)
 		}
 	}
+	if len(s.Counters) != len(checks)+2 { // two hint mechanisms never fired
+		t.Errorf("registry holds %d counters, want %d: %v", len(s.Counters), len(checks)+2, s.Counters)
+	}
 	if s.Gauges[MetricPoolBusyMax] != 1 || s.Gauges[MetricPoolBusy] != 0 {
 		t.Errorf("pool gauges: busy=%v max=%v", s.Gauges[MetricPoolBusy], s.Gauges[MetricPoolBusyMax])
+	}
+	if len(s.Gauges) != 2 || len(s.Histograms) != 0 {
+		t.Errorf("registry holds gauges %v and histograms %v, want only the two pool gauges", s.Gauges, s.Histograms)
 	}
 	if got := len(col.Generations()); got != 2 {
 		t.Errorf("retained %d generations, want 2", got)
@@ -172,7 +182,9 @@ func TestCollectorAggregation(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"run telemetry", "distinct-evals", "evaluations:", "cache:", "hints:", "confidence:", "pool:"} {
+	for _, want := range []string{"run telemetry", "distinct-evals", "evaluations:", "hints:", "confidence:", "pool:",
+		"cache:        19 lookups: 3 hits (15.8% hit ratio), 14 misses, 2 deduped waits, 1 hash collisions\n",
+		"faults:       1 transient evaluation failures withdrawn from the cache\n"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("summary missing %q:\n%s", want, out)
 		}
@@ -185,10 +197,10 @@ func TestCollectorAggregation(t *testing.T) {
 func TestJournalJSONL(t *testing.T) {
 	var buf bytes.Buffer
 	j := NewJournal(&buf)
-	j.OnGeneration(trace.GenerationRecord{Generation: 3, BestValue: math.Inf(1), BestFitness: math.Inf(-1), MeanFitness: math.NaN(), DistinctEvals: 12})
+	j.OnGeneration(trace.GenerationRecord{Generation: 3, BestValue: math.Inf(1), BestFitness: math.Inf(-1), MeanFitness: math.NaN(), DistinctEvals: 12,
+		CacheHits: 4, CacheMisses: 2, CacheDedups: 1})
 	j.OnEvaluation(trace.EvaluationRecord{Generation: 3, Feasible: true, Fitness: 1.5})
 	j.OnHint(trace.HintRecord{Generation: 3, Gene: 1, Mechanism: trace.HintValueBias, Guided: true})
-	j.OnCache(trace.CacheRecord{Event: trace.CacheDedup, Shard: 7})
 	j.OnPool(trace.PoolRecord{Event: trace.PoolWorkerBusy, Worker: 2})
 	j.OnSpan(trace.Span{Trace: 1, ID: 1, Name: "ga.generation", Duration: 1500 * time.Microsecond})
 	if err := j.Close(); err != nil {
@@ -196,10 +208,10 @@ func TestJournalJSONL(t *testing.T) {
 	}
 
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 6 {
-		t.Fatalf("journal has %d lines, want 6:\n%s", len(lines), buf.String())
+	if len(lines) != 5 {
+		t.Fatalf("journal has %d lines, want 5:\n%s", len(lines), buf.String())
 	}
-	wantEvents := []string{"generation", "eval", "hint", "cache", "pool", "span"}
+	wantEvents := []string{"generation", "eval", "hint", "pool", "span"}
 	for i, line := range lines {
 		var obj map[string]any
 		if err := json.Unmarshal([]byte(line), &obj); err != nil {
@@ -222,8 +234,14 @@ func TestJournalJSONL(t *testing.T) {
 	if gen["distinct_evals"].(float64) != 12 {
 		t.Errorf("distinct_evals = %v, want 12", gen["distinct_evals"])
 	}
+	// The cache fields are always present, zeros included.
+	for field, want := range map[string]float64{"cache_hits": 4, "cache_misses": 2, "cache_dedups": 1, "cache_transient": 0, "cache_collisions": 0} {
+		if got, ok := gen[field].(float64); !ok || got != want {
+			t.Errorf("%s = %v, want %v", field, gen[field], want)
+		}
+	}
 	var span map[string]any
-	if err := json.Unmarshal([]byte(lines[5]), &span); err != nil {
+	if err := json.Unmarshal([]byte(lines[4]), &span); err != nil {
 		t.Fatal(err)
 	}
 	if span["name"] != "ga.generation" || span["dur_us"] != 1500.0 || span["dur_ns"] != 1.5e6 {
@@ -279,7 +297,7 @@ func TestJournalConcurrentMixedWriters(t *testing.T) {
 				case 1:
 					j.OnEvaluation(trace.EvaluationRecord{Generation: i, Feasible: true, Fitness: float64(i)})
 				case 2:
-					j.OnCache(trace.CacheRecord{Event: trace.CacheHit, Shard: w})
+					j.OnHint(trace.HintRecord{Generation: i, Gene: w, Mechanism: trace.HintGeneUniform})
 				case 3:
 					j.OnPool(trace.PoolRecord{Event: trace.PoolTask, Worker: w})
 				case 4:
@@ -313,7 +331,7 @@ func TestJournalConcurrentMixedWriters(t *testing.T) {
 		counts[ev]++
 	}
 	want := workers * perWorker / 5
-	for _, ev := range []string{"generation", "eval", "cache", "pool", "span"} {
+	for _, ev := range []string{"generation", "eval", "hint", "pool", "span"} {
 		if counts[ev] != want {
 			t.Errorf("event %q count = %d, want %d", ev, counts[ev], want)
 		}

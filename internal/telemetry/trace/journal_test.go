@@ -11,14 +11,15 @@ import (
 
 // TestJournalSink checks the telemetry Journal as a sink of the stream:
 // spans become "span" lines carrying the trace/parent linkage and session
-// label, interleaved with the run-event lines.
+// label, interleaved with the run-event lines, and a generation line
+// carries its cache lookups by outcome.
 func TestJournalSink(t *testing.T) {
 	var buf bytes.Buffer
 	j := telemetry.NewJournal(&buf)
 	tr := trace.New(trace.Config{Session: "sess", Seed: 1, Sinks: []trace.Sink{j}})
 	root := tr.Start("ga.generation")
 	root.Child("ga.dispatch").End()
-	tr.RecordCache(trace.CacheRecord{Event: trace.CacheMiss})
+	tr.RecordGeneration(trace.GenerationRecord{Generation: 2, CacheHits: 5, CacheMisses: 3, CacheDedups: 1, CacheTransient: 1})
 	root.End()
 	if err := j.Close(); err != nil {
 		t.Fatalf("journal close: %v", err)
@@ -57,7 +58,19 @@ func TestJournalSink(t *testing.T) {
 		}
 		kinds = append(kinds, ev.Event)
 	}
-	if kinds[1] != "cache" || kinds[2] != "span" {
-		t.Errorf("line kinds = %v, want [span cache span]", kinds)
+	if kinds[1] != "generation" || kinds[2] != "span" {
+		t.Errorf("line kinds = %v, want [span generation span]", kinds)
+	}
+	var gen map[string]any
+	if err := json.Unmarshal(lines[1], &gen); err != nil {
+		t.Fatal(err)
+	}
+	for field, want := range map[string]float64{
+		"gen": 2, "cache_hits": 5, "cache_misses": 3, "cache_dedups": 1,
+		"cache_transient": 1, "cache_collisions": 0,
+	} {
+		if got, ok := gen[field].(float64); !ok || got != want {
+			t.Errorf("generation line %s = %v, want %v", field, gen[field], want)
+		}
 	}
 }

@@ -32,6 +32,23 @@ type GenerationRecord struct {
 	// Elapsed is the wall-clock time this generation took (evaluation
 	// through bookkeeping). Wall time never feeds back into the search.
 	Elapsed time.Duration
+	// The cache fields account for the generation's lookups in the
+	// engine's own cache, each the change in one of that cache's counters
+	// across the generation's batch. Every lookup is exactly one of a hit
+	// (the point was memoized, or an earlier request of the batch owns
+	// it), an owned miss (an evaluation the batch paid for, including one
+	// that ended in a transient error) or a dedup wait (another caller
+	// was already evaluating the point). CacheTransient counts the misses
+	// withdrawn with a transient error, and CacheCollisions the probe
+	// steps that passed an equal-hash entry holding a different genome.
+	// Summed over a completed run's records, hits + misses + dedups is
+	// the run's Result.Cache.Total, misses is Distinct + Transient, and
+	// collisions is Collisions.
+	CacheHits       int
+	CacheMisses     int
+	CacheDedups     int
+	CacheTransient  int
+	CacheCollisions int
 }
 
 // EvaluationRecord reports one individual's fitness evaluation.
@@ -77,35 +94,6 @@ type HintRecord struct {
 	// mechanism then deferred to uniform). Always false for gene picks,
 	// whose blending is continuous rather than gated.
 	Guided bool
-}
-
-// Cache lookup outcomes.
-const (
-	// CacheHit: the design point was already characterized.
-	CacheHit = "hit"
-	// CacheMiss: this lookup owns the evaluation (a spent synthesis job).
-	CacheMiss = "miss"
-	// CacheDedup: another goroutine is evaluating the same point; this
-	// lookup blocked on its result (singleflight wait).
-	CacheDedup = "dedup"
-	// CacheTransient: the owned evaluation ended in a transient error; the
-	// entry was withdrawn so the point stays re-evaluable (never memoized).
-	CacheTransient = "transient"
-	// CacheCollision: a hash-keyed lookup probed past an entry whose
-	// 64-bit hash matched but whose packed genome did not. Collisions are
-	// correctness-neutral (identity is (hash, genome)) but each one costs
-	// an extra probe, so a rising rate flags a degenerate hash seed.
-	CacheCollision = "collision"
-)
-
-// CacheRecord reports one evaluation-cache event.
-type CacheRecord struct {
-	// Event is one of CacheHit, CacheMiss, CacheDedup, CacheTransient,
-	// CacheCollision. Every lookup reports exactly one of the first three;
-	// transient withdrawals and collisions are reported on top.
-	Event string
-	// Shard is the lock stripe the key hashed to.
-	Shard int
 }
 
 // Worker-pool events.

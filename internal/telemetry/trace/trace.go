@@ -1,10 +1,10 @@
 // Package trace is Nautilus' one observability stream: a nil-safe,
 // seeded tracer that carries both latency spans and the structured run
-// events of a search - generation completed, individual evaluated, hint
-// applied or skipped, cache hit/miss/dedup, worker busy/idle. Spans say
-// where the wall clock went on one specific request; the records say how
-// the search itself behaved (the paper's distinct-evaluation cost and the
-// hint mechanisms behind it).
+// events of a search - generation completed (with its cache lookups by
+// outcome), individual evaluated, hint applied or skipped, worker
+// busy/idle. Spans say where the wall clock went on one specific request;
+// the records say how the search itself behaved (the paper's
+// distinct-evaluation cost and the hint mechanisms behind it).
 //
 // Design constraints, in order:
 //
@@ -70,7 +70,6 @@ type Sink interface {
 	OnGeneration(GenerationRecord)
 	OnEvaluation(EvaluationRecord)
 	OnHint(HintRecord)
-	OnCache(CacheRecord)
 	OnPool(PoolRecord)
 }
 
@@ -82,7 +81,6 @@ func (NopSink) OnSpan(Span)                   {}
 func (NopSink) OnGeneration(GenerationRecord) {}
 func (NopSink) OnEvaluation(EvaluationRecord) {}
 func (NopSink) OnHint(HintRecord)             {}
-func (NopSink) OnCache(CacheRecord)           {}
 func (NopSink) OnPool(PoolRecord)             {}
 
 // Config parameterizes a Tracer.
@@ -277,16 +275,6 @@ func (t *Tracer) RecordHint(r HintRecord) {
 	}
 	for _, sink := range t.sinks {
 		sink.OnHint(r)
-	}
-}
-
-// RecordCache delivers one evaluation-cache event.
-func (t *Tracer) RecordCache(r CacheRecord) {
-	if t == nil {
-		return
-	}
-	for _, sink := range t.sinks {
-		sink.OnCache(r)
 	}
 }
 

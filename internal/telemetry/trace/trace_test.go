@@ -29,15 +29,13 @@ func (c *collect) record() {
 func (c *collect) OnGeneration(GenerationRecord) { c.record() }
 func (c *collect) OnEvaluation(EvaluationRecord) { c.record() }
 func (c *collect) OnHint(HintRecord)             { c.record() }
-func (c *collect) OnCache(CacheRecord)           { c.record() }
 func (c *collect) OnPool(PoolRecord)             { c.record() }
 
 // recordAll sends one record of every kind through tr.
 func recordAll(tr *Tracer) {
-	tr.RecordGeneration(GenerationRecord{Generation: 1, BestValue: 2, MeanFitness: 3})
+	tr.RecordGeneration(GenerationRecord{Generation: 1, BestValue: 2, MeanFitness: 3, CacheHits: 4, CacheMisses: 2})
 	tr.RecordEvaluation(EvaluationRecord{Generation: 1, Feasible: true, Fitness: 4})
 	tr.RecordHint(HintRecord{Generation: 1, Gene: 2, Mechanism: HintValueBias, Guided: true})
-	tr.RecordCache(CacheRecord{Event: CacheHit, Shard: 3})
 	tr.RecordPool(PoolRecord{Event: PoolTask, Worker: 1})
 }
 
@@ -80,8 +78,8 @@ func TestRecordsFanOut(t *testing.T) {
 	both := tr.With(b)
 	recordAll(both)
 	both.Start("op").End()
-	if a.records != 10 || b.records != 5 {
-		t.Errorf("records: original sink %d (want 10), added sink %d (want 5)", a.records, b.records)
+	if a.records != 8 || b.records != 4 {
+		t.Errorf("records: original sink %d (want 8), added sink %d (want 4)", a.records, b.records)
 	}
 	if len(a.spans) != 1 || len(b.spans) != 1 {
 		t.Fatalf("spans: %d and %d, want 1 each", len(a.spans), len(b.spans))
